@@ -1,12 +1,15 @@
 """Solve unknown model coefficients from anchor scenarios.
 
 The budget formula is linear in every coefficient, so an anchor scenario
-with a known suitable budget pins exactly one unknown: subtract all known
-terms and divide by the unknown's multiplier (agent count for the
-per-agent coefficient, junction count for the per-junction coefficient,
--1 for the repeat-exposure deduction).  Anchors are solved in sequence,
-feeding each solved value into later anchors either at full precision or
-at the one-decimal publishing precision.
+with a known suitable budget pins exactly one unknown.  The solver does
+not restate the formula: it evaluates the model's unclamped sum with the
+unknown set to 0, subtracts that from the known budget, and divides by
+the unknown's signed weight (agent count for the per-agent coefficient,
+junction count for the per-junction coefficient, -1 for the
+repeat-exposure deduction, 0 when the anchor does not involve it).
+Anchors are solved in sequence, feeding each solved value into later
+anchors either at full precision or at the one-decimal publishing
+precision.
 
 The repeat-exposure deduction can also be derived directly as the product
 of an ordinal effect size and an upper-bound budget; that is a product,
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 from .errors import DependencyOrderError, NegativeCoefficient, UnidentifiableUnknown
 from .model import (
@@ -24,13 +28,9 @@ from .model import (
     DriverProfile,
     ScenarioSpec,
     TakeoverContext,
-    dec_lookup,
+    _budget_terms,
     estimate_tortb,
-    ndrtc_lookup,
-    oc_lookup,
-    relative_speed,
     round_coefficient,
-    rsc_lookup,
 )
 
 
@@ -89,46 +89,13 @@ class CalibrationResult:
     solved: dict[UnknownCoefficient, SolvedCoefficient]
 
 
-def _multiplier(anchor: AnchorCase) -> float:
-    """Multiplier of the anchor's unknown in its budget equation."""
-    return _weight(anchor, anchor.unknown) * (
-        -1.0 if anchor.unknown is UnknownCoefficient.OC else 1.0
-    )
-
-
-def _weight(anchor: AnchorCase, unknown: UnknownCoefficient) -> float:
-    """How strongly ``unknown`` enters the anchor's equation (0 = absent)."""
-    if unknown is UnknownCoefficient.C_NOA:
-        return float(anchor.scenario.noa)
-    if unknown is UnknownCoefficient.C_NOJ:
-        return float(anchor.scenario.noj)
-    return 1.0 if anchor.ctx.ordinal >= 2 else 0.0
-
-
-def _known_sum(anchor: AnchorCase, coeffs: CoefficientSet) -> float:
-    """Sum of all terms except the unknown's, left to right."""
-    s = anchor.driver.srt + dec_lookup(anchor.driver.experience_km_per_week, coeffs)
-    if anchor.unknown is not UnknownCoefficient.C_NOA:
-        s += anchor.scenario.noa * coeffs.c_noa
-    if anchor.unknown is not UnknownCoefficient.C_NOJ:
-        s += anchor.scenario.noj * coeffs.c_noj
-    s += rsc_lookup(
-        relative_speed(anchor.scenario.ego_speed, anchor.scenario.hazard_speed), coeffs
-    )
-    s += ndrtc_lookup(anchor.ctx.ndrt_class, coeffs)
-    if anchor.unknown is not UnknownCoefficient.OC:
-        s -= oc_lookup(anchor.ctx.ordinal, coeffs)
-    return s
-
-
-def _apply(
-    coeffs: CoefficientSet, unknown: UnknownCoefficient, value: float
-) -> CoefficientSet:
-    if unknown is UnknownCoefficient.C_NOA:
-        return replace(coeffs, c_noa=value)
-    if unknown is UnknownCoefficient.C_NOJ:
-        return replace(coeffs, c_noj=value)
-    return replace(coeffs, oc_repeat=value)
+# Per unknown: the CoefficientSet field it names and its signed weight in an
+# anchor's budget equation (0 when the anchor does not involve it).
+_UNKNOWNS: dict[UnknownCoefficient, tuple[str, Callable[[AnchorCase], float]]] = {
+    UnknownCoefficient.C_NOA: ("c_noa", lambda a: float(a.scenario.noa)),
+    UnknownCoefficient.C_NOJ: ("c_noj", lambda a: float(a.scenario.noj)),
+    UnknownCoefficient.OC: ("oc_repeat", lambda a: -1.0 if a.ctx.ordinal >= 2 else 0.0),
+}
 
 
 def solve_coefficient(
@@ -139,13 +106,19 @@ def solve_coefficient(
     Returns ``(raw, rounded)`` in seconds; ``rounded`` is the raw value at
     one-decimal half-up precision.
     """
-    mult = _multiplier(anchor)
+    field, weight = _UNKNOWNS[anchor.unknown]
+    mult = weight(anchor)
     if mult == 0:
         raise UnidentifiableUnknown(
             f"anchor '{anchor.scenario.label or anchor.unknown.value}' gives "
             f"{anchor.unknown.value} a zero multiplier"
         )
-    raw = (anchor.known_tortb - _known_sum(anchor, known)) / mult
+    # The unclamped sum with the unknown at 0 is every other term, bit for
+    # bit (x + 0.0 == x); the clamped total would be wrong when it is < 0.
+    _, known_sum = _budget_terms(
+        anchor.driver, anchor.scenario, anchor.ctx, replace(known, **{field: 0.0})
+    )
+    raw = (anchor.known_tortb - known_sum) / mult
     if raw < 0:
         raise NegativeCoefficient(
             f"solving {anchor.unknown.value} yields {raw:.6g} s; "
@@ -177,16 +150,16 @@ def calibrate_sequence(
     for anchor in anchors:
         remaining.discard(anchor.unknown)
         for later in remaining:
-            if _weight(anchor, later) != 0:
+            if _UNKNOWNS[later][1](anchor) != 0:
                 raise DependencyOrderError(
                     f"anchor for {anchor.unknown.value} needs {later.value}, "
                     "which a later anchor solves"
                 )
         raw, rounded = solve_coefficient(anchor, current)
-        current = _apply(
-            current, anchor.unknown, raw if chaining is Chaining.USE_RAW else rounded
-        )
-        rounded_chain = _apply(rounded_chain, anchor.unknown, rounded)
+        field = _UNKNOWNS[anchor.unknown][0]
+        chained = raw if chaining is Chaining.USE_RAW else rounded
+        current = replace(current, **{field: chained})
+        rounded_chain = replace(rounded_chain, **{field: rounded})
         reconstruction = estimate_tortb(
             anchor.driver, anchor.scenario, anchor.ctx, rounded_chain
         ).total

@@ -202,16 +202,23 @@ def episode_config_from_dict(
         if "budget_driver" in data
         else None
     )
-    mode = str(data.get("deadline_mode", "from_budget"))
+    mode = data.get("deadline_mode", "from_budget")
     explicit = data.get("explicit_deadline_s")
+    if mode not in ("from_budget", "explicit"):
+        raise SchemaError(
+            f"{where}: deadline_mode must be 'from_budget' or 'explicit', got {mode!r}"
+        )
+    if (mode == "explicit") != (explicit is not None):
+        raise SchemaError(
+            f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
+        )
     try:
         return EpisodeConfig(
             driver=driver_from_dict(_get(data, "driver", where), f"{where}.driver"),
             scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
             ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
             coeffs=coeffs,
-            deadline_mode=mode,
-            explicit_deadline=None if explicit is None else float(explicit),
+            deadline=None if explicit is None else float(explicit),
             budget_driver=budget_driver,
             response_noise=float(data.get("response_noise_s", 0.0)),
             maneuver_duration=float(data.get("maneuver_duration_s", 2.0)),

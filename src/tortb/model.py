@@ -24,6 +24,7 @@ immutable values and is safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -63,8 +64,11 @@ class DriverProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.srt <= 1.0:
             raise ValueError(f"srt must be within [0, 1] s, got {self.srt}")
-        if self.experience_km_per_week < 0:
-            raise ValueError("experience_km_per_week must be >= 0")
+        if not 0.0 <= self.experience_km_per_week < math.inf:
+            raise ValueError(
+                "experience_km_per_week must be finite and >= 0, "
+                f"got {self.experience_km_per_week}"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,10 @@ class ScenarioSpec:
             raise ValueError("noa must be >= 0")
         if self.noj < 0:
             raise ValueError("noj must be >= 0")
-        if self.ego_speed < 0:
-            raise ValueError("ego_speed must be >= 0")
-        if self.hazard_speed < 0:
-            raise ValueError("hazard_speed must be >= 0")
+        for name in ("ego_speed", "hazard_speed"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +318,32 @@ class TortbEstimate:
     warnings: tuple[str, ...] = ()
 
 
+def _budget_terms(
+    driver: DriverProfile,
+    scenario: ScenarioSpec,
+    ctx: TakeoverContext,
+    coeffs: CoefficientSet,
+) -> tuple[dict[str, float], float]:
+    """The budget's components and their unclamped sum."""
+    dec = dec_lookup(driver.experience_km_per_week, coeffs)
+    sst = compute_sst(scenario, coeffs)
+    ndrtc = ndrtc_lookup(ctx.ndrt_class, coeffs)
+    oc = oc_lookup(ctx.ordinal, coeffs)
+    # Fixed left-to-right evaluation keeps the breakdown bit-reproducible.
+    total = driver.srt + dec + sst.noa_term + sst.noj_term + sst.rsc + ndrtc - oc
+    components = {
+        "srt": driver.srt,
+        "dec": dec,
+        "noa_term": sst.noa_term,
+        "noj_term": sst.noj_term,
+        "rsc": sst.rsc,
+        "sst": sst.total,
+        "ndrtc": ndrtc,
+        "oc": oc,
+    }
+    return components, total
+
+
 def estimate_tortb(
     driver: DriverProfile,
     scenario: ScenarioSpec,
@@ -333,23 +363,8 @@ def estimate_tortb(
             f"srt {driver.srt:g} s is outside the typical visual stimulus "
             f"response range [{lo:g}, {hi:g}] s"
         )
-    dec = dec_lookup(driver.experience_km_per_week, coeffs)
-    sst = compute_sst(scenario, coeffs)
-    ndrtc = ndrtc_lookup(ctx.ndrt_class, coeffs)
-    oc = oc_lookup(ctx.ordinal, coeffs)
-    # Fixed left-to-right evaluation keeps the breakdown bit-reproducible.
-    total = driver.srt + dec + sst.noa_term + sst.noj_term + sst.rsc + ndrtc - oc
+    components, total = _budget_terms(driver, scenario, ctx, coeffs)
     if total < 0:
         warnings.append(f"negative budget {total:.6g} s clamped to 0")
         total = 0.0
-    components = {
-        "srt": driver.srt,
-        "dec": dec,
-        "noa_term": sst.noa_term,
-        "noj_term": sst.noj_term,
-        "rsc": sst.rsc,
-        "sst": sst.total,
-        "ndrtc": ndrtc,
-        "oc": oc,
-    }
     return TortbEstimate(total=total, components=components, warnings=tuple(warnings))

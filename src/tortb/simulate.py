@@ -18,6 +18,7 @@ a fixed mixing rule, so batch results do not depend on execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -74,21 +75,15 @@ class EpisodeConfig:
     scenario: ScenarioSpec
     ctx: TakeoverContext
     coeffs: CoefficientSet = DEFAULT_COEFFICIENTS
-    deadline_mode: str = "from_budget"  # "from_budget" | "explicit"
-    explicit_deadline: float | None = None  # [s], only for "explicit"
+    deadline: float | None = None  # [s]; None: budgeted for budget_driver or driver
     budget_driver: DriverProfile | None = None  # profile the deadline is budgeted for
     response_noise: float = 0.0  # [s] half-width of the uniform perturbation
     maneuver_duration: float = 2.0  # [s]
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.deadline_mode not in ("from_budget", "explicit"):
-            raise ValueError("deadline_mode must be 'from_budget' or 'explicit'")
-        if self.deadline_mode == "explicit":
-            if self.explicit_deadline is None or self.explicit_deadline < 0:
-                raise ValueError("explicit deadline_mode needs explicit_deadline >= 0")
-        elif self.explicit_deadline is not None:
-            raise ValueError("explicit_deadline is only valid with deadline_mode='explicit'")
+        if self.deadline is not None and not 0.0 <= self.deadline < math.inf:
+            raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
         if self.response_noise < 0:
             raise ValueError("response_noise must be >= 0")
         if self.maneuver_duration <= 0:
@@ -128,8 +123,8 @@ def required_takeover_time(cfg: EpisodeConfig, rng: np.random.Generator) -> floa
 
 
 def _deadline(cfg: EpisodeConfig) -> float:
-    if cfg.deadline_mode == "explicit":
-        return float(cfg.explicit_deadline)  # validated not-None
+    if cfg.deadline is not None:
+        return float(cfg.deadline)
     budget_driver = cfg.budget_driver if cfg.budget_driver is not None else cfg.driver
     return estimate_tortb(budget_driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
 

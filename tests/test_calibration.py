@@ -182,6 +182,26 @@ def test_oc_anchor_solves_via_negative_multiplier():
     assert rounded == 0.7
 
 
+def test_solve_uses_unclamped_known_sum():
+    # The known terms sum to -0.4 s here; clamping that at 0 would give 0.5.
+    zeroed = replace(
+        DEFAULT_COEFFICIENTS,
+        rsc_bands=((130.0, 0.0),),
+        dec_bands=((200.0, 0.0),),
+        dec_floor=0.0,
+        ndrtc_handheld=0.0,
+        oc_repeat=0.4,
+    )
+    anchor = AnchorCase(
+        scenario=ScenarioSpec(noa=2, noj=0, ego_speed=60),
+        driver=DriverProfile(srt=0.0, experience_km_per_week=20),
+        ctx=TakeoverContext(ndrt_class=NdrtClass.HAND_HELD, ordinal=2),
+        known_tortb=1.0,
+        unknown=UnknownCoefficient.C_NOA,
+    )
+    assert solve_coefficient(anchor, zeroed) == (0.7, 0.7)
+
+
 @pytest.mark.parametrize(
     "effect,bound,raw,rounded",
     [(0.053, 7, 0.371, 0.4), (0.0, 7, 0.0, 0.0), (0.5, 10, 5.0, 5.0)],

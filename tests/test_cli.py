@@ -357,6 +357,39 @@ def test_simulate_config_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "empty" in err
+    config = tmp_path / "episodes.json"
+    for fields, key in [
+        ({"deadline_mode": "explicit"}, "explicit_deadline_s"),
+        ({"explicit_deadline_s": 3.0}, "deadline_mode"),
+        ({"deadline_mode": "whenever"}, "deadline_mode"),
+        ({"deadline_mode": "explicit", "explicit_deadline_s": -1.0}, "deadline"),
+        ({"deadline_mode": "explicit", "explicit_deadline_s": float("nan")}, "deadline"),
+    ]:
+        write_episode_config(config)
+        payload = json.loads(config.read_text())
+        payload["episodes"][1].update(fields)
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run_cli(
+            ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2, fields
+        assert "episodes[1]" in err and key in err, err
+
+
+def test_simulate_explicit_deadline_reaches_report(tmp_path, capsys):
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    payload = json.loads(config.read_text())
+    payload["episodes"][0].update(deadline_mode="explicit", explicit_deadline_s=12.25)
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        ["simulate", "--config", str(config), "--out-dir", str(out_dir)], capsys
+    )
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["episodes"][0]["deadline_s"] == 12.25
 
 
 # --------------------------------- table ---------------------------------

@@ -141,6 +141,11 @@ def test_driver_profile_validation():
         DriverProfile(srt=1.5, experience_km_per_week=10)
     with pytest.raises(ValueError):
         DriverProfile(srt=0.2, experience_km_per_week=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="srt"):
+            DriverProfile(srt=bad, experience_km_per_week=10)
+        with pytest.raises(ValueError, match="experience_km_per_week"):
+            DriverProfile(srt=0.3, experience_km_per_week=bad)
 
 
 def test_scenario_validation():
@@ -148,6 +153,11 @@ def test_scenario_validation():
         ScenarioSpec(noa=-1, noj=0, ego_speed=50)
     with pytest.raises(ValueError):
         ScenarioSpec(noa=0, noj=0, ego_speed=-5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="ego_speed"):
+            ScenarioSpec(noa=0, noj=0, ego_speed=bad)
+        with pytest.raises(ValueError, match="hazard_speed"):
+            ScenarioSpec(noa=0, noj=0, ego_speed=50, hazard_speed=bad)
 
 
 def test_context_validation():

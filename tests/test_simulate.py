@@ -70,31 +70,19 @@ def test_different_seeds_differ_under_noise():
 
 
 def test_explicit_short_deadline_collides():
-    outcome = run_episode(
-        base_config(deadline_mode="explicit", explicit_deadline=1.0, maneuver_duration=2.0)
-    )
+    outcome = run_episode(base_config(deadline=1.0, maneuver_duration=2.0))
     assert outcome.required_time > 3.0
     assert outcome.classification is Classification.COLLISION
 
 
 def test_classification_boundaries():
     est = estimate_tortb(BOUND, SCENARIO_PRESETS["S1"], FIRST_HANDS_FREE).total
-    at_deadline = run_episode(
-        base_config(deadline_mode="explicit", explicit_deadline=est)
-    )
+    at_deadline = run_episode(base_config(deadline=est))
     assert at_deadline.classification is Classification.SUCCESS
-    late = run_episode(
-        base_config(
-            deadline_mode="explicit", explicit_deadline=est - 1.0, maneuver_duration=2.0
-        )
-    )
+    late = run_episode(base_config(deadline=est - 1.0, maneuver_duration=2.0))
     assert late.classification is Classification.LATE
     # margin exactly -maneuver_duration counts as a collision
-    boundary = run_episode(
-        base_config(
-            deadline_mode="explicit", explicit_deadline=est - 2.0, maneuver_duration=2.0
-        )
-    )
+    boundary = run_episode(base_config(deadline=est - 2.0, maneuver_duration=2.0))
     assert boundary.margin == -2.0
     assert boundary.classification is Classification.COLLISION
 
@@ -156,12 +144,9 @@ def test_config_validation():
         base_config(response_noise=-0.1)
     with pytest.raises(ValueError):
         base_config(maneuver_duration=0.0)
-    with pytest.raises(ValueError):
-        base_config(deadline_mode="explicit")
-    with pytest.raises(ValueError):
-        base_config(explicit_deadline=3.0)  # only valid with explicit mode
-    with pytest.raises(ValueError):
-        base_config(deadline_mode="whenever")
+    for bad_deadline in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="deadline"):
+            base_config(deadline=bad_deadline)
     with pytest.raises(ValueError):
         base_config(seed=-1)
 
@@ -193,8 +178,8 @@ def test_batch_counts_match_outcomes():
     est = estimate_tortb(BOUND, SCENARIO_PRESETS["S1"], FIRST_HANDS_FREE).total
     configs = [
         base_config(),
-        base_config(deadline_mode="explicit", explicit_deadline=est - 1.0),
-        base_config(deadline_mode="explicit", explicit_deadline=0.0),
+        base_config(deadline=est - 1.0),
+        base_config(deadline=0.0),
     ]
     report = run_batch(configs, base_seed=3)
     classes = [o.classification for o in report.outcomes]
