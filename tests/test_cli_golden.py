@@ -1,0 +1,126 @@
+"""Byte-level golden outputs of the CLI.
+
+Each case runs one subcommand on fixed inputs and compares the sha256 of
+what it prints or writes against a digest recorded from a known-good
+build.  Any change to a number, a key, the key order or the whitespace of
+a valid output fails here, so refactors that must keep outputs
+byte-identical are checked by this file.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tortb.cli import main
+
+ANCHORS = {
+    "anchors": [
+        {
+            "scenario": "S1",
+            "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+            "ctx": {"ndrt": "handsfree", "ordinal": 1},
+            "known_tortb_s": 7.0,
+            "unknown": "c_noa",
+        },
+        {
+            "scenario": "S3",
+            "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+            "ctx": {"ndrt": "handsfree", "ordinal": 1},
+            "known_tortb_s": 7.0,
+            "unknown": "c_noj",
+        },
+    ]
+}
+
+EPISODES = {
+    "base_seed": 11,
+    "episodes": [
+        {
+            "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+            "scenario": "S1",
+            "ctx": {"ndrt": "handsfree", "ordinal": 1},
+            "response_noise_s": 0.5,
+        },
+        {
+            "driver": {"srt_s": 0.25, "experience_km_per_wk": 150},
+            "scenario": {"noa": 1, "noj": 2, "ego_speed_km_per_hr": 100,
+                         "hazard_speed_km_per_hr": 30, "label": "inline"},
+            "ctx": {"ndrt": "handheld", "ordinal": 2},
+            "budget_driver": {"srt_s": 0.2, "experience_km_per_wk": 80},
+            "response_noise_s": 1.25,
+            "maneuver_duration_s": 1.5,
+        },
+        {
+            "driver": {"srt_s": 0.2, "experience_km_per_wk": 80},
+            "scenario": "S3",
+            "ctx": {"ndrt": "handsfree", "ordinal": 3},
+            "deadline_mode": "explicit",
+            "explicit_deadline_s": 4.0,
+        },
+    ],
+}
+
+STDOUT_DIGESTS = {
+    "table": "79a6015138ca32d9abe622d5e74370b9c3e2edb98887af8d806d5dc8ce8e113a",
+    "table_json": "2fbee3b5e572efb90b5e931fcdfac686d9bba916abda354deaa779f963ac5496",
+    "estimate_preset_json": "70958367314e55486a0a7a1d742272c538829eec65b888e73dbe5efd095620e5",
+    "estimate_explicit_raw_json": "22273f059b927c8f9f6eb166f6f98de51059899583e52248f9c8db2ad881e222",
+    "calibrate_json": "6cd51fe1994e61a81097dca65be74c321c14e634445652372decfcda790d9575",
+}
+
+# The three episodes end late, success and collision, in that order.
+FILE_DIGESTS = {
+    "solved.json": "40db88ecd4fd4ec20a62fe68dc78f969eef562b3d5f14e400427585d33b47e9d",
+    "simulate/episode_000.csv": "2f7eef7ee182a81eff012b32419bf08a9cba2119320438a3faabe5d05a3a6874",
+    "simulate/episode_001.csv": "567c8284a3d375578da4f8cf5a77dcd55f80ef33a6bbc36aa515947de059889e",
+    "simulate/episode_002.csv": "849100e9fcf01269ac25c213e80e6f3fb0bde939f157275b70a8929b4404ed4b",
+    "simulate/report.json": "76580655a2cdd0473865ddf49fe55d7cc7f913e914c21225bca8f355746709f6",
+}
+
+STDOUT_CASES = {
+    "table": ["table"],
+    "table_json": ["table", "--json"],
+    "estimate_preset_json": [
+        "estimate", "--scenario", "S3", "--srt", "0.3", "--experience", "20",
+        "--ndrt", "handheld", "--ordinal", "2", "--json",
+    ],
+    "estimate_explicit_raw_json": [
+        "estimate", "--srt", "0.22", "--experience", "45.5",
+        "--noa", "3", "--noj", "1", "--ego-speed", "120", "--hazard-speed", "35",
+        "--ndrt", "handsfree", "--ordinal", "1", "--coeffs", "raw", "--json",
+    ],
+    "calibrate_json": [
+        "calibrate", "--anchors", "anchors.json", "--out", "solved.json", "--json",
+    ],
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """Run in an empty directory so relative paths in outputs are fixed."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "anchors.json").write_text(json.dumps(ANCHORS), encoding="utf-8")
+    (tmp_path / "episodes.json").write_text(json.dumps(EPISODES), encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_digest(name, workdir, capsys):
+    assert main(STDOUT_CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode("utf-8")) == STDOUT_DIGESTS[name]
+
+
+def test_written_file_digests(workdir, capsys):
+    assert main(STDOUT_CASES["calibrate_json"]) == 0
+    assert main(["simulate", "--config", "episodes.json", "--out-dir", "simulate"]) == 0
+    capsys.readouterr()
+    written = {"solved.json": sha256((workdir / "solved.json").read_bytes())}
+    for path in sorted((workdir / "simulate").iterdir()):
+        written[f"simulate/{path.name}"] = sha256(path.read_bytes())
+    assert written == FILE_DIGESTS
