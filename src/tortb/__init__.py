@@ -6,6 +6,8 @@ anchor scenarios, objective metric extraction from 20 Hz drive logs, and
 a deterministic takeover-episode simulator for round-trip validation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calibration import (
     AnchorCase,
     CalibrationResult,
@@ -79,65 +81,10 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorCase",
-    "BatchReport",
-    "CalibrationResult",
-    "Chaining",
-    "Classification",
-    "CoefficientSet",
-    "DEFAULT_COEFFICIENTS",
-    "DependencyOrderError",
-    "DriveLog",
-    "DriverProfile",
-    "EmptyBatch",
-    "EmptyGroup",
-    "EpisodeConfig",
-    "EpisodeOutcome",
-    "MissingTorMarker",
-    "MultipleTorMarkers",
-    "NdrtClass",
-    "NegativeCoefficient",
-    "NegativeRelativeSpeed",
-    "NonUniformSampling",
-    "RAW_COEFFICIENTS",
-    "SCENARIO_PRESETS",
-    "SchemaError",
-    "ScenarioSpec",
-    "SolvedCoefficient",
-    "SpeedAboveModelRange",
-    "SstBreakdown",
-    "SummaryStats",
-    "TakeoverContext",
-    "TakeoverMetrics",
-    "TortbError",
-    "TortbEstimate",
-    "UnidentifiableUnknown",
-    "UnknownCoefficient",
-    "VISUAL_SRT_RANGE",
-    "WindowOutOfRange",
-    "avg_lateral_displacement",
-    "calibrate_sequence",
-    "compute_sst",
-    "dec_lookup",
-    "derive_oc",
-    "describe",
-    "detect_tot",
-    "drive_log_to_csv",
-    "estimate_tortb",
-    "extract_metrics",
-    "max_acceleration",
-    "mix_seed",
-    "ndrtc_lookup",
-    "oc_lookup",
-    "parse_drive_log",
-    "relative_speed",
-    "required_takeover_time",
-    "response_onset",
-    "round_coefficient",
-    "rsc_lookup",
-    "run_batch",
-    "run_episode",
-    "solve_coefficient",
-    "summarize",
-]
+# Every public name imported above; the submodules bound by those imports
+# are not part of the star-import surface.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -18,6 +18,7 @@ not a linear-residual solve, so it lives in :func:`derive_oc`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
@@ -64,8 +65,8 @@ class AnchorCase:
     unknown: UnknownCoefficient
 
     def __post_init__(self) -> None:
-        if self.known_tortb <= 0:
-            raise ValueError("known_tortb must be > 0")
+        if not 0.0 < self.known_tortb < math.inf:
+            raise ValueError(f"known_tortb must be finite and > 0, got {self.known_tortb}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ def derive_oc(
     """Repeat-exposure deduction as effect size times the upper-bound budget."""
     if not 0.0 <= ordinal_effect_size <= 1.0:
         raise ValueError("ordinal_effect_size must be within [0, 1]")
-    if upper_bound_tortb <= 0:
-        raise ValueError("upper_bound_tortb must be > 0")
+    if not 0.0 < upper_bound_tortb < math.inf:
+        raise ValueError(f"upper_bound_tortb must be finite and > 0, got {upper_bound_tortb}")
     raw = ordinal_effect_size * upper_bound_tortb
     return raw, round_coefficient(raw)

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__, fileio
 from .calibration import Chaining, calibrate_sequence
@@ -56,6 +56,14 @@ _SCENARIO_FLAGS = ("--noa", "--noj", "--ego-speed", "--hazard-speed")
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _from_flags(flags: str, cls: Callable[..., Any], **kwargs: Any) -> Any:
+    """Build ``cls`` from flag values; a rejected value names its flags."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
 
 
 def _emit_json(payload: Any) -> None:
@@ -185,23 +193,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         if args.noa is None or args.ego_speed is None:
             return _fail("provide --scenario, or --noa and --ego-speed")
-        try:
-            scenario = ScenarioSpec(
-                noa=args.noa,
-                noj=args.noj if args.noj is not None else 0,
-                ego_speed=args.ego_speed,
-                hazard_speed=args.hazard_speed if args.hazard_speed is not None else 0.0,
-            )
-        except ValueError as exc:
-            return _fail(f"scenario flags: {exc}")
-    if not 0.0 <= args.srt <= 1.0:
-        return _fail("--srt must be within [0, 1] s")
-    if args.experience < 0:
-        return _fail("--experience must be >= 0")
-    if args.ordinal < 1:
-        return _fail("--ordinal must be >= 1")
-    driver = DriverProfile(srt=args.srt, experience_km_per_week=args.experience)
-    ctx = TakeoverContext(ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
+        scenario = _from_flags(
+            "/".join(_SCENARIO_FLAGS),
+            ScenarioSpec,
+            noa=args.noa,
+            noj=args.noj if args.noj is not None else 0,
+            ego_speed=args.ego_speed,
+            hazard_speed=args.hazard_speed if args.hazard_speed is not None else 0.0,
+        )
+    driver = _from_flags("--srt/--experience", DriverProfile,
+                         srt=args.srt, experience_km_per_week=args.experience)
+    ctx = _from_flags("--ordinal", TakeoverContext,
+                      ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
     payload = _estimate_payload(driver, scenario, ctx, coeffs, args.coeffs)
     if args.json:

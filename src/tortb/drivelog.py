@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -73,10 +74,10 @@ class DriveLog:
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise SchemaError(f"channel {name} must match the timestamp length")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        if not 0.0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         dt = np.diff(arrays["t"])
-        if np.any(dt <= 0):
+        if not np.all(dt > 0):
             raise NonUniformSampling("timestamps must strictly increase")
         period = 1.0 / self.sample_rate
         if dt.size and float(np.max(np.abs(dt - period))) > 1e-6:
@@ -172,6 +173,8 @@ def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:
     brake differs from its value at the TOR by at least ``threshold``
     (a fraction of full input range).
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
     i0 = log.tor_index
     steering = log.steering[i0:]
     brake = log.brake[i0:]
@@ -191,8 +194,10 @@ def avg_lateral_displacement(
 
     Both window ends are inclusive and must lie inside the log extent.
     """
-    if pre_window <= 0 or post_window <= 0:
-        raise ValueError("windows must be > 0")
+    if not pre_window > 0:
+        raise ValueError(f"pre_window must be > 0, got {pre_window}")
+    if not post_window > 0:
+        raise ValueError(f"post_window must be > 0, got {post_window}")
     lo = log.tor_time - pre_window
     hi = log.tor_time + post_window
     if lo < log.t[0] - _T_EPS or hi > log.t[-1] + _T_EPS:

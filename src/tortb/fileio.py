@@ -8,8 +8,9 @@ so values cannot silently drift units.  Malformed input raises
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .calibration import AnchorCase, UnknownCoefficient
 from .errors import SchemaError
@@ -24,11 +25,48 @@ from .model import (
 )
 from .simulate import EpisodeConfig
 
+_MISSING: Any = object()
 
-def _get(mapping: dict[str, Any], key: str, where: str) -> Any:
-    if key not in mapping:
+
+def _get(data: Any, key: str, where: str, default: Any = _MISSING) -> Any:
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {data!r}")
+    if key in data:
+        return data[key]
+    if default is _MISSING:
         raise SchemaError(f"{where}: missing key '{key}'")
-    return mapping[key]
+    return default
+
+
+def _typed(
+    data: Any, key: str, where: str, types: Any, what: str, default: Any = _MISSING
+) -> Any:
+    value = _get(data, key, where, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SchemaError(f"{where}: {key} must be {what}, got {value!r}")
+    return value
+
+
+def _number(data: Any, key: str, where: str, default: Any = _MISSING) -> float:
+    """An int or float (not a bool) under ``key``, as a float."""
+    value = _typed(data, key, where, (int, float), "a number", default)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: {key} is out of range") from None
+
+
+def _count(data: Any, key: str, where: str) -> int:
+    """An int (not a bool) under ``key``."""
+    return _typed(data, key, where, int, "an integer")
+
+
+def _build(cls: Callable[..., Any], where: str, **kwargs: Any) -> Any:
+    """Construct ``cls``; a value it rejects becomes a SchemaError at ``where``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
@@ -49,25 +87,27 @@ def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
     }
 
 
+def _bands(data: Any, key: str, upper_key: str, where: str) -> tuple[tuple[float, float], ...]:
+    bands = _typed(data, key, where, list, "a list")
+    return tuple(
+        (_number(band, upper_key, f"{where}: {key}[{i}]"),
+         _number(band, "value_s", f"{where}: {key}[{i}]"))
+        for i, band in enumerate(bands)
+    )
+
+
 def coefficients_from_dict(data: dict[str, Any], where: str = "coefficients") -> CoefficientSet:
-    try:
-        return CoefficientSet(
-            c_noa=float(_get(data, "c_noa_s", where)),
-            c_noj=float(_get(data, "c_noj_s", where)),
-            rsc_bands=tuple(
-                (float(_get(b, "upper_km_per_hr", where)), float(_get(b, "value_s", where)))
-                for b in _get(data, "rsc_bands", where)
-            ),
-            dec_bands=tuple(
-                (float(_get(b, "upper_km_per_wk", where)), float(_get(b, "value_s", where)))
-                for b in _get(data, "dec_bands", where)
-            ),
-            dec_floor=float(_get(data, "dec_floor_s", where)),
-            ndrtc_handheld=float(_get(data, "ndrtc_handheld_s", where)),
-            oc_repeat=float(_get(data, "oc_repeat_s", where)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _build(
+        CoefficientSet,
+        where,
+        c_noa=_number(data, "c_noa_s", where),
+        c_noj=_number(data, "c_noj_s", where),
+        rsc_bands=_bands(data, "rsc_bands", "upper_km_per_hr", where),
+        dec_bands=_bands(data, "dec_bands", "upper_km_per_wk", where),
+        dec_floor=_number(data, "dec_floor_s", where),
+        ndrtc_handheld=_number(data, "ndrtc_handheld_s", where),
+        oc_repeat=_number(data, "oc_repeat_s", where),
+    )
 
 
 def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
@@ -78,13 +118,12 @@ def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
 
 
 def driver_from_dict(data: dict[str, Any], where: str = "driver") -> DriverProfile:
-    try:
-        return DriverProfile(
-            srt=float(_get(data, "srt_s", where)),
-            experience_km_per_week=float(_get(data, "experience_km_per_wk", where)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _build(
+        DriverProfile,
+        where,
+        srt=_number(data, "srt_s", where),
+        experience_km_per_week=_number(data, "experience_km_per_wk", where),
+    )
 
 
 def scenario_to_dict(scenario: ScenarioSpec) -> dict[str, Any]:
@@ -103,16 +142,15 @@ def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> S
         if data not in SCENARIO_PRESETS:
             raise SchemaError(f"{where}: unknown preset '{data}'")
         return SCENARIO_PRESETS[data]
-    try:
-        return ScenarioSpec(
-            noa=int(_get(data, "noa", where)),
-            noj=int(_get(data, "noj", where)),
-            ego_speed=float(_get(data, "ego_speed_km_per_hr", where)),
-            hazard_speed=float(data.get("hazard_speed_km_per_hr", 0.0)),
-            label=str(data.get("label", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _build(
+        ScenarioSpec,
+        where,
+        noa=_count(data, "noa", where),
+        noj=_count(data, "noj", where),
+        ego_speed=_number(data, "ego_speed_km_per_hr", where),
+        hazard_speed=_number(data, "hazard_speed_km_per_hr", where, 0.0),
+        label=_typed(data, "label", where, str, "a string", ""),
+    )
 
 
 def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
@@ -127,25 +165,30 @@ def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverConte
         raise SchemaError(
             f"{where}: ndrt must be 'handsfree' or 'handheld', got '{ndrt}'"
         ) from None
-    try:
-        return TakeoverContext(ndrt_class=ndrt_class, ordinal=int(_get(data, "ordinal", where)))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _build(
+        TakeoverContext, where, ndrt_class=ndrt_class, ordinal=_count(data, "ordinal", where)
+    )
 
 
 def load_json(path: str | Path) -> Any:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
+        # reader, and that reader names the key they sit under.
+        return json.loads(text, parse_constant=Decimal)
+    except ValueError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
-def load_coefficients(path: str | Path) -> CoefficientSet:
+def _load_list(path: str | Path, key: str, from_dict: Callable[..., Any]) -> tuple[Any, list]:
+    """Read a JSON object holding a list under ``key``; parse each entry."""
     data = load_json(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    return coefficients_from_dict(data, where=str(path))
+    entries = _typed(data, key, str(path), list, "a list")
+    return data, [from_dict(entry, f"{path}: {key}[{i}]") for i, entry in enumerate(entries)]
+
+
+def load_coefficients(path: str | Path) -> CoefficientSet:
+    return coefficients_from_dict(load_json(path), where=str(path))
 
 
 def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
@@ -164,34 +207,25 @@ def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
             f"{where}: unknown must be one of "
             f"{[u.value for u in UnknownCoefficient]}, got '{unknown_name}'"
         ) from None
-    try:
-        return AnchorCase(
-            scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
-            driver=driver_from_dict(_get(data, "driver", where), f"{where}.driver"),
-            ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
-            known_tortb=float(_get(data, "known_tortb_s", where)),
-            unknown=unknown,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _build(
+        AnchorCase,
+        where,
+        scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
+        driver=driver_from_dict(_get(data, "driver", where), f"{where}.driver"),
+        ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
+        known_tortb=_number(data, "known_tortb_s", where),
+        unknown=unknown,
+    )
 
 
 def load_anchors(path: str | Path) -> list[AnchorCase]:
-    data = load_json(path)
-    if not isinstance(data, dict) or "anchors" not in data:
-        raise SchemaError(f"{path}: expected a JSON object with an 'anchors' list")
-    anchors = data["anchors"]
-    if not isinstance(anchors, list):
-        raise SchemaError(f"{path}: 'anchors' must be a list")
-    return [
-        anchor_from_dict(entry, where=f"{path}: anchors[{i}]")
-        for i, entry in enumerate(anchors)
-    ]
+    return _load_list(path, "anchors", anchor_from_dict)[1]
 
 
 def episode_config_from_dict(
     data: dict[str, Any], where: str = "episode"
 ) -> EpisodeConfig:
+    driver = driver_from_dict(_get(data, "driver", where), f"{where}.driver")
     coeffs = (
         coefficients_from_dict(data["coefficients"], f"{where}.coefficients")
         if "coefficients" in data
@@ -212,34 +246,23 @@ def episode_config_from_dict(
         raise SchemaError(
             f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
         )
-    try:
-        return EpisodeConfig(
-            driver=driver_from_dict(_get(data, "driver", where), f"{where}.driver"),
-            scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
-            ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
-            coeffs=coeffs,
-            deadline=None if explicit is None else float(explicit),
-            budget_driver=budget_driver,
-            response_noise=float(data.get("response_noise_s", 0.0)),
-            maneuver_duration=float(data.get("maneuver_duration_s", 2.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _build(
+        EpisodeConfig,
+        where,
+        driver=driver,
+        scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
+        ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
+        coeffs=coeffs,
+        deadline=None if explicit is None else _number(data, "explicit_deadline_s", where),
+        budget_driver=budget_driver,
+        response_noise=_number(data, "response_noise_s", where, 0.0),
+        maneuver_duration=_number(data, "maneuver_duration_s", where, 2.0),
+    )
 
 
 def load_episode_configs(path: str | Path) -> tuple[list[EpisodeConfig], int | None]:
     """Load episode configs and the file's base seed (None when unset)."""
-    data = load_json(path)
-    if not isinstance(data, dict) or "episodes" not in data:
-        raise SchemaError(f"{path}: expected a JSON object with an 'episodes' list")
-    episodes = data["episodes"]
-    if not isinstance(episodes, list):
-        raise SchemaError(f"{path}: 'episodes' must be a list")
-    configs = [
-        episode_config_from_dict(entry, where=f"{path}: episodes[{i}]")
-        for i, entry in enumerate(episodes)
-    ]
-    base_seed = data.get("base_seed")
-    if base_seed is not None and not isinstance(base_seed, int):
-        raise SchemaError(f"{path}: base_seed must be an integer")
-    return configs, base_seed
+    data, configs = _load_list(path, "episodes", episode_config_from_dict)
+    if data.get("base_seed") is None:
+        return configs, None
+    return configs, _count(data, "base_seed", str(path))

@@ -88,9 +88,9 @@ class ScenarioSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.noa < 0:
+        if not self.noa >= 0:
             raise ValueError("noa must be >= 0")
-        if self.noj < 0:
+        if not self.noj >= 0:
             raise ValueError("noj must be >= 0")
         for name in ("ego_speed", "hazard_speed"):
             value = getattr(self, name)
@@ -106,7 +106,7 @@ class TakeoverContext:
     ordinal: int = 1  # 1 = first exposure to this scenario class
 
     def __post_init__(self) -> None:
-        if self.ordinal < 1:
+        if not self.ordinal >= 1:
             raise ValueError("ordinal must be >= 1")
 
 
@@ -117,10 +117,11 @@ def _validate_bands(
         raise ValueError(f"{name} must contain at least one band")
     uppers = [u for u, _ in bands]
     values = [v for _, v in bands]
-    if any(v < 0 for v in values):
-        raise ValueError(f"{name} values must be >= 0")
-    if any(b <= a for a, b in zip(uppers, uppers[1:])):
-        raise ValueError(f"{name} upper bounds must strictly increase")
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ValueError(f"{name} values must be finite and >= 0, got {values}")
+    # Comparing from -inf makes a NaN bound fail even in a one-band table.
+    if not all(a < b for a, b in zip([-math.inf] + uppers, uppers)):
+        raise ValueError(f"{name} upper bounds must strictly increase, got {uppers}")
     if values_decrease:
         if any(b > a for a, b in zip(values, values[1:])):
             raise ValueError(f"{name} values must not increase with the band key")
@@ -158,8 +159,9 @@ class CoefficientSet:
             self, "dec_bands", tuple((float(u), float(v)) for u, v in self.dec_bands)
         )
         for name in ("c_noa", "c_noj", "dec_floor", "ndrtc_handheld", "oc_repeat"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         _validate_bands("rsc_bands", self.rsc_bands, values_decrease=False)
         _validate_bands("dec_bands", self.dec_bands, values_decrease=True)
 
@@ -230,8 +232,10 @@ SCENARIO_PRESETS: dict[str, ScenarioSpec] = {
 
 def relative_speed(ego_speed: float, hazard_speed: float) -> float:
     """Closing speed toward the hazard cause [km/hr]."""
-    if ego_speed < 0 or hazard_speed < 0:
-        raise ValueError("speeds must be >= 0")
+    if not ego_speed >= 0:
+        raise ValueError(f"ego_speed must be >= 0, got {ego_speed}")
+    if not hazard_speed >= 0:
+        raise ValueError(f"hazard_speed must be >= 0, got {hazard_speed}")
     rs = ego_speed - hazard_speed
     if rs < 0:
         raise NegativeRelativeSpeed(
@@ -243,8 +247,8 @@ def relative_speed(ego_speed: float, hazard_speed: float) -> float:
 
 def rsc_lookup(rs: float, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS) -> float:
     """Relative-speed coefficient [s] for a closing speed ``rs`` [km/hr]."""
-    if rs < 0:
-        raise ValueError("relative speed must be >= 0")
+    if not rs >= 0:
+        raise ValueError(f"relative speed rs must be >= 0, got {rs}")
     for upper, value in coeffs.rsc_bands:
         if rs <= upper:
             return value
@@ -258,8 +262,10 @@ def dec_lookup(
     experience_km_per_week: float, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS
 ) -> float:
     """Driving-experience coefficient [s] for a weekly distance [km/wk]."""
-    if experience_km_per_week < 0:
-        raise ValueError("experience must be >= 0")
+    if not experience_km_per_week >= 0:
+        raise ValueError(
+            f"experience_km_per_week must be >= 0, got {experience_km_per_week}"
+        )
     for upper, value in coeffs.dec_bands:
         if experience_km_per_week <= upper:
             return value
@@ -277,7 +283,7 @@ def ndrtc_lookup(
 
 def oc_lookup(ordinal: int, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS) -> float:
     """Learning-effect deduction [s]: zero on the first exposure, flat after."""
-    if ordinal < 1:
+    if not ordinal >= 1:
         raise ValueError("ordinal must be >= 1")
     return 0.0 if ordinal == 1 else coeffs.oc_repeat
 

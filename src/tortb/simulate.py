@@ -84,10 +84,14 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.deadline is not None and not 0.0 <= self.deadline < math.inf:
             raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
-        if self.response_noise < 0:
-            raise ValueError("response_noise must be >= 0")
-        if self.maneuver_duration <= 0:
-            raise ValueError("maneuver_duration must be > 0")
+        if not 0.0 <= self.response_noise < math.inf:
+            raise ValueError(
+                f"response_noise must be finite and >= 0, got {self.response_noise}"
+            )
+        if not 0.0 < self.maneuver_duration < math.inf:
+            raise ValueError(
+                f"maneuver_duration must be finite and > 0, got {self.maneuver_duration}"
+            )
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -50,6 +50,12 @@ def s3_anchor(tortb=7.0):
     )
 
 
+@pytest.mark.parametrize("known", [0.0, -1.0, float("nan"), float("inf")])
+def test_anchor_validation(known):
+    with pytest.raises(ValueError, match="known_tortb"):
+        s1_anchor(tortb=known)
+
+
 def test_solve_agent_coefficient_from_s1():
     raw, rounded = solve_coefficient(s1_anchor(), DEFAULT_COEFFICIENTS)
     assert raw == pytest.approx(1.85, abs=1e-9)
@@ -217,6 +223,8 @@ def test_derive_oc_validation():
         derive_oc(1.5, 7)
     with pytest.raises(ValueError):
         derive_oc(0.5, 0)
+    with pytest.raises(ValueError, match="upper_bound_tortb"):
+        derive_oc(0.5, float("nan"))
 
 
 def test_random_anchor_round_trips():

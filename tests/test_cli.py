@@ -132,6 +132,11 @@ def test_estimate_validation_names_flag(capsys):
     code, _, err = run_cli(bad_ordinal, capsys)
     assert code == 2
     assert "--ordinal" in err
+    nan_experience = ["estimate", "--srt", "0.2", "--experience", "nan", "--scenario", "S1",
+                      "--ndrt", "handsfree", "--ordinal", "1"]
+    code, _, err = run_cli(nan_experience, capsys)
+    assert code == 2
+    assert "--experience" in err
 
 
 def test_estimate_with_coefficient_file(tmp_path, capsys):
@@ -284,6 +289,11 @@ def test_analyze_window_flags(tmp_path, capsys):
         ["analyze", "--log", str(log_file), "--pre-window", "100"], capsys
     )
     assert code == 2
+    for flag, name in [("--pre-window", "pre_window"), ("--threshold", "threshold"),
+                       ("--sample-rate", "sample_rate")]:
+        code, _, err = run_cli(["analyze", "--log", str(log_file), flag, "nan"], capsys)
+        assert code == 2, flag
+        assert name in err, err
 
 
 # -------------------------------- simulate -------------------------------

@@ -141,6 +141,12 @@ def test_log_validation():
         DriveLog(t, t, t, t, t, tor_time=99.0)
     with pytest.raises(SchemaError):
         DriveLog(t, t[:3], t, t, t, tor_time=0.0)
+    with pytest.raises(ValueError, match="sample_rate"):
+        DriveLog(t, t, t, t, t, tor_time=0.0, sample_rate=float("nan"))
+    t_nan = t.copy()
+    t_nan[3] = np.nan
+    with pytest.raises(NonUniformSampling):
+        DriveLog(t_nan, t, t, t, t, tor_time=0.0)
 
 
 # ------------------------------ detect_tot -------------------------------
@@ -224,6 +230,12 @@ def test_detect_tot_monotone_in_threshold():
         previous = current
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -0.01, 1.5])
+def test_detect_tot_rejects_threshold_outside_unit_range(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        detect_tot(make_log(), threshold)
+
+
 # ------------------------ average lateral displacement -------------------
 
 
@@ -275,6 +287,10 @@ def test_avg_ld_window_out_of_range():
 def test_avg_ld_rejects_non_positive_windows():
     with pytest.raises(ValueError):
         avg_lateral_displacement(make_log(), 0.0, 1.0)
+    with pytest.raises(ValueError, match="pre_window"):
+        avg_lateral_displacement(make_log(), float("nan"), 1.0)
+    with pytest.raises(ValueError, match="post_window"):
+        avg_lateral_displacement(make_log(), 1.0, float("nan"))
 
 
 # --------------------------- max acceleration ----------------------------

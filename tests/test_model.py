@@ -57,6 +57,10 @@ def test_relative_speed_receding_hazard():
 def test_relative_speed_rejects_negative_inputs():
     with pytest.raises(ValueError):
         relative_speed(-1, 0)
+    with pytest.raises(ValueError, match="ego_speed"):
+        relative_speed(math.nan, 0)
+    with pytest.raises(ValueError, match="hazard_speed"):
+        relative_speed(50, math.nan)
 
 
 # ------------------------------- lookups --------------------------------
@@ -70,6 +74,15 @@ def test_rsc_lookup(rs, expected):
 def test_rsc_above_model_range():
     with pytest.raises(SpeedAboveModelRange):
         rsc_lookup(131)
+
+
+def test_lookups_reject_nan():
+    with pytest.raises(ValueError, match="rs must be >= 0"):
+        rsc_lookup(math.nan)
+    with pytest.raises(ValueError, match="experience_km_per_week"):
+        dec_lookup(math.nan)
+    with pytest.raises(ValueError, match="ordinal"):
+        oc_lookup(math.nan)
 
 
 @pytest.mark.parametrize(
@@ -163,6 +176,8 @@ def test_scenario_validation():
 def test_context_validation():
     with pytest.raises(ValueError):
         TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=0)
+    with pytest.raises(ValueError, match="ordinal"):
+        TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=math.nan)
 
 
 def test_coefficient_set_validation():
@@ -176,6 +191,19 @@ def test_coefficient_set_validation():
         replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 1.0), (100.0, 1.5)))
     with pytest.raises(ValueError):
         replace(DEFAULT_COEFFICIENTS, rsc_bands=())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_noa"):
+            replace(DEFAULT_COEFFICIENTS, c_noa=bad)
+        with pytest.raises(ValueError, match="oc_repeat"):
+            replace(DEFAULT_COEFFICIENTS, oc_repeat=bad)
+        with pytest.raises(ValueError, match="rsc_bands values"):
+            replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, bad),))
+        with pytest.raises(ValueError, match="dec_bands values"):
+            replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 2.0), (100.0, bad)))
+    with pytest.raises(ValueError, match="rsc_bands upper bounds"):
+        replace(DEFAULT_COEFFICIENTS, rsc_bands=((math.nan, 0.25),))
+    with pytest.raises(ValueError, match="dec_bands upper bounds"):
+        replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 2.0), (math.nan, 1.5)))
 
 
 def test_scenario_presets():

@@ -144,6 +144,11 @@ def test_config_validation():
         base_config(response_noise=-0.1)
     with pytest.raises(ValueError):
         base_config(maneuver_duration=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="response_noise"):
+            base_config(response_noise=bad)
+        with pytest.raises(ValueError, match="maneuver_duration"):
+            base_config(maneuver_duration=bad)
     for bad_deadline in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="deadline"):
             base_config(deadline=bad_deadline)
