@@ -9,6 +9,7 @@ byte-identical are checked by this file.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -61,7 +62,28 @@ EPISODES = {
     ],
 }
 
+
+
+def drive_log_text() -> str:
+    """A 15 s, 20 Hz log of full-precision noisy floats.
+
+    Steering holds a nonzero baseline with noise below the 5 % threshold
+    and steps by 0.2 two seconds after the TOR at t = 5 s.
+    """
+    rng = random.Random(20240)
+    lines = ["t,lat_disp,acc,steering,brake,tor_flag"]
+    for i in range(301):
+        t = i / 20
+        steering = 0.3 + rng.uniform(-0.01, 0.01) + (0.2 if t >= 7.0 else 0.0)
+        brake = max(0.0, (t - 7.5) * 0.4) + rng.uniform(0.0, 0.005)
+        lines.append(",".join(
+            [repr(t), repr(rng.gauss(0.0, 0.05)), repr(rng.gauss(0.0, 0.1)),
+             repr(steering), repr(brake), "1" if i == 100 else "0"]))
+    return "\n".join(lines) + "\n"
+
+
 STDOUT_DIGESTS = {
+    "analyze_json": "bdc76581af4c6df765c9faafc5b0e1ea43593d6a3fae1483342397f1a00d19a0",
     "table": "79a6015138ca32d9abe622d5e74370b9c3e2edb98887af8d806d5dc8ce8e113a",
     "table_json": "2fbee3b5e572efb90b5e931fcdfac686d9bba916abda354deaa779f963ac5496",
     "estimate_preset_json": "70958367314e55486a0a7a1d742272c538829eec65b888e73dbe5efd095620e5",
@@ -79,6 +101,7 @@ FILE_DIGESTS = {
 }
 
 STDOUT_CASES = {
+    "analyze_json": ["analyze", "--log", "drive.csv", "--json"],
     "table": ["table"],
     "table_json": ["table", "--json"],
     "estimate_preset_json": [
@@ -106,6 +129,7 @@ def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "anchors.json").write_text(json.dumps(ANCHORS), encoding="utf-8")
     (tmp_path / "episodes.json").write_text(json.dumps(EPISODES), encoding="utf-8")
+    (tmp_path / "drive.csv").write_text(drive_log_text(), encoding="utf-8")
     return tmp_path
 
 
