@@ -257,7 +257,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     data = Path(args.log).read_bytes()
-    log = parse_drive_log(data, sample_rate=args.sample_rate)
+    try:
+        log = parse_drive_log(data, sample_rate=args.sample_rate)
+    except (TortbError, ValueError) as exc:
+        return _fail(f"{args.log}: {exc}")
     metrics = extract_metrics(
         log,
         pre_window=args.pre_window,

@@ -25,6 +25,8 @@ import io
 import math
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -48,9 +50,10 @@ _T_EPS = 1e-9
 class DriveLog:
     """Validated fixed-rate drive trace.
 
-    Arrays are copied and frozen on construction; timestamps must strictly
-    increase and stay within 1e-6 s of the declared sample period, and the
-    TOR instant must lie within the log extent.
+    Arrays are copied and frozen on construction; all values must be
+    finite, timestamps must strictly increase and stay within 1e-6 s of the
+    declared sample period, and the TOR instant must lie within the log
+    extent.
     """
 
     t: np.ndarray  # [s]
@@ -74,6 +77,10 @@ class DriveLog:
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise SchemaError(f"channel {name} must match the timestamp length")
+            if not np.isfinite(arr).all():
+                i = int(np.flatnonzero(~np.isfinite(arr))[0])
+                error = NonUniformSampling if name == "t" else SchemaError
+                raise error(f"channel {name} must be finite, got {arr[i]} at sample {i}")
         if not 0.0 < self.sample_rate < math.inf:
             raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         dt = np.diff(arrays["t"])
@@ -98,52 +105,72 @@ def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
     """Parse and validate a drive-log CSV.
 
     Expects the UTF-8 header ``t,lat_disp,acc,steering,brake,tor_flag``
-    with ``.`` as decimal separator and exactly one row flagged as the TOR
-    instant.  The schema carries no sample rate, so the expected rate is a
+    with ``.`` as decimal separator, unquoted fields, LF or CRLF line
+    ends, and exactly one row flagged as the TOR instant.  Blank lines are
+    skipped.  The schema carries no sample rate, so the expected rate is a
     parameter and timestamps are validated against it.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty file; header row is mandatory") from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise SchemaError(
-            f"header must be {','.join(CSV_HEADER)}, got {','.join(header)}"
-        )
-    columns: list[list[float]] = [[] for _ in CSV_HEADER]
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise SchemaError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
+    if isinstance(data, bytes):
         try:
-            values = [float(field) for field in row]
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from None
-        if values[-1] not in (0.0, 1.0):
-            raise SchemaError(f"line {lineno}: tor_flag must be 0 or 1")
-        for col, value in zip(columns, values):
-            col.append(value)
-    if not columns[0]:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not valid UTF-8 ({exc})") from None
+    if not data:
+        raise SchemaError("empty file; header row is mandatory")
+    lines = data.replace("\r\n", "\n").split("\n")
+    if tuple(h.strip() for h in lines[0].split(",")) != CSV_HEADER:
+        raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]}")
+    rows = [line.split(",") for line in lines[1:] if line]
+    if not rows:
         raise SchemaError("no data rows")
-    flags = np.asarray(columns[-1])
+    # Every row must have the full field count before the flat values can
+    # be reshaped: a short row next to a long one would shift columns.
+    if set(map(len, rows)) != {len(CSV_HEADER)}:
+        _raise_first_bad_line(lines)
+    try:
+        values = np.fromiter(
+            map(float, chain.from_iterable(rows)), float, len(rows) * len(CSV_HEADER)
+        )
+    except ValueError:
+        _raise_first_bad_line(lines)
+    t, lat, acc, steering, brake, flags = values.reshape(-1, len(CSV_HEADER)).T
+    if not np.all((flags == 0.0) | (flags == 1.0)):
+        _raise_first_bad_line(lines)
     marked = np.flatnonzero(flags == 1.0)
     if marked.size == 0:
         raise MissingTorMarker("no row carries tor_flag=1")
     if marked.size > 1:
         raise MultipleTorMarkers(f"{marked.size} rows carry tor_flag=1")
-    t = np.asarray(columns[0])
     return DriveLog(
         t=t,
-        lateral_displacement=np.asarray(columns[1]),
-        acceleration=np.asarray(columns[2]),
-        steering=np.asarray(columns[3]),
-        brake=np.asarray(columns[4]),
+        lateral_displacement=lat,
+        acceleration=acc,
+        steering=steering,
+        brake=brake,
         tor_time=float(t[marked[0]]),
         sample_rate=sample_rate,
     )
+
+
+def _raise_first_bad_line(lines: list[str]) -> NoReturn:
+    """Raise the SchemaError of the first malformed data line.
+
+    Only called once the bulk conversion has found that some line is
+    malformed; walks the lines in order so the reported line is the first
+    one, whatever the kind of fault.
+    """
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(CSV_HEADER):
+            raise SchemaError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
+        try:
+            values = [float(field) for field in fields]
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
+        if values[-1] not in (0.0, 1.0):
+            raise SchemaError(f"line {lineno}: tor_flag must be 0 or 1")
 
 
 def drive_log_to_csv(log: DriveLog) -> str:

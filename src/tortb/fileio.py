@@ -171,7 +171,10 @@ def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverConte
 
 
 def load_json(path: str | Path) -> Any:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
     try:
         # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
         # reader, and that reader names the key they sit under.

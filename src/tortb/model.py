@@ -25,6 +25,7 @@ immutable values and is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -88,10 +89,10 @@ class ScenarioSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not self.noa >= 0:
-            raise ValueError("noa must be >= 0")
-        if not self.noj >= 0:
-            raise ValueError("noj must be >= 0")
+        # The counts enter the budget as floats, so they must fit in one.
+        for name in ("noa", "noj"):
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be >= 0 and <= {sys.float_info.max:g}")
         for name in ("ego_speed", "hazard_speed"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

@@ -137,6 +137,11 @@ def test_estimate_validation_names_flag(capsys):
     code, _, err = run_cli(nan_experience, capsys)
     assert code == 2
     assert "--experience" in err
+    huge_noa = list(ROW1_FLAGS)
+    huge_noa[huge_noa.index("--noa") + 1] = "1" + "0" * 400
+    code, _, err = run_cli(huge_noa, capsys)
+    assert code == 2
+    assert "--noa" in err
 
 
 def test_estimate_with_coefficient_file(tmp_path, capsys):
@@ -157,6 +162,10 @@ def test_estimate_coeff_file_errors(tmp_path, capsys):
     broken.write_text("{not json", encoding="utf-8")
     code, _, err = run_cli(ROW1_FLAGS + ["--coeffs", str(broken)], capsys)
     assert code == 2
+    broken.write_bytes(b"\xff{}")
+    code, _, err = run_cli(ROW1_FLAGS + ["--coeffs", str(broken)], capsys)
+    assert code == 2
+    assert f"{broken}: not valid UTF-8" in err
 
 
 def test_estimate_srt_warning_passthrough(capsys):
@@ -281,6 +290,16 @@ def test_analyze_invalid_log(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--log", str(bad)], capsys)
     assert code == 2
     assert "tor_flag" in err
+    header = b"t,lat_disp,acc,steering,brake,tor_flag\n"
+    for body, expected in [
+        (header + b"0.0,0,0,0,0,1\r0.05,0,0,0,0,0\n", "line 2"),
+        (header + b"0.0,0,0,0,0,1\n0.05,nan,0,0,0,0\n", "lateral_displacement"),
+        (b"\xff" + header, "not valid UTF-8"),
+    ]:
+        bad.write_bytes(body)
+        code, _, err = run_cli(["analyze", "--log", str(bad)], capsys)
+        assert code == 2
+        assert f"{bad}: " in err and expected in err, err
 
 
 def test_analyze_window_flags(tmp_path, capsys):

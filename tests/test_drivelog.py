@@ -1,7 +1,12 @@
 """Tests for drive-log parsing and metric extraction."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tortb import (
     DriveLog,
@@ -11,6 +16,7 @@ from tortb import (
     NonUniformSampling,
     SchemaError,
     TakeoverMetrics,
+    TortbError,
     WindowOutOfRange,
     avg_lateral_displacement,
     describe,
@@ -21,9 +27,11 @@ from tortb import (
     parse_drive_log,
     summarize,
 )
+from tortb.drivelog import CSV_HEADER
 
 RATE = 20.0
 DT = 1.0 / RATE
+CHANNELS = ("t", "lateral_displacement", "acceleration", "steering", "brake")
 
 
 def make_log(n=201, tor_index=100, lat=None, acc=None, steering=None, brake=None):
@@ -111,6 +119,166 @@ def test_parse_empty_and_headerless():
         parse_drive_log("t,lat_disp,acc,steering,brake,tor_flag\n")
 
 
+def test_parse_names_the_line_of_a_quoted_field_or_lone_cr():
+    header = "t,lat_disp,acc,steering,brake,tor_flag\n"
+    with pytest.raises(SchemaError, match="line 3: could not convert"):
+        parse_drive_log(header + '0.0,0,0,0,0,1\n0.05,"0.5",0,0,0,0\n')
+    with pytest.raises(SchemaError, match="line 2: expected 6 fields"):
+        parse_drive_log(header + "0.0,0,0,0,0,1\r0.05,0,0,0,0,0\n")
+
+
+def test_parse_reports_the_first_bad_line_whatever_its_fault():
+    head = "t,lat_disp,acc,steering,brake,tor_flag\n0.0,0,0,0,0,1\n\n"
+    bad = {
+        "0.05,0,0,0,0,2": "tor_flag must be 0 or 1",
+        "0.05,0,0,0,0": "expected 6 fields",
+        "0.05,x,0,0,0,0": "could not convert",
+    }
+    for first, message in bad.items():
+        rest = [line for line in bad if line != first]
+        with pytest.raises(SchemaError, match=f"^line 4: {message}"):
+            parse_drive_log(head + "\n".join([first, *rest]))
+
+
+def _reference_parse(data, sample_rate=20.0):
+    """The csv.reader row loop parse_drive_log used to run; the oracle."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty file; header row is mandatory") from None
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise SchemaError(
+            f"header must be {','.join(CSV_HEADER)}, got {','.join(header)}"
+        )
+    columns = [[] for _ in CSV_HEADER]
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise SchemaError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
+        try:
+            values = [float(field) for field in row]
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
+        if values[-1] not in (0.0, 1.0):
+            raise SchemaError(f"line {lineno}: tor_flag must be 0 or 1")
+        for col, value in zip(columns, values):
+            col.append(value)
+    if not columns[0]:
+        raise SchemaError("no data rows")
+    flags = np.asarray(columns[-1])
+    marked = np.flatnonzero(flags == 1.0)
+    if marked.size == 0:
+        raise MissingTorMarker("no row carries tor_flag=1")
+    if marked.size > 1:
+        raise MultipleTorMarkers(f"{marked.size} rows carry tor_flag=1")
+    t = np.asarray(columns[0])
+    return DriveLog(
+        t=t,
+        lateral_displacement=np.asarray(columns[1]),
+        acceleration=np.asarray(columns[2]),
+        steering=np.asarray(columns[3]),
+        brake=np.asarray(columns[4]),
+        tor_time=float(t[marked[0]]),
+        sample_rate=sample_rate,
+    )
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+VALUE_TEXT = (
+    FLOATS.map(repr)
+    | FLOATS.map(lambda x: f" {x!r}\t")
+    | st.sampled_from(["1_0", "1_000.000_1", "+0", "-0", " 3 ", "1e308", "5e-324"])
+)
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity"])
+NOT_NUMERIC = st.sampled_from(["n/a", "", "x", "1.2.3", "0x10", "--1", "1__0", "_1", "1_"])
+FLAG_TEXT = {0: st.sampled_from(["0", " 0", "0.0", "-0", "0_0"]),
+             1: st.sampled_from(["1", "1.0", " 1 ", "1e0", "0_1"])}
+BAD_FLAGS = st.sampled_from(["2", "0.5", "-1", "nan", "inf", "1e-300", "1_0"])
+HEADERS = st.sampled_from([
+    "t,lat_disp,acc,steering,brake,tor_flag",
+    " t , lat_disp ,acc,steering,brake,tor_flag\t",
+    "",
+    "t,lat,acc,steering,brake,tor_flag",
+    "T,lat_disp,acc,steering,brake,tor_flag",
+    "t,lat_disp,acc,steering,brake",
+    "t,lat_disp,acc,steering,brake,tor_flag,",
+    "0.0,0,0,0,0,1",
+])
+
+
+@st.composite
+def drive_log_texts(draw):
+    """Drive-log CSV text, mostly well formed, with up to three faults.
+
+    Never holds a double quote or a CR outside a CRLF line end: those are
+    the inputs on which the parser deliberately differs from csv.reader.
+    """
+    n = draw(st.integers(1, 25))
+    start = draw(st.integers(0, 400))
+    tor = draw(st.integers(0, n - 1))
+    rows = []
+    for i in range(n):
+        values = [draw(VALUE_TEXT) for _ in range(4)]
+        rows.append([repr((start + i) / RATE), *values, draw(FLAG_TEXT[int(i == tor)])])
+    header = "t,lat_disp,acc,steering,brake,tor_flag"
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, n - 1))
+        row = rows[i]
+        fault = draw(st.sampled_from(["drop", "extra", "rewrap", "token", "not_finite",
+                                      "time", "flag", "no_tor", "two_tor", "header"]))
+        if fault == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif fault == "extra":
+            row.insert(draw(st.integers(0, len(row))), draw(VALUE_TEXT | NOT_NUMERIC))
+        elif fault == "rewrap" and row and i + 1 < n:
+            # A short line then a long one: the flat field sequence is intact.
+            rows[i + 1].insert(0, row.pop())
+        elif fault in ("token", "not_finite") and row:
+            token = NOT_NUMERIC if fault == "token" else NOT_FINITE
+            row[draw(st.integers(0, len(row) - 1))] = draw(token)
+        elif fault == "time" and row:
+            row[0] = draw(VALUE_TEXT | NOT_FINITE)
+        elif fault == "flag" and row:
+            row[-1] = draw(BAD_FLAGS)
+        elif fault == "no_tor":
+            for other in rows:
+                if len(other) == len(CSV_HEADER):
+                    other[-1] = "0"
+        elif fault == "two_tor" and row:
+            row[-1] = "1"
+        elif fault == "header":
+            header = draw(HEADERS)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "", " "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, "", newline * 2]))
+    text = newline.join([header, *lines]) + end
+    return "" if draw(st.integers(0, 49)) == 0 else text
+
+
+def _outcome(parse, text):
+    """Bit patterns of every parsed array and the TOR time, or the error."""
+    try:
+        log = parse(text)
+    except (TortbError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [getattr(log, name).tobytes() for name in CHANNELS] + [log.tor_time.hex()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=drive_log_texts())
+def test_parse_matches_reference_row_loop(text):
+    got = _outcome(parse_drive_log, text)
+    assert got == _outcome(_reference_parse, text)
+    if isinstance(got, tuple):
+        assert issubclass(got[0], TortbError)
+
+
 def test_csv_round_trip():
     rng = np.random.default_rng(7)
     log = make_log(
@@ -147,6 +315,13 @@ def test_log_validation():
     t_nan[3] = np.nan
     with pytest.raises(NonUniformSampling):
         DriveLog(t_nan, t, t, t, t, tor_time=0.0)
+    for name in CHANNELS[1:]:
+        for bad in (np.nan, np.inf, -np.inf):
+            channel = t.copy()
+            channel[3] = bad
+            channels = {n: t for n in CHANNELS} | {name: channel}
+            with pytest.raises(SchemaError, match=f"{name} must be finite.* at sample 3"):
+                DriveLog(**channels, tor_time=0.0)
 
 
 # ------------------------------ detect_tot -------------------------------

@@ -134,6 +134,7 @@ MALFORMED = [
     ("episodes", {"episodes": [[1]]}, "episodes[0]"),
     ("episodes", {"episodes": ["driver"]}, "episodes[0]"),
     ("episodes", {"episodes": 3}, "episodes"),
+    ("episodes", episode(scenario={**INLINE_SCENARIO, "noa": 10**400}), "noa"),
 ]
 
 LOADERS = {

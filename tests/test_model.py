@@ -171,6 +171,10 @@ def test_scenario_validation():
             ScenarioSpec(noa=0, noj=0, ego_speed=bad)
         with pytest.raises(ValueError, match="hazard_speed"):
             ScenarioSpec(noa=0, noj=0, ego_speed=50, hazard_speed=bad)
+    with pytest.raises(ValueError, match="noa"):
+        ScenarioSpec(noa=10**400, noj=0, ego_speed=50)
+    with pytest.raises(ValueError, match="noj"):
+        ScenarioSpec(noa=0, noj=10**400, ego_speed=50)
 
 
 def test_context_validation():
