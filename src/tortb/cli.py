@@ -259,7 +259,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     data = Path(args.log).read_bytes()
     try:
         log = parse_drive_log(data, sample_rate=args.sample_rate)
-    except (TortbError, ValueError) as exc:
+    except TortbError as exc:
         return _fail(f"{args.log}: {exc}")
     metrics = extract_metrics(
         log,

@@ -90,9 +90,10 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # The counts enter the budget as floats, so they must fit in one.
-        for name in ("noa", "noj"):
-            if not 0 <= getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be >= 0 and <= {sys.float_info.max:g}")
+        if not 0 <= self.noa <= sys.float_info.max:
+            raise ValueError(f"noa must be >= 0 and <= {sys.float_info.max:g}")
+        if not 0 <= self.noj <= sys.float_info.max:
+            raise ValueError(f"noj must be >= 0 and <= {sys.float_info.max:g}")
         for name in ("ego_speed", "hazard_speed"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
