@@ -110,14 +110,13 @@ def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
     skipped.  The schema carries no sample rate, so the expected rate is a
     parameter and timestamps are validated against it.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"not valid UTF-8 ({exc})") from None
-    if not data:
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8 ({exc})") from None
+    if not text:
         raise SchemaError("empty file; header row is mandatory")
-    lines = data.replace("\r\n", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     if tuple(h.strip() for h in lines[0].split(",")) != CSV_HEADER:
         raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]}")
     rows = [line.split(",") for line in lines[1:] if line]
