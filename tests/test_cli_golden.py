@@ -14,6 +14,7 @@ import random
 import pytest
 
 from tortb.cli import main
+from tortb.drivelog import DriveLog, drive_log_to_csv
 
 ANCHORS = {
     "anchors": [
@@ -63,7 +64,6 @@ EPISODES = {
 }
 
 
-
 def drive_log_text() -> str:
     """A 15 s, 20 Hz log of full-precision noisy floats.
 
@@ -81,6 +81,27 @@ def drive_log_text() -> str:
              repr(steering), repr(brake), "1" if i == 100 else "0"]))
     return "\n".join(lines) + "\n"
 
+
+# Values whose shortest repr is not plain fixed-point, each set into every
+# value channel at its own sample, so every column carries both zeros.
+SPECIAL_VALUES = (-0.0, 0.0, 1e-05, 1e16, 1.5e-07, 5e-324, 2.2250738585072014e-308,
+                  1e308, -1e308, 1.2345678901234568e17, 0.1 + 0.2, -2.5e-10)
+
+
+def render_golden_log() -> DriveLog:
+    """A 41-sample log of noisy floats and SPECIAL_VALUES, TOR at sample 20."""
+    rng = random.Random(5150)
+    n = 41
+    channels = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(4)]
+    for column, channel in enumerate(channels):
+        for k, value in enumerate(SPECIAL_VALUES):
+            channel[(3 * k + column) % n] = value
+    t = [(1000 + i) / 20 for i in range(n)]
+    return DriveLog(t=t, lateral_displacement=channels[0], acceleration=channels[1],
+                    steering=channels[2], brake=channels[3], tor_time=t[20])
+
+
+RENDER_DIGEST = "67868f20e278f71ab361ed29bfb486ec04245d09ba9772f4c5cf5aee9a6eb0fc"
 
 STDOUT_DIGESTS = {
     "analyze_json": "bdc76581af4c6df765c9faafc5b0e1ea43593d6a3fae1483342397f1a00d19a0",
@@ -148,3 +169,8 @@ def test_written_file_digests(workdir, capsys):
     for path in sorted((workdir / "simulate").iterdir()):
         written[f"simulate/{path.name}"] = sha256(path.read_bytes())
     assert written == FILE_DIGESTS
+
+
+def test_render_digest():
+    text = drive_log_to_csv(render_golden_log())
+    assert sha256(text.encode("utf-8")) == RENDER_DIGEST
