@@ -20,8 +20,6 @@ scope; they cannot be extracted from a vehicle log.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
@@ -173,23 +171,19 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
 
 
 def drive_log_to_csv(log: DriveLog) -> str:
-    """Render a log back to the CSV schema (shortest-repr floats)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    tor_index = log.tor_index
-    for i in range(log.t.size):
-        writer.writerow(
-            [
-                str(float(log.t[i])),
-                str(float(log.lateral_displacement[i])),
-                str(float(log.acceleration[i])),
-                str(float(log.steering[i])),
-                str(float(log.brake[i])),
-                1 if i == tor_index else 0,
-            ]
-        )
-    return out.getvalue()
+    """Render a log back to the CSV schema.
+
+    Floats are written as their shortest repr, so the text parses back to
+    bit-identical arrays; fields are unquoted and lines end in LF.  Each
+    column is rendered whole, then the rows are joined once.  Reprs are
+    never reused by value: ``-0.0 == 0.0`` would write one as the other.
+    """
+    channels = (log.t, log.lateral_displacement, log.acceleration, log.steering, log.brake)
+    columns = [map(repr, arr.tolist()) for arr in channels]
+    flags = ["0"] * log.t.size
+    flags[log.tor_index] = "1"
+    body = "\n".join(map(",".join, zip(*columns, flags)))
+    return ",".join(CSV_HEADER) + "\n" + body + "\n"
 
 
 def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:

@@ -39,6 +39,7 @@ from .model import (
 SAMPLE_RATE_HZ = 20.0
 LOG_LEAD_IN_S = 5.0  # automation phase kept before the TOR (fits the default analysis window)
 LOG_TAIL_S = 1.0  # padding after the last event of interest
+MAX_LOG_S = 3600.0  # longest log an episode may synthesize, lead-in included
 LANE_CHANGE_AMPLITUDE_M = 3.5  # one lane width
 ACCEL_PULSE_PEAK = 1.0  # [m/s^2], half-sine during the maneuver
 STEERING_STEP = 0.2  # fraction of full range at response onset
@@ -84,9 +85,11 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.deadline is not None and not 0.0 <= self.deadline < math.inf:
             raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
-        if not 0.0 <= self.response_noise < math.inf:
+        # A half-width beyond MAX_LOG_S is longer than any log an episode may
+        # write, and near 1e308 the uniform draw's range would overflow.
+        if not 0.0 <= self.response_noise <= MAX_LOG_S:
             raise ValueError(
-                f"response_noise must be finite and >= 0, got {self.response_noise}"
+                f"response_noise must lie in [0, {MAX_LOG_S:g}] s, got {self.response_noise}"
             )
         if not 0.0 < self.maneuver_duration < math.inf:
             raise ValueError(
@@ -147,6 +150,12 @@ def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> Dri
     maneuver_start = max(onset, required - cfg.maneuver_duration)
     maneuver_end = maneuver_start + cfg.maneuver_duration
     horizon = max(maneuver_end, deadline) + LOG_TAIL_S
+    if not LOG_LEAD_IN_S + horizon <= MAX_LOG_S:
+        raise ValueError(
+            f"drive log would span {LOG_LEAD_IN_S + horizon:g} s, above the "
+            f"{MAX_LOG_S:g} s limit (deadline {deadline:g} s, required time "
+            f"{required:g} s, maneuver {cfg.maneuver_duration:g} s)"
+        )
     n = int(np.ceil((LOG_LEAD_IN_S + horizon) / dt)) + 1
     t = np.arange(n, dtype=float) / SAMPLE_RATE_HZ
     tor_index = int(round(LOG_LEAD_IN_S * SAMPLE_RATE_HZ))
@@ -203,15 +212,17 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
     """Run every config with per-episode seeds derived via :func:`mix_seed`."""
     if not configs:
         raise EmptyBatch("no episode configs")
-    outcomes = tuple(
-        run_episode(replace(cfg, seed=mix_seed(base_seed, i)))
-        for i, cfg in enumerate(configs)
-    )
+    outcomes = []
+    for i, cfg in enumerate(configs):
+        try:
+            outcomes.append(run_episode(replace(cfg, seed=mix_seed(base_seed, i))))
+        except ValueError as exc:
+            raise ValueError(f"episodes[{i}]: {exc}") from None
     counts = {cls: 0 for cls in Classification}
     for outcome in outcomes:
         counts[outcome.classification] += 1
     return BatchReport(
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
         n_success=counts[Classification.SUCCESS],
         n_late=counts[Classification.LATE],
         n_collision=counts[Classification.COLLISION],

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tortb import DEFAULT_COEFFICIENTS, estimate_tortb
 from tortb import fileio
@@ -393,6 +398,10 @@ def test_simulate_config_errors(tmp_path, capsys):
         ({"deadline_mode": "whenever"}, "deadline_mode"),
         ({"deadline_mode": "explicit", "explicit_deadline_s": -1.0}, "deadline"),
         ({"deadline_mode": "explicit", "explicit_deadline_s": float("nan")}, "deadline"),
+        ({"deadline_mode": "explicit", "explicit_deadline_s": 1e12}, "deadline 1e+12"),
+        ({"deadline_mode": "explicit", "explicit_deadline_s": 1e30}, "deadline 1e+30"),
+        ({"maneuver_duration_s": 4000}, "maneuver 4000"),
+        ({"response_noise_s": 1e308}, "response_noise"),
     ]:
         write_episode_config(config)
         payload = json.loads(config.read_text())
@@ -419,6 +428,99 @@ def test_simulate_explicit_deadline_reaches_report(tmp_path, capsys):
     assert code == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert report["episodes"][0]["deadline_s"] == 12.25
+
+
+# One valid episode per deadline source; the property replaces up to two
+# of its values, top-level or one level down, with arbitrary JSON values.
+DRIVER = {"srt_s": 0.3, "experience_km_per_wk": 20}
+VALID_EPISODES = [
+    {
+        "driver": DRIVER,
+        "scenario": {"noa": 1, "noj": 2, "ego_speed_km_per_hr": 100,
+                     "hazard_speed_km_per_hr": 30},
+        "ctx": {"ndrt": "handheld", "ordinal": 2},
+        "budget_driver": {"srt_s": 0.2, "experience_km_per_wk": 80},
+        "response_noise_s": 1.25,
+        "maneuver_duration_s": 1.5,
+    },
+    {
+        "driver": DRIVER,
+        "scenario": "S3",
+        "ctx": {"ndrt": "handsfree", "ordinal": 1},
+        "deadline_mode": "explicit",
+        "explicit_deadline_s": 4.0,
+    },
+]
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["S1", "S4", "handsfree", "handheld", "explicit", "from_budget"])
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+# Numbers near and past the simulator's limits, so accepted documents are common.
+NUMBERS = (
+    st.floats(-1.0, 4000.0)
+    | st.integers(-2, 10**6)
+    | st.sampled_from([1e12, 1e30, 1e308, 10**400, 3594.0, 4000, 5e-324])
+)
+
+
+def _near(value):
+    """Values of the same kind as a valid one, most of them valid too."""
+    if isinstance(value, int):
+        return st.integers(0, 4 * value + 1)
+    if isinstance(value, float):
+        return st.floats(0.0, 4.0 * value)
+    if isinstance(value, dict):
+        return st.fixed_dictionaries({key: _near(item) for key, item in value.items()})
+    return st.sampled_from(["S1", "S2", "S3", "S4", "handsfree", "handheld", "explicit"])
+
+
+@st.composite
+def episode_documents(draw):
+    valid = draw(st.sampled_from(VALID_EPISODES))
+    paths = [(key,) for key in valid]
+    paths += [(key, sub) for key, value in valid.items() if isinstance(value, dict)
+              for sub in value]
+    document = copy.deepcopy(valid)
+    chosen = draw(st.lists(st.sampled_from(paths), max_size=2, unique=True))
+    # Deeper paths first: a later top-level change may replace their parent.
+    for path in sorted(chosen, key=len, reverse=True):
+        target, original = document, valid
+        for key in path[:-1]:
+            target, original = target[key], original[key]
+        values = draw(st.sampled_from([_near(original[path[-1]]), NUMBERS, JSON_VALUES]))
+        target[path[-1]] = draw(values)
+    return document
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(episode=episode_documents())
+@example(episode={**VALID_EPISODES[0], "response_noise_s": 1e308})
+@example(episode={**VALID_EPISODES[1], "explicit_deadline_s": 1e12})
+def test_simulate_never_exits_1_and_reports_finite_json(episode):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "episodes.json"
+        # json.dumps writes NaN and Infinity literals, which the loader must reject.
+        config.write_text(json.dumps({"episodes": [episode]}), encoding="utf-8")
+        out_dir = Path(tmp) / "out"
+        code = main(["simulate", "--config", str(config), "--out-dir", str(out_dir)])
+        assert code in (0, 2)
+        if code == 0:
+            report = (out_dir / "report.json").read_text(encoding="utf-8")
+            json.loads(report, parse_constant=_reject_constant)
 
 
 # --------------------------------- table ---------------------------------

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tortb import (
@@ -277,6 +277,73 @@ def test_parse_matches_reference_row_loop(text):
     assert got == _outcome(_reference_parse, text)
     if isinstance(got, tuple):
         assert issubclass(got[0], TortbError)
+
+
+def _reference_render(log):
+    """The csv.writer row loop drive_log_to_csv used to run; the oracle."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    tor_index = log.tor_index
+    for i in range(log.t.size):
+        writer.writerow(
+            [
+                str(float(log.t[i])),
+                str(float(log.lateral_displacement[i])),
+                str(float(log.acceleration[i])),
+                str(float(log.steering[i])),
+                str(float(log.brake[i])),
+                1 if i == tor_index else 0,
+            ]
+        )
+    return out.getvalue()
+
+
+# Both signed zeros, both sides of each switch to exponent form, subnormals
+# and the extremes.
+RENDER_EDGES = st.sampled_from([
+    -0.0, 0.0, 0.0001, 1e-05, -1e-05, 1e15, 1e16, -1e16, 1.5e-07, 5e-324, 1e-310,
+    2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1 + 0.2,
+])
+RENDER_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | RENDER_EDGES
+
+
+@st.composite
+def drive_logs(draw):
+    """Valid logs of arbitrary finite channel values, TOR on or between samples."""
+    n = draw(st.integers(1, 30))
+    start = draw(st.integers(-400, 400).map(lambda k: k / RATE) | st.floats(-1e4, 1e4))
+    t = start + np.arange(n) / RATE
+    tor = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    # Half a period early still marks sample `tor` as the TOR sample.
+    early = draw(st.sampled_from([0.0, 0.5 * DT])) if tor > 0 else 0.0
+    # Channels draw from one small pool, so values repeat within and across
+    # columns, as the simulator's do.
+    pool = st.sampled_from(draw(st.lists(RENDER_FLOATS, min_size=1, max_size=10)))
+    channels = [draw(st.lists(pool, min_size=n, max_size=n)) for _ in range(4)]
+    return DriveLog(
+        t=t,
+        lateral_displacement=channels[0],
+        acceleration=channels[1],
+        steering=channels[2],
+        brake=channels[3],
+        tor_time=float(t[tor]) - early,
+        sample_rate=RATE,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=drive_logs())
+@example(log=make_log(n=1, tor_index=0))
+@example(log=make_log(n=4, tor_index=0, lat=[-0.0, 0.0, 0.0, -0.0], brake=[1e-05] * 4))
+@example(log=make_log(n=4, tor_index=3, acc=[0.0, -0.0, 1e16, 5e-324], steering=[-1e308] * 4))
+def test_render_matches_reference_row_loop_and_round_trips(log):
+    text = drive_log_to_csv(log)
+    assert text == _reference_render(log)
+    parsed = parse_drive_log(text)
+    for name in CHANNELS:
+        assert getattr(parsed, name).tobytes() == getattr(log, name).tobytes()
+    assert parsed.tor_time == log.t[log.tor_index]
 
 
 def test_csv_round_trip():

@@ -1,5 +1,6 @@
 """Tests for the deterministic episode simulator."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from tortb import (
     run_batch,
     run_episode,
 )
+from tortb.simulate import LOG_LEAD_IN_S, LOG_TAIL_S, MAX_LOG_S
 
 BOUND = DriverProfile(srt=0.3, experience_km_per_week=20)
 FIRST_HANDS_FREE = TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1)
@@ -149,11 +151,39 @@ def test_config_validation():
             base_config(response_noise=bad)
         with pytest.raises(ValueError, match="maneuver_duration"):
             base_config(maneuver_duration=bad)
+    for bad_noise in (np.nextafter(MAX_LOG_S, np.inf), 1e308):
+        with pytest.raises(ValueError, match="response_noise"):
+            base_config(response_noise=bad_noise)
     for bad_deadline in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="deadline"):
             base_config(deadline=bad_deadline)
     with pytest.raises(ValueError):
         base_config(seed=-1)
+
+
+# Each fails before its log is allocated; a value that would really
+# allocate (a deadline near 1e6 s is gigabytes) is never run here.
+@pytest.mark.parametrize(
+    "fields,cause",
+    [({"deadline": 1e12}, "deadline 1e+12 s"),
+     ({"deadline": 1e30}, "deadline 1e+30 s"),
+     ({"maneuver_duration": 4000.0}, "maneuver 4000 s")],
+)
+def test_log_above_the_length_limit_is_rejected(fields, cause):
+    cfg = base_config(**fields)
+    with pytest.raises(ValueError, match=f"above the 3600 s limit .*{re.escape(cause)}") as info:
+        run_episode(cfg)
+    assert "required time" in str(info.value)
+    with pytest.raises(ValueError, match=r"^episodes\[1\]: drive log would span"):
+        run_batch([base_config(), cfg], base_seed=0)
+
+
+def test_log_at_the_length_limit_is_written():
+    longest = MAX_LOG_S - LOG_LEAD_IN_S - LOG_TAIL_S
+    log = run_episode(base_config(deadline=longest)).log
+    assert log.t[-1] - log.t[0] <= MAX_LOG_S
+    with pytest.raises(ValueError, match="3600 s limit"):
+        run_episode(base_config(deadline=np.nextafter(longest, np.inf)))
 
 
 def test_mix_seed_is_fixed_and_spread():
