@@ -174,9 +174,8 @@ def drive_log_to_csv(log: DriveLog) -> str:
     """Render a log back to the CSV schema.
 
     Floats are written as their shortest repr, so the text parses back to
-    bit-identical arrays; fields are unquoted and lines end in LF.  Each
-    column is rendered whole, then the rows are joined once.  Reprs are
-    never reused by value: ``-0.0 == 0.0`` would write one as the other.
+    bit-identical arrays; fields are unquoted and lines end in LF.  Reprs
+    are never reused by value: ``-0.0 == 0.0`` would write one as the other.
     """
     channels = (log.t, log.lateral_displacement, log.acceleration, log.steering, log.brake)
     columns = [map(repr, arr.tolist()) for arr in channels]
