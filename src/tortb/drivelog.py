@@ -174,14 +174,20 @@ def drive_log_to_csv(log: DriveLog) -> str:
     """Render a log back to the CSV schema.
 
     Floats are written as their shortest repr, so the text parses back to
-    bit-identical arrays; fields are unquoted and lines end in LF.  Reprs
-    are never reused by value: ``-0.0 == 0.0`` would write one as the other.
+    bit-identical arrays; fields are unquoted and lines end in LF.  Each
+    distinct bit pattern across the five channels is rendered once and its
+    text reused wherever it occurs.  Reprs are keyed by bits, never by
+    value: ``-0.0 == 0.0`` would write one as the other.
     """
     channels = (log.t, log.lateral_displacement, log.acceleration, log.steering, log.brake)
-    columns = [map(repr, arr.tolist()) for arr in channels]
-    flags = ["0"] * log.t.size
-    flags[log.tor_index] = "1"
-    body = "\n".join(map(",".join, zip(*columns, flags)))
+    n = log.t.size
+    bits, inverse = np.unique(np.concatenate(channels).view(np.uint64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    table = np.empty((n, len(CSV_HEADER)), dtype=object)
+    table[:, :-1] = reprs[inverse].reshape(len(channels), n).T
+    table[:, -1] = "0"
+    table[log.tor_index, -1] = "1"
+    body = "\n".join(map(",".join, table.tolist()))
     return ",".join(CSV_HEADER) + "\n" + body + "\n"
 
 
@@ -225,7 +231,13 @@ def avg_lateral_displacement(
             f"[{log.t[0]:g}, {log.t[-1]:g}] s"
         )
     mask = (log.t >= lo - _T_EPS) & (log.t <= hi + _T_EPS)
-    return float(np.mean(np.abs(log.lateral_displacement[mask])))
+    avg = float(np.mean(np.abs(log.lateral_displacement[mask])))
+    # Finite offsets near the float limit can still overflow the sum.
+    if not math.isfinite(avg):
+        raise ValueError(
+            f"mean absolute lateral displacement over [{lo:g}, {hi:g}] s overflows"
+        )
+    return avg
 
 
 def max_acceleration(log: DriveLog, takeover_time_abs: float) -> float:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
 from .errors import NegativeRelativeSpeed, SpeedAboveModelRange
@@ -43,9 +43,15 @@ def round_coefficient(value: float) -> float:
     Coefficients are published at one-decimal precision (1.85 -> 1.9,
     0.1667 -> 0.2, 0.371 -> 0.4).  Built-in ``round`` uses banker's
     rounding and would turn 0.25 into 0.2, so this goes through
-    :class:`~decimal.Decimal` on the shortest repr.
+    :class:`~decimal.Decimal` on the shortest repr.  The context holds the
+    310 digits of the largest float at one decimal; the default 28 would
+    raise ``InvalidOperation`` from about 1e27 up.
     """
-    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return float(
+        Decimal(repr(value)).quantize(
+            Decimal("0.1"), rounding=ROUND_HALF_UP, context=Context(prec=310)
+        )
+    )
 
 
 class NdrtClass(Enum):
@@ -332,7 +338,12 @@ def _budget_terms(
     ctx: TakeoverContext,
     coeffs: CoefficientSet,
 ) -> tuple[dict[str, float], float]:
-    """The budget's components and their unclamped sum."""
+    """The budget's components and their unclamped sum.
+
+    Every input is finite, but a product such as ``noa * c_noa`` or the sum
+    can still overflow; that raises ``ValueError`` naming the first
+    non-finite component, or ``total``.
+    """
     dec = dec_lookup(driver.experience_km_per_week, coeffs)
     sst = compute_sst(scenario, coeffs)
     ndrtc = ndrtc_lookup(ctx.ndrt_class, coeffs)
@@ -349,6 +360,12 @@ def _budget_terms(
         "ndrtc": ndrtc,
         "oc": oc,
     }
+    # A non-finite component makes the total non-finite too, so one check
+    # of the total finds every overflow.
+    if not math.isfinite(total):
+        name = next((k for k, v in components.items() if not math.isfinite(v)), "total")
+        value = components.get(name, total)
+        raise ValueError(f"budget term {name} overflows to {value}")
     return components, total
 
 

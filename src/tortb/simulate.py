@@ -101,20 +101,46 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class EpisodeOutcome:
-    """Result of one simulated takeover episode."""
+    """Result of one simulated takeover episode.
+
+    The drive log is not stored: the outcome keeps its seeded config, and
+    :attr:`log` synthesizes the log again on each access.  A batch of
+    outcomes therefore holds no log arrays, however many episodes it has.
+    """
 
     required_time: float  # [s] driver's time to complete takeover and maneuver
     deadline: float  # [s]
     classification: Classification
     margin: float  # [s], deadline - required_time
-    log: DriveLog
-    seed: int
+    config: EpisodeConfig  # seeded config the episode ran with
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def log(self) -> DriveLog:
+        """The episode's drive log, synthesized anew on each access.
+
+        Every access allocates and validates a new log with the same
+        values; keep the result when it is needed more than once.
+        """
+        return _synthesize_log(self.config, self.required_time, self.deadline)
 
 
 def response_onset(cfg: EpisodeConfig) -> float:
     """Seconds from TOR to first steering input: stimulus response plus
     non-driving-task disengagement."""
     return cfg.driver.srt + ndrtc_lookup(cfg.ctx.ndrt_class, cfg.coeffs)
+
+
+def _own_budget(cfg: EpisodeConfig) -> float:
+    """The budget estimated with the driver's actual parameters [s]."""
+    return estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
+
+
+def _perturbed(cfg: EpisodeConfig, base: float, rng: np.random.Generator) -> float:
+    return max(base + rng.uniform(-cfg.response_noise, cfg.response_noise), 0.0)
 
 
 def required_takeover_time(cfg: EpisodeConfig, rng: np.random.Generator) -> float:
@@ -124,16 +150,17 @@ def required_takeover_time(cfg: EpisodeConfig, rng: np.random.Generator) -> floa
     parameters, then perturbed by a uniform draw in
     [-response_noise, +response_noise] from the supplied generator.
     """
-    base = estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
-    required = base + rng.uniform(-cfg.response_noise, cfg.response_noise)
-    return max(required, 0.0)
+    return _perturbed(cfg, _own_budget(cfg), rng)
 
 
-def _deadline(cfg: EpisodeConfig) -> float:
+def _deadline(cfg: EpisodeConfig, own_budget: float) -> float:
+    """The explicit deadline, else the budget for ``budget_driver``; with
+    neither set, the driver's own budget, already estimated by the caller."""
     if cfg.deadline is not None:
         return float(cfg.deadline)
-    budget_driver = cfg.budget_driver if cfg.budget_driver is not None else cfg.driver
-    return estimate_tortb(budget_driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
+    if cfg.budget_driver is None:
+        return own_budget
+    return estimate_tortb(cfg.budget_driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
 
 
 def _classify(margin: float, maneuver_duration: float) -> Classification:
@@ -144,8 +171,14 @@ def _classify(margin: float, maneuver_duration: float) -> Classification:
     return Classification.LATE
 
 
-def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> DriveLog:
-    dt = 1.0 / SAMPLE_RATE_HZ
+def _log_extent(
+    cfg: EpisodeConfig, required: float, deadline: float
+) -> tuple[float, float, float]:
+    """Response onset, maneuver start and log horizon [s after the TOR].
+
+    Raises ``ValueError`` when the log would span more than ``MAX_LOG_S``,
+    before anything is allocated.
+    """
     onset = response_onset(cfg)
     maneuver_start = max(onset, required - cfg.maneuver_duration)
     maneuver_end = maneuver_start + cfg.maneuver_duration
@@ -156,6 +189,12 @@ def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> Dri
             f"{MAX_LOG_S:g} s limit (deadline {deadline:g} s, required time "
             f"{required:g} s, maneuver {cfg.maneuver_duration:g} s)"
         )
+    return onset, maneuver_start, horizon
+
+
+def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> DriveLog:
+    dt = 1.0 / SAMPLE_RATE_HZ
+    onset, maneuver_start, horizon = _log_extent(cfg, required, deadline)
     n = int(np.ceil((LOG_LEAD_IN_S + horizon) / dt)) + 1
     t = np.arange(n, dtype=float) / SAMPLE_RATE_HZ
     tor_index = int(round(LOG_LEAD_IN_S * SAMPLE_RATE_HZ))
@@ -182,18 +221,23 @@ def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> Dri
 
 
 def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
-    """Run one deterministic episode; identical config gives identical output."""
+    """Run one deterministic episode; identical config gives identical output.
+
+    The log's extent is checked here, so an episode whose log would exceed
+    ``MAX_LOG_S`` fails now rather than when its log is first read.
+    """
     rng = np.random.default_rng(cfg.seed)
-    required = required_takeover_time(cfg, rng)
-    deadline = _deadline(cfg)
+    own_budget = _own_budget(cfg)
+    required = _perturbed(cfg, own_budget, rng)
+    deadline = _deadline(cfg, own_budget)
+    _log_extent(cfg, required, deadline)
     margin = deadline - required
     return EpisodeOutcome(
         required_time=required,
         deadline=deadline,
         classification=_classify(margin, cfg.maneuver_duration),
         margin=margin,
-        log=_synthesize_log(cfg, required, deadline),
-        seed=cfg.seed,
+        config=cfg,
     )
 
 

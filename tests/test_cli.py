@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import copy
+import io
 import json
 import tempfile
 from dataclasses import replace
@@ -181,6 +183,42 @@ def test_estimate_srt_warning_passthrough(capsys):
     )
     assert code == 0
     assert "warning:" in out
+
+
+HUGE = int(1.7e308)  # a count that fits in a float, times a coefficient > 1
+OVERFLOW_FLAGS = [
+    "estimate", "--srt", "0.2", "--experience", "1", "--noa", str(HUGE), "--noj", str(HUGE),
+    "--ego-speed", "100", "--ndrt", "handheld", "--ordinal", "1", "--json",
+]
+HUGE_SCENARIO = {"noa": HUGE, "noj": 1, "ego_speed_km_per_hr": 100}
+
+
+def test_overflowing_budget_exits_2_naming_the_term(tmp_path, capsys):
+    code, out, err = run_cli(OVERFLOW_FLAGS, capsys)
+    assert (code, out) == (2, "")
+    assert "budget term noa_term overflows to inf" in err
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps({"anchors": [{
+        "scenario": HUGE_SCENARIO, "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+        "ctx": {"ndrt": "handsfree", "ordinal": 1}, "known_tortb_s": 7.0, "unknown": "c_noj",
+    }]}), encoding="utf-8")
+    code, _, err = run_cli(
+        ["calibrate", "--anchors", str(anchors), "--out", str(tmp_path / "o.json")], capsys
+    )
+    assert code == 2
+    assert "noa_term overflows" in err
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    payload = json.loads(config.read_text())
+    payload["episodes"][0]["scenario"] = HUGE_SCENARIO
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        ["simulate", "--config", str(config), "--out-dir", str(out_dir)], capsys
+    )
+    assert code == 2
+    assert "episodes[0]: budget term noa_term overflows" in err
+    assert not out_dir.exists()
 
 
 # ------------------------------- calibrate -------------------------------
@@ -415,6 +453,22 @@ def test_simulate_config_errors(tmp_path, capsys):
         assert "episodes[1]" in err and key in err, err
 
 
+def test_simulate_writes_no_log_when_a_later_episode_is_too_long(tmp_path, capsys):
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    payload = json.loads(config.read_text())
+    payload["episodes"][1].update(deadline_mode="explicit", explicit_deadline_s=1e12)
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, _, err = run_cli(
+        ["simulate", "--config", str(config), "--out-dir", str(out_dir)], capsys
+    )
+    assert code == 2
+    assert "episodes[1]: drive log would span" in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_simulate_explicit_deadline_reaches_report(tmp_path, capsys):
     config = tmp_path / "episodes.json"
     write_episode_config(config)
@@ -485,8 +539,8 @@ def _near(value):
 
 
 @st.composite
-def episode_documents(draw):
-    valid = draw(st.sampled_from(VALID_EPISODES))
+def mutated_documents(draw, valid_documents):
+    valid = draw(st.sampled_from(valid_documents))
     paths = [(key,) for key in valid]
     paths += [(key, sub) for key, value in valid.items() if isinstance(value, dict)
               for sub in value]
@@ -506,8 +560,8 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@settings(max_examples=50, deadline=None)
-@given(episode=episode_documents())
+@settings(max_examples=50)
+@given(episode=mutated_documents(VALID_EPISODES))
 @example(episode={**VALID_EPISODES[0], "response_noise_s": 1e308})
 @example(episode={**VALID_EPISODES[1], "explicit_deadline_s": 1e12})
 def test_simulate_never_exits_1_and_reports_finite_json(episode):
@@ -521,6 +575,146 @@ def test_simulate_never_exits_1_and_reports_finite_json(episode):
         if code == 0:
             report = (out_dir / "report.json").read_text(encoding="utf-8")
             json.loads(report, parse_constant=_reject_constant)
+
+
+def _run_main(argv):
+    """Exit code and stdout of one CLI run, argparse's exits included."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue()
+
+
+# Flag values: valid ones, band edges, overflowing and non-finite numbers,
+# any float or integer, and short arbitrary text.
+FLAG_TEXT = (
+    st.sampled_from(["nan", "inf", "1e309", str(HUGE), "1" + "0" * 400, "-0.0", "5e-324",
+                     "0", "1", "2", "130", "130.00000000000003", "200", "S1", "S4",
+                     "handheld", "handsfree", "raw", "rounded"])
+    | st.floats().map(repr)
+    | st.integers(-3, 10**6).map(str)
+    | st.text(max_size=6)
+)
+ESTIMATE_FLAGS = [
+    {"--srt": "0.2", "--experience": "80", "--noa": "1", "--noj": "0", "--ego-speed": "80",
+     "--hazard-speed": "0", "--ndrt": "handsfree", "--ordinal": "1"},
+    {"--srt": "0.3", "--experience": "20", "--scenario": "S3", "--ndrt": "handheld",
+     "--ordinal": "2", "--coeffs": "raw"},
+]
+ESTIMATE_FLAG_NAMES = sorted({name for flags in ESTIMATE_FLAGS for name in flags})
+
+
+@st.composite
+def estimate_argvs(draw):
+    """A valid estimate with up to two flags replaced, added or dropped."""
+    flags = dict(draw(st.sampled_from(ESTIMATE_FLAGS)))
+    for name in draw(st.lists(st.sampled_from(ESTIMATE_FLAG_NAMES), max_size=2, unique=True)):
+        value = draw(st.none() | FLAG_TEXT)
+        if value is None:
+            flags.pop(name, None)
+        else:
+            flags[name] = value
+    return ["estimate", *(item for pair in flags.items() for item in pair), "--json"]
+
+
+@settings(max_examples=100)
+@given(argv=estimate_argvs())
+@example(argv=OVERFLOW_FLAGS)
+def test_estimate_never_exits_1_and_prints_finite_json(argv):
+    code, out = _run_main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+VALID_ANCHORS = [
+    {
+        "scenario": "S1",
+        "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+        "ctx": {"ndrt": "handsfree", "ordinal": 1},
+        "known_tortb_s": 7.0,
+        "unknown": "c_noa",
+    },
+    {
+        "scenario": {"noa": 2, "noj": 3, "ego_speed_km_per_hr": 80},
+        "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+        "ctx": {"ndrt": "handsfree", "ordinal": 1},
+        "known_tortb_s": 7.0,
+        "unknown": "c_noj",
+    },
+]
+
+
+@settings(max_examples=100)
+@given(anchor=mutated_documents(VALID_ANCHORS), chaining=st.sampled_from(["raw", "rounded"]))
+@example(anchor={**VALID_ANCHORS[1], "scenario": HUGE_SCENARIO}, chaining="raw")
+@example(anchor={**VALID_ANCHORS[0], "known_tortb_s": 1e30}, chaining="raw")
+def test_calibrate_never_exits_1_and_prints_finite_json(anchor, chaining):
+    with tempfile.TemporaryDirectory() as tmp:
+        anchors = Path(tmp) / "anchors.json"
+        anchors.write_text(json.dumps({"anchors": [anchor]}), encoding="utf-8")
+        out_file = Path(tmp) / "solved.json"
+        code, out = _run_main(["calibrate", "--anchors", str(anchors), "--out", str(out_file),
+                               "--chaining", chaining, "--json"])
+        assert code in (0, 2)
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+            json.loads(out_file.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+CHANNEL_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 0.2, 3.5, 1e308, -1e308, 1.7976931348623157e308, 5e-324])
+BAD_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e309", "1_0", "", " ", '"0.5"', "0x1"]) \
+    | st.text(max_size=4)
+NUMBER_TEXT = st.sampled_from(["nan", "inf", "1e309", "-0.0", "0", "5e-324"]) \
+    | st.floats().map(repr)
+WINDOW_TEXT = st.sampled_from(["0.05", "0.5", "1"]) | NUMBER_TEXT
+
+
+@st.composite
+def drive_log_texts(draw):
+    """A 20 Hz log of arbitrary finite values, sometimes with one bad token
+    or one line with a field missing."""
+    n = draw(st.integers(1, 80))
+    tor = draw(st.integers(0, n - 1))
+    pool = st.sampled_from(draw(st.lists(CHANNEL_FLOATS, min_size=1, max_size=4)))
+    rows = [[repr(i / 20.0), *(repr(draw(pool)) for _ in range(4)), "1" if i == tor else "0"]
+            for i in range(n)]
+    fault = draw(st.sampled_from(["none", "none", "none", "token", "field"]))
+    row = draw(st.integers(0, n - 1))
+    if fault == "token":
+        rows[row][draw(st.integers(0, 5))] = draw(BAD_TOKENS)
+    elif fault == "field":
+        del rows[row][draw(st.integers(0, 5))]
+    return "t,lat_disp,acc,steering,brake,tor_flag\n" + "".join(
+        ",".join(fields) + "\n" for fields in rows)
+
+
+@settings(max_examples=100)
+@given(
+    text=drive_log_texts(),
+    flags=st.fixed_dictionaries(
+        {"--pre-window": WINDOW_TEXT, "--post-window": WINDOW_TEXT},
+        optional={"--threshold": st.sampled_from(["0.05", "0", "1"]) | NUMBER_TEXT,
+                  "--sample-rate": st.sampled_from(["20", "10"]) | NUMBER_TEXT},
+    ),
+)
+@example(text="t,lat_disp,acc,steering,brake,tor_flag\n0.0,1e308,0,0,0,0\n"
+              "0.05,1e308,0,0,0,1\n0.1,1e308,0,0,0,0\n",
+         flags={"--pre-window": "0.05", "--post-window": "0.05"})
+def test_analyze_never_exits_1_and_prints_finite_json(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "drive.csv"
+        log.write_text(text, encoding="utf-8")
+        # "--flag=value", so argparse reads a value such as "-1e+300" as a value.
+        argv = ["analyze", "--log", str(log), *(f"{k}={v}" for k, v in flags.items())]
+        code, out = _run_main(argv + ["--json"])
+        assert code in (0, 2)
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
 
 
 # --------------------------------- table ---------------------------------

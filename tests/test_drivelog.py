@@ -270,7 +270,7 @@ def _outcome(parse, text):
     return [getattr(log, name).tobytes() for name in CHANNELS] + [log.tor_time.hex()]
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(text=drive_log_texts())
 def test_parse_matches_reference_row_loop(text):
     got = _outcome(parse_drive_log, text)
@@ -332,11 +332,12 @@ def drive_logs(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(log=drive_logs())
 @example(log=make_log(n=1, tor_index=0))
 @example(log=make_log(n=4, tor_index=0, lat=[-0.0, 0.0, 0.0, -0.0], brake=[1e-05] * 4))
 @example(log=make_log(n=4, tor_index=3, acc=[0.0, -0.0, 1e16, 5e-324], steering=[-1e308] * 4))
+@example(log=make_log(n=3, tor_index=1, lat=[-0.0] * 3, acc=[0.0] * 3, brake=[-0.0, 1.0, -0.0]))
 def test_render_matches_reference_row_loop_and_round_trips(log):
     text = drive_log_to_csv(log)
     assert text == _reference_render(log)
@@ -533,6 +534,12 @@ def test_avg_ld_rejects_non_positive_windows():
         avg_lateral_displacement(make_log(), float("nan"), 1.0)
     with pytest.raises(ValueError, match="post_window"):
         avg_lateral_displacement(make_log(), 1.0, float("nan"))
+
+
+def test_avg_ld_rejects_an_overflowing_mean():
+    log = make_log(lat=np.full(201, -1e308))
+    with pytest.raises(ValueError, match=r"over \[4, 6\] s overflows"):
+        avg_lateral_displacement(log, 1.0, 1.0)
 
 
 # --------------------------- max acceleration ----------------------------

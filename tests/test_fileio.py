@@ -204,7 +204,7 @@ FROM_DICT = [
 
 
 @pytest.mark.parametrize("from_dict,valid", FROM_DICT, ids=[f.__name__ for f, _ in FROM_DICT])
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_only_schema_errors_escape(from_dict, valid, data):
     document = data.draw(JSON_VALUES | overrides(valid))

@@ -1,5 +1,7 @@
 """Unit and property tests for the budget model."""
 
+import bisect
+import itertools
 import math
 from dataclasses import replace
 
@@ -126,7 +128,8 @@ def test_oc_lookup():
 
 @pytest.mark.parametrize(
     "value,expected",
-    [(1.85, 1.9), (0.16666666666666666, 0.2), (0.371, 0.4), (0.25, 0.3), (2.73, 2.7)],
+    [(1.85, 1.9), (0.16666666666666666, 0.2), (0.371, 0.4), (0.25, 0.3), (2.73, 2.7),
+     (1e30, 1e30), (1.7976931348623157e308, 1.7976931348623157e308)],
 )
 def test_round_coefficient_half_up(value, expected):
     assert round_coefficient(value) == expected
@@ -313,6 +316,29 @@ def test_estimate_propagates_speed_range_error():
         )
 
 
+HUGE = int(1.7e308)  # fits in a float, so ScenarioSpec accepts it
+
+
+@pytest.mark.parametrize(
+    "noa,noj,ndrt,fields,term",
+    [
+        (HUGE, 0, NdrtClass.HANDS_FREE, {}, "noa_term"),
+        (0, HUGE, NdrtClass.HANDS_FREE, {"c_noj": 1.9}, "noj_term"),
+        (int(1e308), int(1e308), NdrtClass.HANDS_FREE, {"c_noa": 1.0, "c_noj": 1.0}, "sst"),
+        # Every component is finite; only their sum overflows.
+        (int(1e308), 0, NdrtClass.HAND_HELD, {"c_noa": 1.0, "ndrtc_handheld": 1e308}, "total"),
+    ],
+)
+def test_estimate_rejects_an_overflowing_budget(noa, noj, ndrt, fields, term):
+    with pytest.raises(ValueError, match=f"^budget term {term} overflows to inf$"):
+        estimate_tortb(
+            TABLE_DRIVER,
+            ScenarioSpec(noa=noa, noj=noj, ego_speed=100.0),
+            TakeoverContext(ndrt_class=ndrt, ordinal=1),
+            replace(DEFAULT_COEFFICIENTS, **fields),
+        )
+
+
 # --------------------------- model properties ---------------------------
 
 srts = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -389,3 +415,64 @@ def test_srt_warning_matches_range(srt):
     lo, hi = VISUAL_SRT_RANGE
     flagged = any("visual stimulus" in w for w in est.warnings)
     assert flagged == (not lo <= srt <= hi)
+
+
+# --------------------------- every band edge ----------------------------
+
+# The published band tables, restated so the oracle does not read the
+# model's own: (inclusive upper bound, value [s]).
+RSC_TABLE = ((50.0, 0.25), (80.0, 0.5), (130.0, 1.0))
+DEC_TABLE = ((30.0, 2.0), (100.0, 1.5), (200.0, 1.0))
+DEC_FLOOR = 1.0
+
+
+def _band_oracle(table, key, above):
+    """Value of the first band whose upper bound is >= ``key``, found by
+    bisection rather than the model's linear scan; ``above`` past the last."""
+    i = bisect.bisect_left([upper for upper, _ in table], key)
+    return table[i][1] if i < len(table) else above
+
+
+def _around(table):
+    return [x for upper, _ in table
+            for x in (math.nextafter(upper, -math.inf), upper, math.nextafter(upper, math.inf))]
+
+
+def test_every_band_edge_matches_the_oracle():
+    """Each DEC and RSC edge +/- 1 ulp, one interior point per band and a
+    point past the last, crossed with agents, junctions, task class,
+    exposure and coefficient set (37 632 estimates)."""
+    sets = [DEFAULT_COEFFICIENTS, RAW_COEFFICIENTS, DEFAULT_COEFFICIENTS.rounded()]
+    for coeffs in sets:
+        assert (coeffs.rsc_bands, coeffs.dec_bands, coeffs.dec_floor) == (
+            RSC_TABLE, DEC_TABLE, DEC_FLOOR)
+    experiences = [0.0, 15.0, 65.0, 150.0, 400.0] + _around(DEC_TABLE)
+    speeds = [0.0, 25.0, 65.0, 105.0, 200.0] + _around(RSC_TABLE)
+    srts = (0.0, 0.18, 0.27, 1.0)
+    grid = itertools.product(
+        experiences, speeds, range(4), range(4), NdrtClass, (1, 2), sets)
+    mismatches, checked, rejected = [], 0, 0
+    for i, (exp, rs, noa, noj, ndrt, ordinal, coeffs) in enumerate(grid):
+        driver = DriverProfile(srt=srts[i % len(srts)], experience_km_per_week=exp)
+        inputs = (driver, ScenarioSpec(noa=noa, noj=noj, ego_speed=rs),
+                  TakeoverContext(ndrt_class=ndrt, ordinal=ordinal), coeffs)
+        rsc = _band_oracle(RSC_TABLE, rs, None)
+        checked += 1
+        if rsc is None:
+            try:
+                estimate_tortb(*inputs)
+            except SpeedAboveModelRange:
+                rejected += 1
+            else:
+                mismatches.append((inputs, "accepted"))
+            continue
+        dec = _band_oracle(DEC_TABLE, exp, DEC_FLOOR)
+        ndrtc = coeffs.ndrtc_handheld if ndrt is NdrtClass.HAND_HELD else 0.0
+        oc = coeffs.oc_repeat if ordinal >= 2 else 0.0
+        total = driver.srt + dec + noa * coeffs.c_noa + noj * coeffs.c_noj + rsc + ndrtc - oc
+        est = estimate_tortb(*inputs)
+        got = (est.components["dec"], est.components["rsc"], est.total)
+        if got != (dec, rsc, total):
+            mismatches.append((inputs, got, (dec, rsc, total)))
+    assert not mismatches, mismatches[:5]
+    assert (checked, rejected) == (37_632, 2 * 37_632 // 14)

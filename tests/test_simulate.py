@@ -1,6 +1,8 @@
 """Tests for the deterministic episode simulator."""
 
+import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from tortb import (
     run_batch,
     run_episode,
 )
+from tortb import simulate
 from tortb.simulate import LOG_LEAD_IN_S, LOG_TAIL_S, MAX_LOG_S
 
 BOUND = DriverProfile(srt=0.3, experience_km_per_week=20)
@@ -184,6 +187,71 @@ def test_log_at_the_length_limit_is_written():
     assert log.t[-1] - log.t[0] <= MAX_LOG_S
     with pytest.raises(ValueError, match="3600 s limit"):
         run_episode(base_config(deadline=np.nextafter(longest, np.inf)))
+
+
+# sha256 of the five channels' bytes of two episodes' logs, recorded when
+# every outcome still stored its log: one whose deadline is the driver's own
+# budget, one budgeted for another driver.
+PINNED_LOGS = [
+    (dict(scenario=SCENARIO_PRESETS["S3"],
+          ctx=TakeoverContext(ndrt_class=NdrtClass.HAND_HELD, ordinal=2),
+          response_noise=0.75, seed=2024),
+     317, "ddb13c678636585287cfbefd7916dbfab64a7037cb178a01d9708b3522a72396"),
+    (dict(driver=DriverProfile(srt=0.2, experience_km_per_week=150), budget_driver=BOUND,
+          response_noise=1.5, maneuver_duration=1.25, seed=7),
+     263, "906d305a65c02e7ad19a480a138066be053a91f1b5ad598bb66b2214c582ba39"),
+]
+
+
+def _log_digest(log):
+    h = hashlib.sha256()
+    for name in ("t", "lateral_displacement", "acceleration", "steering", "brake"):
+        h.update(getattr(log, name).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fields,n,digest", PINNED_LOGS)
+def test_log_is_remade_identically_on_each_access(fields, n, digest):
+    outcome = run_episode(base_config(**fields))
+    first, second = outcome.log, outcome.log
+    assert first is not second
+    assert first.t.size == n and first.tor_time == second.tor_time == 5.0
+    assert _log_digest(first) == _log_digest(second) == digest
+    assert outcome.seed == fields["seed"]
+
+
+@pytest.mark.parametrize(
+    "fields,estimates",
+    [({}, 1), ({"budget_driver": BOUND}, 2), ({"deadline": 3.0}, 1)],
+)
+def test_episode_estimates_each_budget_once(fields, estimates, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return estimate_tortb(*args)
+
+    monkeypatch.setattr(simulate, "estimate_tortb", counted)
+    outcome = run_episode(base_config(**fields))
+    assert len(calls) == estimates
+    if not fields:
+        assert outcome.deadline == outcome.required_time
+
+
+def test_batch_holds_no_logs():
+    configs = [base_config(response_noise=0.5)] * 400
+    run_batch(configs[:2], base_seed=1)  # first-call allocations are not the batch's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_batch(configs, base_seed=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Each stored log would take ~11 KiB (4.4 MiB for the batch); an outcome
+    # without one takes well under 1 KiB.
+    assert len(report.outcomes) == 400
+    assert retained < 2**20, retained
 
 
 def test_mix_seed_is_fixed_and_spread():
