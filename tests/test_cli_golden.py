@@ -110,6 +110,10 @@ STDOUT_DIGESTS = {
     "estimate_preset_json": "70958367314e55486a0a7a1d742272c538829eec65b888e73dbe5efd095620e5",
     "estimate_explicit_raw_json": "22273f059b927c8f9f6eb166f6f98de51059899583e52248f9c8db2ad881e222",
     "calibrate_json": "6cd51fe1994e61a81097dca65be74c321c14e634445652372decfcda790d9575",
+    "analyze": "506ceed74227e54f0c6c8ac3ebc1d3fae1484160762a368f590484945b1e1472",
+    "estimate_srt_warning": "913c645fce756e2ce1c40fb15cbaaa98c64371b774c8f70f985f547893182b96",
+    "calibrate": "018bc53f561d3a1d6a257675c97c35d3f25e403afdc134d8241dbf20113d124d",
+    "simulate": "36f33766184266140f77b44d99d0c530cbd30d88e180fa1075e3d9ce3808ff07",
 }
 
 # The three episodes end late, success and collision, in that order.
@@ -137,6 +141,15 @@ STDOUT_CASES = {
     "calibrate_json": [
         "calibrate", "--anchors", "anchors.json", "--out", "solved.json", "--json",
     ],
+    # Text forms. The srt of 0.3 s is outside the typical visual range, so
+    # the estimate also prints its warning line.
+    "analyze": ["analyze", "--log", "drive.csv"],
+    "estimate_srt_warning": [
+        "estimate", "--scenario", "S3", "--srt", "0.3", "--experience", "20",
+        "--ndrt", "handheld", "--ordinal", "2",
+    ],
+    "calibrate": ["calibrate", "--anchors", "anchors.json", "--out", "solved.json"],
+    "simulate": ["simulate", "--config", "episodes.json", "--out-dir", "simulate"],
 }
 
 
