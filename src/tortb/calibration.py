@@ -18,12 +18,11 @@ not a linear-residual solve, so it lives in :func:`derive_oc`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
-from .errors import DependencyOrderError, NegativeCoefficient, UnidentifiableUnknown
+from .errors import DependencyOrderError, NegativeCoefficient, UnidentifiableUnknown, check_range
 from .model import (
     CoefficientSet,
     DriverProfile,
@@ -65,8 +64,7 @@ class AnchorCase:
     unknown: UnknownCoefficient
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.known_tortb < math.inf:
-            raise ValueError(f"known_tortb must be finite and > 0, got {self.known_tortb}")
+        check_range("known_tortb", self.known_tortb, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -177,9 +175,7 @@ def derive_oc(
     ordinal_effect_size: float, upper_bound_tortb: float
 ) -> tuple[float, float]:
     """Repeat-exposure deduction as effect size times the upper-bound budget."""
-    if not 0.0 <= ordinal_effect_size <= 1.0:
-        raise ValueError("ordinal_effect_size must be within [0, 1]")
-    if not 0.0 < upper_bound_tortb < math.inf:
-        raise ValueError(f"upper_bound_tortb must be finite and > 0, got {upper_bound_tortb}")
+    check_range("ordinal_effect_size", ordinal_effect_size, 0, 1)
+    check_range("upper_bound_tortb", upper_bound_tortb, 0, above=True)
     raw = ordinal_effect_size * upper_bound_tortb
     return raw, round_coefficient(raw)

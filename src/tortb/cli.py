@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from . import __version__, fileio
 from .calibration import Chaining, calibrate_sequence
 from .drivelog import extract_metrics, drive_log_to_csv, parse_drive_log
-from .errors import TortbError
+from .errors import TortbError, build
 from .model import (
     DEFAULT_COEFFICIENTS,
     RAW_COEFFICIENTS,
@@ -56,14 +57,6 @@ _SCENARIO_FLAGS = ("--noa", "--noj", "--ego-speed", "--hazard-speed")
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _from_flags(flags: str, cls: Callable[..., Any], **kwargs: Any) -> Any:
-    """Build ``cls`` from flag values; a rejected value names its flags."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{flags}: {exc}") from None
 
 
 def _emit_json(payload: Any) -> None:
@@ -153,6 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="Print the six-row reference estimation table.")
     table.add_argument("--json", action="store_true", help="Machine-readable output.")
 
+    # Read "-1e+300", "-inf" and "-nan" as values, like argparse's own "-1" and
+    # "-.5", so they reach the range checks; no option string looks like a number.
+    negative_number = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+    for command in sub.choices.values():
+        command._negative_number_matcher = negative_number
     return parser
 
 
@@ -193,18 +191,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         if args.noa is None or args.ego_speed is None:
             return _fail("provide --scenario, or --noa and --ego-speed")
-        scenario = _from_flags(
-            "/".join(_SCENARIO_FLAGS),
+        scenario = build(
             ScenarioSpec,
+            "/".join(_SCENARIO_FLAGS),
             noa=args.noa,
             noj=args.noj if args.noj is not None else 0,
             ego_speed=args.ego_speed,
             hazard_speed=args.hazard_speed if args.hazard_speed is not None else 0.0,
         )
-    driver = _from_flags("--srt/--experience", DriverProfile,
-                         srt=args.srt, experience_km_per_week=args.experience)
-    ctx = _from_flags("--ordinal", TakeoverContext,
-                      ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
+    driver = build(DriverProfile, "--srt/--experience",
+                   srt=args.srt, experience_km_per_week=args.experience)
+    ctx = build(TakeoverContext, "--ordinal",
+                ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
     payload = _estimate_payload(driver, scenario, ctx, coeffs, args.coeffs)
     if args.json:
@@ -214,8 +212,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if scenario.label:
         print(f"scenario: {scenario.label}")
     print(f"{'component':<10}  seconds")
-    for key in ("srt", "dec", "noa_term", "noj_term", "rsc", "sst", "ndrtc", "oc"):
-        print(f"{key:<10}  {payload['components_s'][key]:7.3f}")
+    for key, seconds in payload["components_s"].items():
+        print(f"{key:<10}  {seconds:7.3f}")
     print(f"{'total':<10}  {payload['total_s']:7.3f}")
     for warning in payload["warnings"]:
         print(f"warning: {warning}")
@@ -339,9 +337,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def table_rows(coeffs: CoefficientSet | None = None) -> list[dict[str, Any]]:
+def table_rows() -> list[dict[str, Any]]:
     """The reference table as computed rows (the `table` subcommand's data)."""
-    coeffs = coeffs if coeffs is not None else DEFAULT_COEFFICIENTS.rounded()
+    coeffs = DEFAULT_COEFFICIENTS.rounded()
     rows = []
     for i, (noa, noj, ego, hazard, ndrt, ordinal) in enumerate(TABLE_ROWS, start=1):
         scenario = ScenarioSpec(noa=noa, noj=noj, ego_speed=ego, hazard_speed=hazard)

@@ -35,6 +35,7 @@ from .errors import (
     NonUniformSampling,
     SchemaError,
     WindowOutOfRange,
+    check_range,
 )
 
 CSV_HEADER = ("t", "lat_disp", "acc", "steering", "brake", "tor_flag")
@@ -79,9 +80,10 @@ class DriveLog:
                 i = int(np.flatnonzero(~np.isfinite(arr))[0])
                 error = NonUniformSampling if name == "t" else SchemaError
                 raise error(f"channel {name} must be finite, got {arr[i]} at sample {i}")
-        if not 0.0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
-        dt = np.diff(arrays["t"])
+        check_range("sample_rate", self.sample_rate, 0, above=True)
+        # Far-apart finite timestamps overflow to inf, rejected below as off-period.
+        with np.errstate(over="ignore"):
+            dt = np.diff(arrays["t"])
         if not np.all(dt > 0):
             raise NonUniformSampling("timestamps must strictly increase")
         period = 1.0 / self.sample_rate
@@ -198,14 +200,15 @@ def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:
     brake differs from its value at the TOR by at least ``threshold``
     (a fraction of full input range).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be within [0, 1], got {threshold}")
+    check_range("threshold", threshold, 0, 1)
     i0 = log.tor_index
     steering = log.steering[i0:]
     brake = log.brake[i0:]
-    moved = (np.abs(steering - steering[0]) >= threshold) | (
-        np.abs(brake - brake[0]) >= threshold
-    )
+    # A difference beyond the float range overflows to inf, which counts as moved.
+    with np.errstate(over="ignore"):
+        moved = (np.abs(steering - steering[0]) >= threshold) | (
+            np.abs(brake - brake[0]) >= threshold
+        )
     hits = np.flatnonzero(moved)
     if hits.size == 0:
         return None
@@ -219,10 +222,8 @@ def avg_lateral_displacement(
 
     Both window ends are inclusive and must lie inside the log extent.
     """
-    if not pre_window > 0:
-        raise ValueError(f"pre_window must be > 0, got {pre_window}")
-    if not post_window > 0:
-        raise ValueError(f"post_window must be > 0, got {post_window}")
+    check_range("pre_window", pre_window, 0, above=True)
+    check_range("post_window", post_window, 0, above=True)
     lo = log.tor_time - pre_window
     hi = log.tor_time + post_window
     if lo < log.t[0] - _T_EPS or hi > log.t[-1] + _T_EPS:
@@ -231,8 +232,9 @@ def avg_lateral_displacement(
             f"[{log.t[0]:g}, {log.t[-1]:g}] s"
         )
     mask = (log.t >= lo - _T_EPS) & (log.t <= hi + _T_EPS)
-    avg = float(np.mean(np.abs(log.lateral_displacement[mask])))
     # Finite offsets near the float limit can still overflow the sum.
+    with np.errstate(over="ignore"):
+        avg = float(np.mean(np.abs(log.lateral_displacement[mask])))
     if not math.isfinite(avg):
         raise ValueError(
             f"mean absolute lateral displacement over [{lo:g}, {hi:g}] s overflows"

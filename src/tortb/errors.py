@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the input checks that raise them, shared across the package."""
+
+import sys
+from typing import Any, Callable
 
 
 class TortbError(Exception):
@@ -51,3 +54,27 @@ class EmptyGroup(TortbError):
 
 class EmptyBatch(TortbError):
     """Batch simulation requested with no episode configs."""
+
+
+def check_range(
+    name: str, value: float, lo: float, hi: float = sys.float_info.max, *, above: bool = False
+) -> None:
+    """Raise ``ValueError`` unless ``lo <= value <= hi`` (``lo < value <= hi`` with ``above``).
+
+    Every ordered comparison with NaN is false, so only this positive form
+    rejects NaN.  The default ``hi`` rejects infinities and ints too large
+    for a float.
+    """
+    if (lo < value if above else lo <= value) and value <= hi:
+        return
+    op, bracket = (">", "(") if above else (">=", "[")
+    bound = f"finite and {op} {lo}" if hi == sys.float_info.max else f"within {bracket}{lo}, {hi}]"
+    raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def build(cls: Callable[..., Any], where: str, **kwargs: Any) -> Any:
+    """Construct ``cls``; a value it rejects becomes a SchemaError prefixed with ``where``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None

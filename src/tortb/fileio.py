@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .calibration import AnchorCase, UnknownCoefficient
-from .errors import SchemaError
+from .errors import SchemaError, build
 from .model import (
     DEFAULT_COEFFICIENTS,
     SCENARIO_PRESETS,
@@ -61,14 +61,6 @@ def _count(data: Any, key: str, where: str) -> int:
     return _typed(data, key, where, int, "an integer")
 
 
-def _build(cls: Callable[..., Any], where: str, **kwargs: Any) -> Any:
-    """Construct ``cls``; a value it rejects becomes a SchemaError at ``where``."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
-
 def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
     return {
         "c_noa_s": coeffs.c_noa,
@@ -97,7 +89,7 @@ def _bands(data: Any, key: str, upper_key: str, where: str) -> tuple[tuple[float
 
 
 def coefficients_from_dict(data: dict[str, Any], where: str = "coefficients") -> CoefficientSet:
-    return _build(
+    return build(
         CoefficientSet,
         where,
         c_noa=_number(data, "c_noa_s", where),
@@ -118,7 +110,7 @@ def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
 
 
 def driver_from_dict(data: dict[str, Any], where: str = "driver") -> DriverProfile:
-    return _build(
+    return build(
         DriverProfile,
         where,
         srt=_number(data, "srt_s", where),
@@ -142,7 +134,7 @@ def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> S
         if data not in SCENARIO_PRESETS:
             raise SchemaError(f"{where}: unknown preset '{data}'")
         return SCENARIO_PRESETS[data]
-    return _build(
+    return build(
         ScenarioSpec,
         where,
         noa=_count(data, "noa", where),
@@ -165,7 +157,7 @@ def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverConte
         raise SchemaError(
             f"{where}: ndrt must be 'handsfree' or 'handheld', got '{ndrt}'"
         ) from None
-    return _build(
+    return build(
         TakeoverContext, where, ndrt_class=ndrt_class, ordinal=_count(data, "ordinal", where)
     )
 
@@ -210,7 +202,7 @@ def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
             f"{where}: unknown must be one of "
             f"{[u.value for u in UnknownCoefficient]}, got '{unknown_name}'"
         ) from None
-    return _build(
+    return build(
         AnchorCase,
         where,
         scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
@@ -249,7 +241,7 @@ def episode_config_from_dict(
         raise SchemaError(
             f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
         )
-    return _build(
+    return build(
         EpisodeConfig,
         where,
         driver=driver,

@@ -18,14 +18,13 @@ a fixed mixing rule, so batch results do not depend on execution order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .drivelog import DriveLog, SummaryStats, describe
-from .errors import EmptyBatch
+from .errors import EmptyBatch, check_range
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -83,20 +82,13 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.deadline is not None and not 0.0 <= self.deadline < math.inf:
-            raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
+        if self.deadline is not None:
+            check_range("deadline", self.deadline, 0)
         # A half-width beyond MAX_LOG_S is longer than any log an episode may
         # write, and near 1e308 the uniform draw's range would overflow.
-        if not 0.0 <= self.response_noise <= MAX_LOG_S:
-            raise ValueError(
-                f"response_noise must lie in [0, {MAX_LOG_S:g}] s, got {self.response_noise}"
-            )
-        if not 0.0 < self.maneuver_duration < math.inf:
-            raise ValueError(
-                f"maneuver_duration must be finite and > 0, got {self.maneuver_duration}"
-            )
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
+        check_range("response_noise", self.response_noise, 0, MAX_LOG_S)
+        check_range("maneuver_duration", self.maneuver_duration, 0, above=True)
+        check_range("seed", self.seed, 0, _MASK64)
 
 
 @dataclass(frozen=True)

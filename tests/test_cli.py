@@ -358,6 +358,21 @@ def test_analyze_window_flags(tmp_path, capsys):
         assert name in err, err
 
 
+def test_negative_exponent_and_non_finite_flags_reach_the_range_check(tmp_path, capsys):
+    log_file = make_log_csv(tmp_path)
+    code, _, err = run_cli(
+        ["analyze", "--log", str(log_file), "--pre-window", "-1e+300"], capsys)
+    assert code == 2
+    assert err == "error: pre_window must be finite and > 0, got -1e+300\n"
+    for value in ("-inf", "-nan"):
+        flags = list(ROW1_FLAGS)
+        flags[flags.index("--ego-speed") + 1] = value
+        code, _, err = run_cli(flags, capsys)
+        assert code == 2
+        assert err == ("error: --noa/--noj/--ego-speed/--hazard-speed: "
+                       f"ego_speed must be finite and >= 0, got {float(value)}\n")
+
+
 # -------------------------------- simulate -------------------------------
 
 
@@ -704,6 +719,11 @@ def drive_log_texts(draw):
 )
 @example(text="t,lat_disp,acc,steering,brake,tor_flag\n0.0,1e308,0,0,0,0\n"
               "0.05,1e308,0,0,0,1\n0.1,1e308,0,0,0,0\n",
+         flags={"--pre-window": "0.05", "--post-window": "0.05"})
+@example(text="t,lat_disp,acc,steering,brake,tor_flag\n-1e308,0,0,0,0,1\n1e308,0,0,0,0,0\n",
+         flags={"--pre-window": "0.05", "--post-window": "0.05"})
+@example(text="t,lat_disp,acc,steering,brake,tor_flag\n0.0,0,0,-1e308,0,0\n"
+              "0.05,0,0,-1e308,0,1\n0.1,0,0,1e308,0,0\n",
          flags={"--pre-window": "0.05", "--post-window": "0.05"})
 def test_analyze_never_exits_1_and_prints_finite_json(text, flags):
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,7 @@ import pytest
 
 from tortb.calibration import AnchorCase, UnknownCoefficient, derive_oc
 from tortb.drivelog import DriveLog, avg_lateral_displacement, detect_tot
-from tortb.errors import WindowOutOfRange
+from tortb.errors import SchemaError, build, check_range
 from tortb.model import (
     DEFAULT_COEFFICIENTS,
     SCENARIO_PRESETS,
@@ -37,19 +37,21 @@ LOG = flat_log()
 # (site, call, exception type, full message)
 REJECTIONS = [
     ("srt", lambda: DriverProfile(1.5, 80.0),
-     ValueError, "srt must be within [0, 1] s, got 1.5"),
+     ValueError, "srt must be within [0, 1], got 1.5"),
     ("experience", lambda: DriverProfile(0.2, math.nan),
      ValueError, "experience_km_per_week must be finite and >= 0, got nan"),
     ("noa", lambda: ScenarioSpec(noa=-1, noj=0, ego_speed=80.0),
-     ValueError, "noa must be >= 0 and <= 1.79769e+308"),
+     ValueError, "noa must be finite and >= 0, got -1"),
     ("noj", lambda: ScenarioSpec(noa=1, noj=10**400, ego_speed=80.0),
-     ValueError, "noj must be >= 0 and <= 1.79769e+308"),
+     ValueError, f"noj must be finite and >= 0, got {10**400}"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
      ValueError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),
      ValueError, "hazard_speed must be finite and >= 0, got nan"),
     ("ordinal", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 0),
-     ValueError, "ordinal must be >= 1"),
+     ValueError, "ordinal must be finite and >= 1, got 0"),
+    ("ordinal_too_large", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 10**400),
+     ValueError, f"ordinal must be finite and >= 1, got {10**400}"),
     ("c_noa", lambda: replace(DEFAULT_COEFFICIENTS, c_noa=math.nan),
      ValueError, "c_noa must be finite and >= 0, got nan"),
     ("c_noj", lambda: replace(DEFAULT_COEFFICIENTS, c_noj=-0.5),
@@ -61,31 +63,31 @@ REJECTIONS = [
     ("oc_repeat", lambda: replace(DEFAULT_COEFFICIENTS, oc_repeat=math.nan),
      ValueError, "oc_repeat must be finite and >= 0, got nan"),
     ("rsc_bands", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, 0.25), (80.0, math.nan))),
-     ValueError, "rsc_bands values must be finite and >= 0, got [0.25, nan]"),
+     ValueError, "rsc_bands values[1] must be finite and >= 0, got nan"),
     ("dec_bands", lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, -2.0),)),
-     ValueError, "dec_bands values must be finite and >= 0, got [-2.0]"),
+     ValueError, "dec_bands values[0] must be finite and >= 0, got -2.0"),
     ("known_tortb", lambda: AnchorCase(SCENARIO, DRIVER, CTX, 0.0, UnknownCoefficient.C_NOA),
      ValueError, "known_tortb must be finite and > 0, got 0.0"),
     ("ordinal_effect_size", lambda: derive_oc(math.nan, 7.0),
-     ValueError, "ordinal_effect_size must be within [0, 1]"),
+     ValueError, "ordinal_effect_size must be within [0, 1], got nan"),
     ("upper_bound_tortb", lambda: derive_oc(0.053, math.inf),
      ValueError, "upper_bound_tortb must be finite and > 0, got inf"),
     ("deadline", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=-1.0),
      ValueError, "deadline must be finite and >= 0, got -1.0"),
     ("response_noise", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=1e308),
-     ValueError, "response_noise must lie in [0, 3600] s, got 1e+308"),
+     ValueError, "response_noise must be within [0, 3600.0], got 1e+308"),
     ("maneuver_duration", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, maneuver_duration=0.0),
      ValueError, "maneuver_duration must be finite and > 0, got 0.0"),
     ("seed", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=-1),
-     ValueError, "seed must fit in 64 bits"),
+     ValueError, "seed must be within [0, 18446744073709551615], got -1"),
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
      ValueError, "sample_rate must be finite and > 0, got 0.0"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
      ValueError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
-     WindowOutOfRange, "window [-inf, 15] s extends beyond the log [0, 20] s"),
+     ValueError, "pre_window must be finite and > 0, got inf"),
     ("post_window", lambda: avg_lateral_displacement(LOG, 5.0, 0.0),
-     ValueError, "post_window must be > 0, got 0.0"),
+     ValueError, "post_window must be finite and > 0, got 0.0"),
 ]
 
 
@@ -96,3 +98,39 @@ def test_rejection_names_field_and_value(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5, 1.0, 0, 1, 5e-324])
+def test_check_range_accepts_both_closed_bounds(value):
+    check_range("x", value, 0, 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.nan, math.inf, -math.inf, -5e-324,
+                                   1.0000000000000002, 2**64])
+def test_check_range_rejects_nan_infinities_and_outside_values(value):
+    with pytest.raises(ValueError, match=r"^x must be within \[0, 1\], got "):
+        check_range("x", value, 0, 1)
+
+
+def test_check_range_default_upper_bound_is_the_largest_float():
+    check_range("x", 1.7976931348623157e308, 0)
+    for value in (math.inf, math.nan, 10**309):
+        with pytest.raises(ValueError, match=r"^x must be finite and >= 0, got "):
+            check_range("x", value, 0)
+
+
+def test_check_range_above_excludes_the_lower_bound():
+    check_range("x", 5e-324, 0, above=True)
+    with pytest.raises(ValueError, match=r"^x must be finite and > 0, got 0.0$"):
+        check_range("x", 0.0, 0, above=True)
+    with pytest.raises(ValueError, match=r"^x must be within \(0, 1\], got 0$"):
+        check_range("x", 0, 0, 1, above=True)
+
+
+def test_build_prefixes_a_rejected_value_with_its_origin():
+    assert build(DriverProfile, "here", srt=0.2, experience_km_per_week=1.0) == DriverProfile(
+        0.2, 1.0)
+    with pytest.raises(SchemaError) as info:
+        build(DriverProfile, "--srt/--experience", srt=0.2, experience_km_per_week=-1.0)
+    assert str(info.value) == (
+        "--srt/--experience: experience_km_per_week must be finite and >= 0, got -1.0")

@@ -83,7 +83,7 @@ def test_lookups_reject_nan():
         rsc_lookup(math.nan)
     with pytest.raises(ValueError, match="experience_km_per_week"):
         dec_lookup(math.nan)
-    with pytest.raises(ValueError, match="ordinal"):
+    with pytest.raises(ValueError, match=r"^ordinal must be >= 1, got nan$"):
         oc_lookup(math.nan)
 
 
