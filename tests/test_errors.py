@@ -1,4 +1,4 @@
-"""Every scalar range rule on an input value, with its full rejection message."""
+"""Every input rejection whose message is pinned: range rules, choices, log windows, empty lists."""
 
 import math
 from dataclasses import replace
@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from tortb.calibration import AnchorCase, UnknownCoefficient, derive_oc
-from tortb.drivelog import DriveLog, avg_lateral_displacement, detect_tot
-from tortb.errors import SchemaError, build, check_range
+from tortb.cli import main
+from tortb.drivelog import DriveLog, avg_lateral_displacement, detect_tot, max_acceleration
+from tortb.errors import SchemaError, WindowOutOfRange, build, check_range
+from tortb.fileio import anchor_from_dict, context_from_dict, episode_config_from_dict
 from tortb.model import (
     DEFAULT_COEFFICIENTS,
     SCENARIO_PRESETS,
@@ -33,6 +35,11 @@ def flat_log(**kwargs):
 
 
 LOG = flat_log()
+DRIVER_DOC = {"srt_s": 0.3, "experience_km_per_wk": 20}
+CTX_DOC = {"ndrt": "handsfree", "ordinal": 1}
+ANCHOR_DOC = {"scenario": "S1", "driver": DRIVER_DOC, "ctx": CTX_DOC, "known_tortb_s": 7.0,
+              "unknown": "c_noa"}
+EPISODE_DOC = {"driver": DRIVER_DOC, "scenario": "S1", "ctx": CTX_DOC}
 
 # (site, call, exception type, full message)
 REJECTIONS = [
@@ -44,6 +51,9 @@ REJECTIONS = [
      ValueError, "noa must be finite and >= 0, got -1"),
     ("noj", lambda: ScenarioSpec(noa=1, noj=10**400, ego_speed=80.0),
      ValueError, f"noj must be finite and >= 0, got {10**400}"),
+    ("noa_over_str_limit", lambda: ScenarioSpec(noa=10**5000, noj=0, ego_speed=80.0),
+     ValueError, "Exceeds the limit (4300 digits) for integer string conversion; "
+                 "use sys.set_int_max_str_digits() to increase the limit"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
      ValueError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),
@@ -82,12 +92,32 @@ REJECTIONS = [
      ValueError, "seed must be within [0, 18446744073709551615], got -1"),
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
      ValueError, "sample_rate must be finite and > 0, got 0.0"),
+    ("tor_time", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=25.0),
+     ValueError, "tor_time must lie within the log extent"),
+    ("tor_time_nan", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=math.nan),
+     ValueError, "tor_time must lie within the log extent"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
      ValueError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
      ValueError, "pre_window must be finite and > 0, got inf"),
     ("post_window", lambda: avg_lateral_displacement(LOG, 5.0, 0.0),
      ValueError, "post_window must be finite and > 0, got 0.0"),
+    ("window_before_log", lambda: avg_lateral_displacement(LOG, 11.0, 1.0),
+     WindowOutOfRange, "window [-1, 11] s extends beyond the log [0, 20] s"),
+    ("window_after_log", lambda: avg_lateral_displacement(LOG, 1.0, 10.5),
+     WindowOutOfRange, "window [9, 20.5] s extends beyond the log [0, 20] s"),
+    ("takeover_before_tor", lambda: max_acceleration(LOG, 9.0),
+     WindowOutOfRange, "takeover instant 9 s must lie between the TOR (10 s) and the log end (20 s)"),
+    ("takeover_after_log", lambda: max_acceleration(LOG, 21.0),
+     WindowOutOfRange, "takeover instant 21 s must lie between the TOR (10 s) and the log end (20 s)"),
+    ("ndrt", lambda: context_from_dict({**CTX_DOC, "ndrt": "HANDSFREE"}),
+     SchemaError, "ctx: ndrt must be 'handsfree' or 'handheld', got 'HANDSFREE'"),
+    ("unknown_lower", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "c_nox"}),
+     SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'c_nox'"),
+    ("unknown_upper", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "C_NOX"}),
+     SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'c_nox'"),
+    ("deadline_mode", lambda: episode_config_from_dict({**EPISODE_DOC, "deadline_mode": "Explicit"}),
+     SchemaError, "episode: deadline_mode must be 'from_budget' or 'explicit', got 'Explicit'"),
 ]
 
 
@@ -98,6 +128,17 @@ def test_rejection_names_field_and_value(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key,argv", [
+    ("anchors", ["calibrate", "--anchors", "list.json", "--out", "out.json"]),
+    ("episodes", ["simulate", "--config", "list.json", "--out-dir", "out"]),
+])
+def test_empty_list_file_is_refused_at_the_cli(key, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text(f'{{"{key}": []}}', encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: list.json: {key} list is empty\n")
 
 
 @pytest.mark.parametrize("value", [0.0, 0.5, 1.0, 0, 1, 5e-324])
