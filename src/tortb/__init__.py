@@ -73,7 +73,6 @@ from .simulate import (
     EpisodeConfig,
     EpisodeOutcome,
     mix_seed,
-    required_takeover_time,
     response_onset,
     run_batch,
     run_episode,

@@ -15,7 +15,6 @@ Every command is deterministic given its flags, files and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -53,6 +52,12 @@ TABLE_ROWS = (
 
 _SCENARIO_FLAGS = ("--noa", "--noj", "--ego-speed", "--hazard-speed")
 
+_NAMED_COEFFICIENTS = {
+    "default": DEFAULT_COEFFICIENTS,
+    "raw": RAW_COEFFICIENTS,
+    "rounded": DEFAULT_COEFFICIENTS.rounded(),
+}
+
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -60,18 +65,13 @@ def _fail(message: str) -> int:
 
 
 def _emit_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(fileio.json_text(payload))
 
 
 def _load_coefficient_set(spec: str) -> CoefficientSet:
     """Named set ('default', 'raw', 'rounded') or a coefficient file path."""
-    named = {
-        "default": DEFAULT_COEFFICIENTS,
-        "raw": RAW_COEFFICIENTS,
-        "rounded": DEFAULT_COEFFICIENTS.rounded(),
-    }
-    if spec in named:
-        return named[spec]
+    if spec in _NAMED_COEFFICIENTS:
+        return _NAMED_COEFFICIENTS[spec]
     return fileio.load_coefficients(spec)
 
 
@@ -222,8 +222,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     anchors = fileio.load_anchors(args.anchors)
-    if not anchors:
-        return _fail(f"{args.anchors}: anchors list is empty")
     seed = _load_coefficient_set(args.coeffs)
     result, coeffs = calibrate_sequence(anchors, seed, Chaining(args.chaining))
     fileio.dump_coefficients(coeffs, args.out)
@@ -291,8 +289,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     configs, file_seed = fileio.load_episode_configs(args.config)
-    if not configs:
-        return _fail(f"{args.config}: episodes list is empty")
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
     report = run_batch(configs, base_seed)
     out_dir = Path(args.out_dir)
@@ -326,9 +322,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
         "episodes": episodes,
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "report.json").write_text(fileio.json_text(payload), encoding="utf-8")
     print(
         f"episodes: {len(episodes)}  success: {report.n_success}  "
         f"late: {report.n_late}  collision: {report.n_collision}"
@@ -339,7 +333,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def table_rows() -> list[dict[str, Any]]:
     """The reference table as computed rows (the `table` subcommand's data)."""
-    coeffs = DEFAULT_COEFFICIENTS.rounded()
+    coeffs = _NAMED_COEFFICIENTS["rounded"]
     rows = []
     for i, (noa, noj, ego, hazard, ndrt, ordinal) in enumerate(TABLE_ROWS, start=1):
         scenario = ScenarioSpec(noa=noa, noj=noj, ego_speed=ego, hazard_speed=hazard)

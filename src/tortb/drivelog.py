@@ -215,6 +215,22 @@ def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:
     return float(log.t[i0 + hits[0]] - log.tor_time)
 
 
+def _window(log: DriveLog, lo: float, hi: float) -> slice:
+    """The samples in ``[lo, hi]`` [s], ends inclusive.
+
+    Raises :class:`WindowOutOfRange` unless ``lo <= hi`` and both ends lie
+    inside the log, each comparison within ``_T_EPS``; NaN fails them all.
+    """
+    start, stop = lo - _T_EPS, hi + _T_EPS
+    if not (log.t[0] - _T_EPS <= lo and start <= hi and hi <= log.t[-1] + _T_EPS):
+        raise WindowOutOfRange(
+            f"window [{lo:g}, {hi:g}] s must be ordered and lie inside the log "
+            f"[{log.t[0]:g}, {log.t[-1]:g}] s"
+        )
+    return slice(int(np.searchsorted(log.t, start)),
+                 int(np.searchsorted(log.t, stop, side="right")))
+
+
 def avg_lateral_displacement(
     log: DriveLog, pre_window: float, post_window: float
 ) -> float:
@@ -226,15 +242,10 @@ def avg_lateral_displacement(
     check_range("post_window", post_window, 0, above=True)
     lo = log.tor_time - pre_window
     hi = log.tor_time + post_window
-    if lo < log.t[0] - _T_EPS or hi > log.t[-1] + _T_EPS:
-        raise WindowOutOfRange(
-            f"window [{lo:g}, {hi:g}] s extends beyond the log "
-            f"[{log.t[0]:g}, {log.t[-1]:g}] s"
-        )
-    mask = (log.t >= lo - _T_EPS) & (log.t <= hi + _T_EPS)
+    window = _window(log, lo, hi)
     # Finite offsets near the float limit can still overflow the sum.
     with np.errstate(over="ignore"):
-        avg = float(np.mean(np.abs(log.lateral_displacement[mask])))
+        avg = float(np.mean(np.abs(log.lateral_displacement[window])))
     if not math.isfinite(avg):
         raise ValueError(
             f"mean absolute lateral displacement over [{lo:g}, {hi:g}] s overflows"
@@ -244,16 +255,7 @@ def avg_lateral_displacement(
 
 def max_acceleration(log: DriveLog, takeover_time_abs: float) -> float:
     """Maximum acceleration [m/s^2] over [TOR, takeover], ends inclusive."""
-    if (
-        takeover_time_abs < log.tor_time - _T_EPS
-        or takeover_time_abs > log.t[-1] + _T_EPS
-    ):
-        raise WindowOutOfRange(
-            f"takeover instant {takeover_time_abs:g} s must lie between the TOR "
-            f"({log.tor_time:g} s) and the log end ({log.t[-1]:g} s)"
-        )
-    mask = (log.t >= log.tor_time - _T_EPS) & (log.t <= takeover_time_abs + _T_EPS)
-    return float(np.max(log.acceleration[mask]))
+    return float(np.max(log.acceleration[_window(log, log.tor_time, takeover_time_abs)]))
 
 
 @dataclass(frozen=True)

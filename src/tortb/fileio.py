@@ -47,6 +47,16 @@ def _typed(
     return value
 
 
+def _choice(
+    data: Any, key: str, where: str, choices: list[str], default: Any = _MISSING
+) -> str:
+    """The value under ``key``, which must equal one of ``choices`` exactly."""
+    value = _get(data, key, where, default)
+    if value not in choices:
+        raise SchemaError(f"{where}: {key} must be one of {choices}, got {value!r}")
+    return value
+
+
 def _number(data: Any, key: str, where: str, default: Any = _MISSING) -> float:
     """An int or float (not a bool) under ``key``, as a float."""
     value = _typed(data, key, where, (int, float), "a number", default)
@@ -150,15 +160,9 @@ def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
 
 
 def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverContext:
-    ndrt = _get(data, "ndrt", where)
-    try:
-        ndrt_class = NdrtClass(ndrt)
-    except ValueError:
-        raise SchemaError(
-            f"{where}: ndrt must be 'handsfree' or 'handheld', got '{ndrt}'"
-        ) from None
+    ndrt = _choice(data, "ndrt", where, [c.value for c in NdrtClass])
     return build(
-        TakeoverContext, where, ndrt_class=ndrt_class, ordinal=_count(data, "ordinal", where)
+        TakeoverContext, where, ndrt_class=NdrtClass(ndrt), ordinal=_count(data, "ordinal", where)
     )
 
 
@@ -175,10 +179,17 @@ def load_json(path: str | Path) -> Any:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
+def json_text(payload: Any) -> str:
+    """The one JSON text layout: sorted keys, a 2-space indent and a final LF."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _load_list(path: str | Path, key: str, from_dict: Callable[..., Any]) -> tuple[Any, list]:
-    """Read a JSON object holding a list under ``key``; parse each entry."""
+    """Read a JSON object holding a non-empty list under ``key``; parse each entry."""
     data = load_json(path)
     entries = _typed(data, key, str(path), list, "a list")
+    if not entries:
+        raise SchemaError(f"{path}: {key} list is empty")
     return data, [from_dict(entry, f"{path}: {key}[{i}]") for i, entry in enumerate(entries)]
 
 
@@ -187,21 +198,11 @@ def load_coefficients(path: str | Path) -> CoefficientSet:
 
 
 def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(coefficients_to_dict(coeffs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(json_text(coefficients_to_dict(coeffs)), encoding="utf-8")
 
 
 def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
-    unknown_name = str(_get(data, "unknown", where)).lower()
-    try:
-        unknown = UnknownCoefficient(unknown_name)
-    except ValueError:
-        raise SchemaError(
-            f"{where}: unknown must be one of "
-            f"{[u.value for u in UnknownCoefficient]}, got '{unknown_name}'"
-        ) from None
+    unknown = _choice(data, "unknown", where, [u.value for u in UnknownCoefficient])
     return build(
         AnchorCase,
         where,
@@ -209,7 +210,7 @@ def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
         driver=driver_from_dict(_get(data, "driver", where), f"{where}.driver"),
         ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
         known_tortb=_number(data, "known_tortb_s", where),
-        unknown=unknown,
+        unknown=UnknownCoefficient(unknown),
     )
 
 
@@ -231,12 +232,8 @@ def episode_config_from_dict(
         if "budget_driver" in data
         else None
     )
-    mode = data.get("deadline_mode", "from_budget")
+    mode = _choice(data, "deadline_mode", where, ["from_budget", "explicit"], "from_budget")
     explicit = data.get("explicit_deadline_s")
-    if mode not in ("from_budget", "explicit"):
-        raise SchemaError(
-            f"{where}: deadline_mode must be 'from_budget' or 'explicit', got {mode!r}"
-        )
     if (mode == "explicit") != (explicit is not None):
         raise SchemaError(
             f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"

@@ -126,35 +126,6 @@ def response_onset(cfg: EpisodeConfig) -> float:
     return cfg.driver.srt + ndrtc_lookup(cfg.ctx.ndrt_class, cfg.coeffs)
 
 
-def _own_budget(cfg: EpisodeConfig) -> float:
-    """The budget estimated with the driver's actual parameters [s]."""
-    return estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
-
-
-def _perturbed(cfg: EpisodeConfig, base: float, rng: np.random.Generator) -> float:
-    return max(base + rng.uniform(-cfg.response_noise, cfg.response_noise), 0.0)
-
-
-def required_takeover_time(cfg: EpisodeConfig, rng: np.random.Generator) -> float:
-    """Simulated driver's required time [s], never negative.
-
-    The budget component sequence is evaluated with the driver's actual
-    parameters, then perturbed by a uniform draw in
-    [-response_noise, +response_noise] from the supplied generator.
-    """
-    return _perturbed(cfg, _own_budget(cfg), rng)
-
-
-def _deadline(cfg: EpisodeConfig, own_budget: float) -> float:
-    """The explicit deadline, else the budget for ``budget_driver``; with
-    neither set, the driver's own budget, already estimated by the caller."""
-    if cfg.deadline is not None:
-        return float(cfg.deadline)
-    if cfg.budget_driver is None:
-        return own_budget
-    return estimate_tortb(cfg.budget_driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
-
-
 def _classify(margin: float, maneuver_duration: float) -> Classification:
     if margin >= 0:
         return Classification.SUCCESS
@@ -215,13 +186,23 @@ def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> Dri
 def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
     """Run one deterministic episode; identical config gives identical output.
 
-    The log's extent is checked here, so an episode whose log would exceed
-    ``MAX_LOG_S`` fails now rather than when its log is first read.
+    The required time is the budget estimated with the driver's own
+    parameters plus a uniform draw in [-response_noise, +response_noise]
+    from a generator seeded with ``cfg.seed``, clamped at 0.  The deadline
+    is ``cfg.deadline`` when set, else the budget estimated for
+    ``budget_driver`` when set, else the driver's own budget, without the
+    draw.  The log's extent is checked here, so an episode whose log would
+    exceed ``MAX_LOG_S`` fails now rather than when its log is first read.
     """
     rng = np.random.default_rng(cfg.seed)
-    own_budget = _own_budget(cfg)
-    required = _perturbed(cfg, own_budget, rng)
-    deadline = _deadline(cfg, own_budget)
+    own_budget = estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
+    required = max(own_budget + rng.uniform(-cfg.response_noise, cfg.response_noise), 0.0)
+    if cfg.deadline is not None:
+        deadline = float(cfg.deadline)
+    elif cfg.budget_driver is None:
+        deadline = own_budget
+    else:
+        deadline = estimate_tortb(cfg.budget_driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
     _log_extent(cfg, required, deadline)
     margin = deadline - required
     return EpisodeOutcome(

@@ -103,21 +103,21 @@ REJECTIONS = [
     ("post_window", lambda: avg_lateral_displacement(LOG, 5.0, 0.0),
      ValueError, "post_window must be finite and > 0, got 0.0"),
     ("window_before_log", lambda: avg_lateral_displacement(LOG, 11.0, 1.0),
-     WindowOutOfRange, "window [-1, 11] s extends beyond the log [0, 20] s"),
+     WindowOutOfRange, "window [-1, 11] s must be ordered and lie inside the log [0, 20] s"),
     ("window_after_log", lambda: avg_lateral_displacement(LOG, 1.0, 10.5),
-     WindowOutOfRange, "window [9, 20.5] s extends beyond the log [0, 20] s"),
+     WindowOutOfRange, "window [9, 20.5] s must be ordered and lie inside the log [0, 20] s"),
     ("takeover_before_tor", lambda: max_acceleration(LOG, 9.0),
-     WindowOutOfRange, "takeover instant 9 s must lie between the TOR (10 s) and the log end (20 s)"),
+     WindowOutOfRange, "window [10, 9] s must be ordered and lie inside the log [0, 20] s"),
     ("takeover_after_log", lambda: max_acceleration(LOG, 21.0),
-     WindowOutOfRange, "takeover instant 21 s must lie between the TOR (10 s) and the log end (20 s)"),
+     WindowOutOfRange, "window [10, 21] s must be ordered and lie inside the log [0, 20] s"),
     ("ndrt", lambda: context_from_dict({**CTX_DOC, "ndrt": "HANDSFREE"}),
-     SchemaError, "ctx: ndrt must be 'handsfree' or 'handheld', got 'HANDSFREE'"),
+     SchemaError, "ctx: ndrt must be one of ['handsfree', 'handheld'], got 'HANDSFREE'"),
     ("unknown_lower", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "c_nox"}),
      SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'c_nox'"),
     ("unknown_upper", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "C_NOX"}),
-     SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'c_nox'"),
+     SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'C_NOX'"),
     ("deadline_mode", lambda: episode_config_from_dict({**EPISODE_DOC, "deadline_mode": "Explicit"}),
-     SchemaError, "episode: deadline_mode must be 'from_budget' or 'explicit', got 'Explicit'"),
+     SchemaError, "episode: deadline_mode must be one of ['from_budget', 'explicit'], got 'Explicit'"),
 ]
 
 
