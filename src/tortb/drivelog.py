@@ -92,8 +92,12 @@ class DriveLog:
                 f"timestamps deviate from the {self.sample_rate:g} Hz period by "
                 "more than 1e-6 s"
             )
-        if not arrays["t"][0] - _T_EPS <= self.tor_time <= arrays["t"][-1] + _T_EPS:
-            raise ValueError("tor_time must lie within the log extent")
+        t0, t1 = arrays["t"][0], arrays["t"][-1]
+        if not t0 - _T_EPS <= self.tor_time <= t1 + _T_EPS:
+            raise ValueError(
+                f"tor_time must lie within the log extent [{t0:g}, {t1:g}] s, "
+                f"got {self.tor_time}"
+            )
 
     @property
     def tor_index(self) -> int:

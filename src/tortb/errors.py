@@ -69,7 +69,11 @@ def check_range(
         return
     op, bracket = (">", "(") if above else (">=", "[")
     bound = f"finite and {op} {lo}" if hi == sys.float_info.max else f"within {bracket}{lo}, {hi}]"
-    raise ValueError(f"{name} must be {bound}, got {value}")
+    try:
+        shown = str(value)
+    except ValueError:  # an int with more digits than sys.get_int_max_str_digits()
+        shown = f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    raise ValueError(f"{name} must be {bound}, got {shown}")
 
 
 def build(cls: Callable[..., Any], where: str, **kwargs: Any) -> Any:

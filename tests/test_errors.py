@@ -52,8 +52,9 @@ REJECTIONS = [
     ("noj", lambda: ScenarioSpec(noa=1, noj=10**400, ego_speed=80.0),
      ValueError, f"noj must be finite and >= 0, got {10**400}"),
     ("noa_over_str_limit", lambda: ScenarioSpec(noa=10**5000, noj=0, ego_speed=80.0),
-     ValueError, "Exceeds the limit (4300 digits) for integer string conversion; "
-                 "use sys.set_int_max_str_digits() to increase the limit"),
+     ValueError, "noa must be finite and >= 0, got an int of 16610 bits"),
+    ("noa_negative_over_str_limit", lambda: ScenarioSpec(noa=-10**5000, noj=0, ego_speed=80.0),
+     ValueError, "noa must be finite and >= 0, got a negative int of 16610 bits"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
      ValueError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),
@@ -93,9 +94,9 @@ REJECTIONS = [
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
      ValueError, "sample_rate must be finite and > 0, got 0.0"),
     ("tor_time", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=25.0),
-     ValueError, "tor_time must lie within the log extent"),
+     ValueError, "tor_time must lie within the log extent [0, 20] s, got 25.0"),
     ("tor_time_nan", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=math.nan),
-     ValueError, "tor_time must lie within the log extent"),
+     ValueError, "tor_time must lie within the log extent [0, 20] s, got nan"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
      ValueError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
