@@ -377,6 +377,8 @@ def test_log_validation():
         DriveLog(t, t, t, t, t, tor_time=99.0)
     with pytest.raises(SchemaError):
         DriveLog(t, t[:3], t, t, t, tor_time=0.0)
+    with pytest.raises(SchemaError, match="at least one sample"):
+        DriveLog([], [], [], [], [], tor_time=0.0)
     with pytest.raises(ValueError, match="sample_rate"):
         DriveLog(t, t, t, t, t, tor_time=0.0, sample_rate=float("nan"))
     t_nan = t.copy()
@@ -599,6 +601,8 @@ def test_max_acc_window_out_of_range():
         max_acceleration(log, log.tor_time - 1.0)
     with pytest.raises(WindowOutOfRange):
         max_acceleration(log, log.t[-1] + 1.0)
+    with pytest.raises(WindowOutOfRange):
+        max_acceleration(log, float("nan"))
 
 
 # ------------------------------- summaries -------------------------------
@@ -642,6 +646,7 @@ def test_summarize_skips_absent_values():
     assert out["g"]["avg_ld"].n == 2
     only_absent = summarize([metrics[0]], ["g"])
     assert only_absent["g"]["tot"] is None
+    assert summarize(metrics) == {"all": out["g"]}
 
 
 def test_summarize_validation():
