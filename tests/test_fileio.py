@@ -138,9 +138,7 @@ MALFORMED = [
     ("anchors", {"anchors": []}, "anchors list is empty"),
     ("anchors", anchor(scenario="S9"), "unknown preset 'S9'"),
     ("anchors", anchor(unknown="C_NOA"), "unknown must be one of"),
-    ("anchors", anchor(ctx={**CTX, "ndrt": "HANDHELD"}), "ndrt must be one of"),
     ("episodes", {"episodes": []}, "episodes list is empty"),
-    ("episodes", episode(deadline_mode="EXPLICIT", explicit_deadline_s=3.0), "deadline_mode"),
 ]
 
 LOADERS = {
