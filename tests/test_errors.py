@@ -1,4 +1,4 @@
-"""Every input rejection whose message is pinned: range rules, choices, log windows, empty lists."""
+"""Every pinned input rejection: range rules, choices, log windows and empty lists."""
 
 import math
 from dataclasses import replace
@@ -117,8 +117,10 @@ REJECTIONS = [
      SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'c_nox'"),
     ("unknown_upper", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "C_NOX"}),
      SchemaError, "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'C_NOX'"),
-    ("deadline_mode", lambda: episode_config_from_dict({**EPISODE_DOC, "deadline_mode": "Explicit"}),
-     SchemaError, "episode: deadline_mode must be one of ['from_budget', 'explicit'], got 'Explicit'"),
+    ("deadline_mode",
+     lambda: episode_config_from_dict({**EPISODE_DOC, "deadline_mode": "Explicit"}),
+     SchemaError,
+     "episode: deadline_mode must be one of ['from_budget', 'explicit'], got 'Explicit'"),
 ]
 
 
