@@ -9,7 +9,14 @@ import pytest
 from tortb.calibration import AnchorCase, UnknownCoefficient, derive_oc
 from tortb.cli import main
 from tortb.drivelog import DriveLog, avg_lateral_displacement, detect_tot, max_acceleration
-from tortb.errors import SchemaError, WindowOutOfRange, build, check_range
+from tortb.errors import (
+    NegativeRelativeSpeed,
+    SchemaError,
+    SpeedAboveModelRange,
+    WindowOutOfRange,
+    build,
+    check_range,
+)
 from tortb.fileio import anchor_from_dict, context_from_dict, episode_config_from_dict
 from tortb.model import (
     DEFAULT_COEFFICIENTS,
@@ -18,6 +25,7 @@ from tortb.model import (
     NdrtClass,
     ScenarioSpec,
     TakeoverContext,
+    estimate_tortb,
 )
 from tortb.simulate import EpisodeConfig
 
@@ -83,6 +91,17 @@ REJECTIONS = [
      ValueError, "ordinal_effect_size must be within [0, 1], got nan"),
     ("upper_bound_tortb", lambda: derive_oc(0.053, math.inf),
      ValueError, "upper_bound_tortb must be finite and > 0, got inf"),
+    ("receding_hazard",
+     lambda: estimate_tortb(DRIVER, ScenarioSpec(noa=1, noj=0, ego_speed=50.0, hazard_speed=80.0),
+                            CTX),
+     NegativeRelativeSpeed,
+     "hazard at 80.0 km/hr is faster than ego at 50.0 km/hr; "
+     "the model does not define receding hazards"),
+    ("speed_above_last_band",
+     lambda: estimate_tortb(DRIVER, ScenarioSpec(noa=1, noj=0,
+                                                 ego_speed=math.nextafter(130.0, math.inf)), CTX),
+     SpeedAboveModelRange,
+     "relative speed 130 km/hr is above the last calibrated band (130 km/hr)"),
     ("deadline", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=-1.0),
      ValueError, "deadline must be finite and >= 0, got -1.0"),
     ("response_noise", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=1e308),
