@@ -55,17 +55,11 @@ from .model import (
     DriverProfile,
     NdrtClass,
     ScenarioSpec,
-    SstBreakdown,
     TakeoverContext,
     TortbEstimate,
-    compute_sst,
-    dec_lookup,
     estimate_tortb,
     ndrtc_lookup,
-    oc_lookup,
-    relative_speed,
     round_coefficient,
-    rsc_lookup,
 )
 from .simulate import (
     BatchReport,

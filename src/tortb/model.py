@@ -16,9 +16,11 @@ takeover maneuver.  It is additive in second-valued terms:
   hands-free tasks).
 * ``oc``: learning-effect deduction from the second exposure on.
 
-The three middle terms form the scenario-specific time (SST).  Addition is
-performed strictly left to right, so a given input always produces the
-same bit pattern.  Everything in this module is a pure function of
+The three middle terms form the scenario-specific time (SST).  Each term
+is computed once, in ``_budget_terms``, and returned by
+:func:`estimate_tortb` in its ``components``.  Addition is performed
+strictly left to right, so a given input always produces the same bit
+pattern.  Everything in this module is a pure function of
 immutable values and is safe to call concurrently.
 """
 
@@ -223,52 +225,6 @@ SCENARIO_PRESETS: dict[str, ScenarioSpec] = {
 }
 
 
-# The five checks in relative_speed (two), rsc_lookup, dec_lookup and
-# oc_lookup stay inline, written so NaN fails them, because estimate_tortb
-# runs all five on every call: through check_range an estimate took 4.66
-# against 4.04 us (+15 %; best of 64 x 20 000 calls, 2-core Xeon).
-def relative_speed(ego_speed: float, hazard_speed: float) -> float:
-    """Closing speed toward the hazard cause [km/hr]."""
-    if not ego_speed >= 0:
-        raise ValueError(f"ego_speed must be >= 0, got {ego_speed}")
-    if not hazard_speed >= 0:
-        raise ValueError(f"hazard_speed must be >= 0, got {hazard_speed}")
-    rs = ego_speed - hazard_speed
-    if rs < 0:
-        raise NegativeRelativeSpeed(
-            f"hazard at {hazard_speed} km/hr is faster than ego at {ego_speed} km/hr; "
-            "the model does not define receding hazards"
-        )
-    return rs
-
-
-def rsc_lookup(rs: float, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS) -> float:
-    """Relative-speed coefficient [s] for a closing speed ``rs`` [km/hr]."""
-    if not rs >= 0:
-        raise ValueError(f"relative speed rs must be >= 0, got {rs}")
-    for upper, value in coeffs.rsc_bands:
-        if rs <= upper:
-            return value
-    raise SpeedAboveModelRange(
-        f"relative speed {rs:g} km/hr is above the last calibrated band "
-        f"({coeffs.rsc_bands[-1][0]:g} km/hr)"
-    )
-
-
-def dec_lookup(
-    experience_km_per_week: float, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS
-) -> float:
-    """Driving-experience coefficient [s] for a weekly distance [km/wk]."""
-    if not experience_km_per_week >= 0:
-        raise ValueError(
-            f"experience_km_per_week must be >= 0, got {experience_km_per_week}"
-        )
-    for upper, value in coeffs.dec_bands:
-        if experience_km_per_week <= upper:
-            return value
-    return coeffs.dec_floor
-
-
 def ndrtc_lookup(
     ndrt_class: NdrtClass, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS
 ) -> float:
@@ -276,33 +232,6 @@ def ndrtc_lookup(
     if ndrt_class is NdrtClass.HANDS_FREE:
         return 0.0
     return coeffs.ndrtc_handheld
-
-
-def oc_lookup(ordinal: int, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS) -> float:
-    """Learning-effect deduction [s]: zero on the first exposure, flat after."""
-    if not ordinal >= 1:
-        raise ValueError(f"ordinal must be >= 1, got {ordinal}")
-    return 0.0 if ordinal == 1 else coeffs.oc_repeat
-
-
-@dataclass(frozen=True)
-class SstBreakdown:
-    """Scenario-specific time and its three terms, all [s]."""
-
-    noa_term: float
-    noj_term: float
-    rsc: float
-    total: float
-
-
-def compute_sst(
-    scenario: ScenarioSpec, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS
-) -> SstBreakdown:
-    """Scenario-specific time: agent term + junction term + speed band."""
-    noa_term = scenario.noa * coeffs.c_noa
-    noj_term = scenario.noj * coeffs.c_noj
-    rsc = rsc_lookup(relative_speed(scenario.ego_speed, scenario.hazard_speed), coeffs)
-    return SstBreakdown(noa_term, noj_term, rsc, noa_term + noj_term + rsc)
 
 
 @dataclass(frozen=True)
@@ -321,6 +250,14 @@ class TortbEstimate:
     warnings: tuple[str, ...] = ()
 
 
+def _band(bands: tuple[tuple[float, float], ...], key: float) -> float | None:
+    """Value of the first band whose inclusive upper bound is >= ``key``; None past the last."""
+    for upper, value in bands:
+        if key <= upper:
+            return value
+    return None
+
+
 def _budget_terms(
     driver: DriverProfile,
     scenario: ScenarioSpec,
@@ -329,23 +266,40 @@ def _budget_terms(
 ) -> tuple[dict[str, float], float]:
     """The budget's components and their unclamped sum.
 
-    Every input is finite, but a product such as ``noa * c_noa`` or the sum
-    can still overflow; that raises ``ValueError`` naming the first
-    non-finite component, or ``total``.
+    Each term is computed here and nowhere else, from inputs their
+    constructors have range-checked.  A hazard faster than the ego raises
+    :class:`NegativeRelativeSpeed`.  Every input is finite, but a product
+    such as ``noa * c_noa`` or the sum can still overflow; that raises
+    ``ValueError`` naming the first non-finite component, or ``total``.
     """
-    dec = dec_lookup(driver.experience_km_per_week, coeffs)
-    sst = compute_sst(scenario, coeffs)
+    dec = _band(coeffs.dec_bands, driver.experience_km_per_week)
+    if dec is None:
+        dec = coeffs.dec_floor
+    rs = scenario.ego_speed - scenario.hazard_speed
+    if rs < 0:
+        raise NegativeRelativeSpeed(
+            f"hazard at {scenario.hazard_speed} km/hr is faster than ego at "
+            f"{scenario.ego_speed} km/hr; the model does not define receding hazards"
+        )
+    rsc = _band(coeffs.rsc_bands, rs)
+    if rsc is None:
+        raise SpeedAboveModelRange(
+            f"relative speed {rs:g} km/hr is above the last calibrated band "
+            f"({coeffs.rsc_bands[-1][0]:g} km/hr)"
+        )
+    noa_term = scenario.noa * coeffs.c_noa
+    noj_term = scenario.noj * coeffs.c_noj
     ndrtc = ndrtc_lookup(ctx.ndrt_class, coeffs)
-    oc = oc_lookup(ctx.ordinal, coeffs)
+    oc = 0.0 if ctx.ordinal == 1 else coeffs.oc_repeat
     # Fixed left-to-right evaluation keeps the breakdown bit-reproducible.
-    total = driver.srt + dec + sst.noa_term + sst.noj_term + sst.rsc + ndrtc - oc
+    total = driver.srt + dec + noa_term + noj_term + rsc + ndrtc - oc
     components = {
         "srt": driver.srt,
         "dec": dec,
-        "noa_term": sst.noa_term,
-        "noj_term": sst.noj_term,
-        "rsc": sst.rsc,
-        "sst": sst.total,
+        "noa_term": noa_term,
+        "noj_term": noj_term,
+        "rsc": rsc,
+        "sst": noa_term + noj_term + rsc,
         "ndrtc": ndrtc,
         "oc": oc,
     }

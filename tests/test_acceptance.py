@@ -22,13 +22,11 @@ from tortb import (
     UnknownCoefficient,
     avg_lateral_displacement,
     calibrate_sequence,
-    dec_lookup,
     derive_oc,
     detect_tot,
     estimate_tortb,
     max_acceleration,
     response_onset,
-    rsc_lookup,
     run_episode,
     solve_coefficient,
 )
@@ -177,14 +175,21 @@ def test_criterion_4_model_properties():
             failures["monotonicity"] += 1
         checks += 5
 
+    def band(term, experience, speed):
+        return estimate_tortb(
+            DriverProfile(srt=0.2, experience_km_per_week=experience),
+            ScenarioSpec(noa=0, noj=0, ego_speed=speed),
+            FIRST_HANDS_FREE,
+        ).components[term]
+
     edge_ok = True
     for edge, at_edge, above in ((50.0, 0.25, 0.5), (80.0, 0.5, 1.0)):
-        edge_ok &= rsc_lookup(edge) == at_edge
-        edge_ok &= rsc_lookup(math.nextafter(edge, math.inf)) == above
-    edge_ok &= rsc_lookup(130.0) == 1.0
+        edge_ok &= band("rsc", 80.0, edge) == at_edge
+        edge_ok &= band("rsc", 80.0, math.nextafter(edge, math.inf)) == above
+    edge_ok &= band("rsc", 80.0, 130.0) == 1.0
     for edge, at_edge, above in ((30.0, 2.0, 1.5), (100.0, 1.5, 1.0), (200.0, 1.0, 1.0)):
-        edge_ok &= dec_lookup(edge) == at_edge
-        edge_ok &= dec_lookup(math.nextafter(edge, math.inf)) == above
+        edge_ok &= band("dec", edge, 80.0) == at_edge
+        edge_ok &= band("dec", math.nextafter(edge, math.inf), 80.0) == above
     checks += 11
 
     ok = not any(failures.values()) and edge_ok and checks >= 10_000

@@ -19,14 +19,9 @@ from tortb import (
     ScenarioSpec,
     SpeedAboveModelRange,
     TakeoverContext,
-    compute_sst,
-    dec_lookup,
     estimate_tortb,
     ndrtc_lookup,
-    oc_lookup,
-    relative_speed,
     round_coefficient,
-    rsc_lookup,
 )
 from tortb.model import VISUAL_SRT_RANGE
 
@@ -41,28 +36,24 @@ def make_inputs(srt, experience, noa, noj, rs, ndrt, ordinal):
     )
 
 
+def components(ego=80.0, hazard=0.0, experience=80.0, ordinal=1):
+    """The breakdown of one hands-free estimate with no agents or junctions."""
+    return estimate_tortb(
+        DriverProfile(srt=0.2, experience_km_per_week=experience),
+        ScenarioSpec(noa=0, noj=0, ego_speed=ego, hazard_speed=hazard),
+        TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=ordinal),
+    ).components
+
+
 # ---------------------------- relative speed ----------------------------
 
 
 @pytest.mark.parametrize(
-    "ego,hazard,expected", [(80, 50, 30), (130, 0, 130), (50, 50, 0)]
+    "ego,hazard,expected", [(80, 50, 30), (130, 0, 130), (50, 50, 0), (130, 50, 80)]
 )
 def test_relative_speed(ego, hazard, expected):
-    assert relative_speed(ego, hazard) == expected
-
-
-def test_relative_speed_receding_hazard():
-    with pytest.raises(NegativeRelativeSpeed):
-        relative_speed(50, 80)
-
-
-def test_relative_speed_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        relative_speed(-1, 0)
-    with pytest.raises(ValueError, match="ego_speed"):
-        relative_speed(math.nan, 0)
-    with pytest.raises(ValueError, match="hazard_speed"):
-        relative_speed(50, math.nan)
+    """The model sees only the closing speed, as if the hazard were at rest."""
+    assert components(ego, hazard) == components(expected, 0)
 
 
 # ------------------------------- lookups --------------------------------
@@ -70,21 +61,12 @@ def test_relative_speed_rejects_negative_inputs():
 
 @pytest.mark.parametrize("rs,expected", [(30, 0.25), (80, 0.5), (130, 1.0), (0, 0.25)])
 def test_rsc_lookup(rs, expected):
-    assert rsc_lookup(rs) == expected
+    assert components(ego=rs)["rsc"] == expected
 
 
 def test_rsc_above_model_range():
     with pytest.raises(SpeedAboveModelRange):
-        rsc_lookup(131)
-
-
-def test_lookups_reject_nan():
-    with pytest.raises(ValueError, match="rs must be >= 0"):
-        rsc_lookup(math.nan)
-    with pytest.raises(ValueError, match="experience_km_per_week"):
-        dec_lookup(math.nan)
-    with pytest.raises(ValueError, match=r"^ordinal must be >= 1, got nan$"):
-        oc_lookup(math.nan)
+        components(ego=131)
 
 
 @pytest.mark.parametrize(
@@ -92,20 +74,20 @@ def test_lookups_reject_nan():
     [(80, 1.5), (30, 2.0), (5000, 1.0), (0, 2.0), (100, 1.5), (200, 1.0)],
 )
 def test_dec_lookup(experience, expected):
-    assert dec_lookup(experience) == expected
+    assert components(experience=experience)["dec"] == expected
 
 
 def test_band_edges_inclusive():
     """Upper bounds belong to their band; anything above flips to the next."""
     for edge, at_edge, above in ((50.0, 0.25, 0.5), (80.0, 0.5, 1.0)):
-        assert rsc_lookup(edge) == at_edge
-        assert rsc_lookup(math.nextafter(edge, math.inf)) == above
-    assert rsc_lookup(130.0) == 1.0
+        assert components(ego=edge)["rsc"] == at_edge
+        assert components(ego=math.nextafter(edge, math.inf))["rsc"] == above
+    assert components(ego=130.0)["rsc"] == 1.0
     with pytest.raises(SpeedAboveModelRange):
-        rsc_lookup(math.nextafter(130.0, math.inf))
+        components(ego=math.nextafter(130.0, math.inf))
     for edge, at_edge, above in ((30.0, 2.0, 1.5), (100.0, 1.5, 1.0), (200.0, 1.0, 1.0)):
-        assert dec_lookup(edge) == at_edge
-        assert dec_lookup(math.nextafter(edge, math.inf)) == above
+        assert components(experience=edge)["dec"] == at_edge
+        assert components(experience=math.nextafter(edge, math.inf))["dec"] == above
 
 
 def test_ndrtc_lookup():
@@ -116,11 +98,9 @@ def test_ndrtc_lookup():
 
 
 def test_oc_lookup():
-    assert oc_lookup(1) == 0.0
-    assert oc_lookup(2) == 0.4
-    assert oc_lookup(7) == 0.4
-    with pytest.raises(ValueError):
-        oc_lookup(0)
+    assert components(ordinal=1)["oc"] == 0.0
+    assert components(ordinal=2)["oc"] == 0.4
+    assert components(ordinal=7)["oc"] == 0.4
 
 
 # ------------------------------ rounding --------------------------------
@@ -223,21 +203,26 @@ def test_scenario_presets():
 # --------------------------- scenario time ------------------------------
 
 
+def preset_components(name):
+    return estimate_tortb(
+        TABLE_DRIVER, SCENARIO_PRESETS[name], TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE)
+    ).components
+
+
 def test_sst_s1_preset():
-    sst = compute_sst(SCENARIO_PRESETS["S1"])
-    assert sst.noa_term == pytest.approx(3.8, abs=1e-9)
-    assert sst.noj_term == 0.0
-    assert sst.rsc == 1.0
-    assert sst.total == pytest.approx(4.8, abs=1e-9)
+    c = preset_components("S1")
+    assert c["noa_term"] == pytest.approx(3.8, abs=1e-9)
+    assert c["noj_term"] == 0.0
+    assert c["rsc"] == 1.0
+    assert c["sst"] == pytest.approx(4.8, abs=1e-9)
 
 
 def test_sst_only_rsc_survives():
-    sst = compute_sst(ScenarioSpec(noa=0, noj=0, ego_speed=30))
-    assert sst.total == pytest.approx(0.25, abs=1e-9)
+    assert components(ego=30)["sst"] == pytest.approx(0.25, abs=1e-9)
 
 
 def test_sst_s3_preset():
-    assert compute_sst(SCENARIO_PRESETS["S3"]).total == pytest.approx(4.9, abs=1e-9)
+    assert preset_components("S3")["sst"] == pytest.approx(4.9, abs=1e-9)
 
 
 # ----------------------------- estimation -------------------------------
@@ -312,6 +297,13 @@ def test_estimate_propagates_speed_range_error():
         estimate_tortb(
             TABLE_DRIVER,
             ScenarioSpec(noa=0, noj=0, ego_speed=200),
+            TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1),
+        )
+    # A receding hazard has no closing speed.
+    with pytest.raises(NegativeRelativeSpeed):
+        estimate_tortb(
+            TABLE_DRIVER,
+            ScenarioSpec(noa=0, noj=0, ego_speed=50, hazard_speed=80),
             TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1),
         )
 

@@ -11,11 +11,11 @@ def test_public_names():
         "MissingTorMarker", "MultipleTorMarkers", "NdrtClass", "NegativeCoefficient",
         "NegativeRelativeSpeed", "NonUniformSampling", "RAW_COEFFICIENTS", "SCENARIO_PRESETS",
         "ScenarioSpec", "SchemaError", "SolvedCoefficient", "SpeedAboveModelRange",
-        "SstBreakdown", "SummaryStats", "TakeoverContext", "TakeoverMetrics", "TortbError",
+        "SummaryStats", "TakeoverContext", "TakeoverMetrics", "TortbError",
         "TortbEstimate", "UnidentifiableUnknown", "UnknownCoefficient", "VISUAL_SRT_RANGE",
-        "WindowOutOfRange", "avg_lateral_displacement", "calibrate_sequence", "compute_sst",
-        "dec_lookup", "derive_oc", "describe", "detect_tot", "drive_log_to_csv",
+        "WindowOutOfRange", "avg_lateral_displacement", "calibrate_sequence",
+        "derive_oc", "describe", "detect_tot", "drive_log_to_csv",
         "estimate_tortb", "extract_metrics", "max_acceleration", "mix_seed", "ndrtc_lookup",
-        "oc_lookup", "parse_drive_log", "relative_speed", "response_onset", "round_coefficient",
-        "rsc_lookup", "run_batch", "run_episode", "solve_coefficient", "summarize",
+        "parse_drive_log", "response_onset", "round_coefficient",
+        "run_batch", "run_episode", "solve_coefficient", "summarize",
     ]
