@@ -22,7 +22,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
-from .errors import DependencyOrderError, NegativeCoefficient, UnidentifiableUnknown, check_range
+from .errors import (
+    DependencyOrderError,
+    NegativeCoefficient,
+    TortbError,
+    UnidentifiableUnknown,
+    check_range,
+)
 from .model import (
     CoefficientSet,
     DriverProfile,
@@ -146,28 +152,31 @@ def calibrate_sequence(
     rounded_chain = seed_coeffs
     solved: dict[UnknownCoefficient, SolvedCoefficient] = {}
     remaining = set(unknowns)
-    for anchor in anchors:
-        remaining.discard(anchor.unknown)
-        for later in remaining:
-            if _UNKNOWNS[later][1](anchor) != 0:
-                raise DependencyOrderError(
-                    f"anchor for {anchor.unknown.value} needs {later.value}, "
-                    "which a later anchor solves"
-                )
-        raw, rounded = solve_coefficient(anchor, current)
-        field = _UNKNOWNS[anchor.unknown][0]
-        chained = raw if chaining is Chaining.USE_RAW else rounded
-        current = replace(current, **{field: chained})
-        rounded_chain = replace(rounded_chain, **{field: rounded})
-        reconstruction = estimate_tortb(
-            anchor.driver, anchor.scenario, anchor.ctx, rounded_chain
-        ).total
-        solved[anchor.unknown] = SolvedCoefficient(
-            unknown=anchor.unknown,
-            raw=raw,
-            rounded=rounded,
-            residual=anchor.known_tortb - reconstruction,
-        )
+    for i, anchor in enumerate(anchors):
+        try:
+            remaining.discard(anchor.unknown)
+            for later in remaining:
+                if _UNKNOWNS[later][1](anchor) != 0:
+                    raise DependencyOrderError(
+                        f"anchor for {anchor.unknown.value} needs {later.value}, "
+                        "which a later anchor solves"
+                    )
+            raw, rounded = solve_coefficient(anchor, current)
+            field = _UNKNOWNS[anchor.unknown][0]
+            chained = raw if chaining is Chaining.USE_RAW else rounded
+            current = replace(current, **{field: chained})
+            rounded_chain = replace(rounded_chain, **{field: rounded})
+            reconstruction = estimate_tortb(
+                anchor.driver, anchor.scenario, anchor.ctx, rounded_chain
+            ).total
+            solved[anchor.unknown] = SolvedCoefficient(
+                unknown=anchor.unknown,
+                raw=raw,
+                rounded=rounded,
+                residual=anchor.known_tortb - reconstruction,
+            )
+        except (TortbError, ValueError) as exc:
+            raise type(exc)(f"anchors[{i}]: {exc}") from None
     return CalibrationResult(solved=solved), current
 
 

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .drivelog import DriveLog, SummaryStats, describe
-from .errors import EmptyBatch, check_range
+from .errors import EmptyBatch, TortbError, check_range
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -233,8 +233,8 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
     for i, cfg in enumerate(configs):
         try:
             outcomes.append(run_episode(replace(cfg, seed=mix_seed(base_seed, i))))
-        except ValueError as exc:
-            raise ValueError(f"episodes[{i}]: {exc}") from None
+        except (TortbError, ValueError) as exc:
+            raise type(exc)(f"episodes[{i}]: {exc}") from None
     counts = {cls: 0 for cls in Classification}
     for outcome in outcomes:
         counts[outcome.classification] += 1

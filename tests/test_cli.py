@@ -283,6 +283,22 @@ def test_calibrate_missing_or_malformed_file(tmp_path, capsys):
     assert "scenario" in err
 
 
+def test_calibrate_names_the_failing_anchor(tmp_path, capsys):
+    anchors = tmp_path / "anchors.json"
+    write_anchors(anchors)
+    payload = json.loads(anchors.read_text())
+    payload["anchors"][1]["scenario"] = {"noa": 2, "noj": 3, "ego_speed_km_per_hr": 200}
+    anchors.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(
+        ["calibrate", "--anchors", str(anchors), "--out", str(tmp_path / "o.json")], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: anchors[1]: relative speed 200 km/hr is above the last calibrated band "
+        "(130 km/hr)\n"
+    )
+
+
 # -------------------------------- analyze --------------------------------
 
 
@@ -455,6 +471,11 @@ def test_simulate_config_errors(tmp_path, capsys):
         ({"deadline_mode": "explicit", "explicit_deadline_s": 1e30}, "deadline 1e+30"),
         ({"maneuver_duration_s": 4000}, "maneuver 4000"),
         ({"response_noise_s": 1e308}, "response_noise"),
+        ({"scenario": {"noa": 0, "noj": 0, "ego_speed_km_per_hr": 200}},
+         "episodes[1]: relative speed 200 km/hr is above the last calibrated band"),
+        ({"scenario": {"noa": 0, "noj": 0, "ego_speed_km_per_hr": 50,
+                       "hazard_speed_km_per_hr": 80}},
+         "episodes[1]: hazard at 80.0 km/hr is faster than ego at 50.0 km/hr"),
     ]:
         write_episode_config(config)
         payload = json.loads(config.read_text())

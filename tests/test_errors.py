@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tortb.calibration import AnchorCase, UnknownCoefficient, derive_oc
+from tortb.calibration import AnchorCase, UnknownCoefficient, calibrate_sequence, derive_oc
 from tortb.cli import main
 from tortb.drivelog import DriveLog, avg_lateral_displacement, detect_tot, max_acceleration
 from tortb.errors import (
@@ -27,7 +27,7 @@ from tortb.model import (
     TakeoverContext,
     estimate_tortb,
 )
-from tortb.simulate import EpisodeConfig
+from tortb.simulate import EpisodeConfig, run_batch
 
 DRIVER = DriverProfile(srt=0.2, experience_km_per_week=80.0)
 SCENARIO = SCENARIO_PRESETS["S1"]
@@ -102,6 +102,19 @@ REJECTIONS = [
                                                  ego_speed=math.nextafter(130.0, math.inf)), CTX),
      SpeedAboveModelRange,
      "relative speed 130 km/hr is above the last calibrated band (130 km/hr)"),
+    ("episode_speed_above_band",
+     lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX),
+                        EpisodeConfig(DRIVER, ScenarioSpec(noa=0, noj=0, ego_speed=200.0), CTX)],
+                       0),
+     SpeedAboveModelRange,
+     "episodes[1]: relative speed 200 km/hr is above the last calibrated band (130 km/hr)"),
+    ("anchor_receding_hazard",
+     lambda: calibrate_sequence(
+         [AnchorCase(ScenarioSpec(noa=1, noj=0, ego_speed=50.0, hazard_speed=80.0), DRIVER, CTX,
+                     7.0, UnknownCoefficient.C_NOA)], DEFAULT_COEFFICIENTS),
+     NegativeRelativeSpeed,
+     "anchors[0]: hazard at 80.0 km/hr is faster than ego at 50.0 km/hr; "
+     "the model does not define receding hazards"),
     ("deadline", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=-1.0),
      ValueError, "deadline must be finite and >= 0, got -1.0"),
     ("response_noise", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=1e308),
