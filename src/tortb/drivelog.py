@@ -36,6 +36,7 @@ from .errors import (
     SchemaError,
     WindowOutOfRange,
     check_range,
+    shown,
 )
 
 CSV_HEADER = ("t", "lat_disp", "acc", "steering", "brake", "tor_flag")
@@ -92,11 +93,12 @@ class DriveLog:
                 f"timestamps deviate from the {self.sample_rate:g} Hz period by "
                 "more than 1e-6 s"
             )
-        t0, t1 = arrays["t"][0], arrays["t"][-1]
+        # Python floats compare exactly with an int too large for a float.
+        t0, t1 = float(arrays["t"][0]), float(arrays["t"][-1])
         if not t0 - _T_EPS <= self.tor_time <= t1 + _T_EPS:
             raise ValueError(
                 f"tor_time must lie within the log extent [{t0:g}, {t1:g}] s, "
-                f"got {self.tor_time}"
+                f"got {shown(self.tor_time)}"
             )
 
     @property
@@ -202,7 +204,9 @@ def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:
 
     Scans forward from the TOR for the earliest sample where steering or
     brake differs from its value at the TOR by at least ``threshold``
-    (a fraction of full input range).
+    (a fraction of full input range).  The first scanned sample may lie up
+    to ``_T_EPS`` before the TOR; it counts as the TOR, so the result is
+    never negative.
     """
     check_range("threshold", threshold, 0, 1)
     i0 = log.tor_index
@@ -216,7 +220,7 @@ def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:
     hits = np.flatnonzero(moved)
     if hits.size == 0:
         return None
-    return float(log.t[i0 + hits[0]] - log.tor_time)
+    return max(0.0, float(log.t[i0 + hits[0]] - log.tor_time))
 
 
 def _window(log: DriveLog, lo: float, hi: float) -> slice:

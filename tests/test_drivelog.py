@@ -451,6 +451,15 @@ def test_detect_tot_matches_scan_oracle_on_random_logs():
             assert 0.0 <= tot <= log.t[-1] - log.tor_time + 1e-9
 
 
+def test_detect_tot_is_zero_when_the_tor_lies_just_after_its_sample():
+    """A TOR up to 1e-9 s after a sample takes that sample as its own."""
+    t = np.arange(201) / RATE
+    zeros = np.zeros(201)
+    log = DriveLog(t, zeros, zeros, zeros, zeros, tor_time=5.0000000005, sample_rate=RATE)
+    assert log.tor_index == 100
+    assert detect_tot(log, 0.0) == 0.0
+
+
 def test_detect_tot_ignores_pre_tor_samples():
     steering = np.zeros(201)
     steering[140:] = 0.5

@@ -129,6 +129,12 @@ REJECTIONS = [
      ValueError, "tor_time must lie within the log extent [0, 20] s, got 25.0"),
     ("tor_time_nan", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=math.nan),
      ValueError, "tor_time must lie within the log extent [0, 20] s, got nan"),
+    ("tor_time_too_large_for_a_float",
+     lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=10**400),
+     ValueError, f"tor_time must lie within the log extent [0, 20] s, got {10**400}"),
+    ("tor_time_over_str_limit",
+     lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=10**5000),
+     ValueError, "tor_time must lie within the log extent [0, 20] s, got an int of 16610 bits"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
      ValueError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
