@@ -167,7 +167,9 @@ def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> Dri
     # 1e-9 absorbs timestamp rounding so the step lands on the first
     # sample at or after the onset.
     steering = np.where(rel >= onset - 1e-9, STEERING_STEP, 0.0)
-    u = np.clip((rel - maneuver_start) / cfg.maneuver_duration, 0.0, 1.0)
+    # A subnormal maneuver duration overflows the ramp to +-inf, clipped to a step.
+    with np.errstate(over="ignore"):
+        u = np.clip((rel - maneuver_start) / cfg.maneuver_duration, 0.0, 1.0)
     lateral = LANE_CHANGE_AMPLITUDE_M * u * u * (3.0 - 2.0 * u)
     acceleration = ACCEL_PULSE_PEAK * np.sin(np.pi * u)
     brake = np.zeros(n)

@@ -600,6 +600,7 @@ def _reject_constant(name):
 @given(episode=mutated_documents(VALID_EPISODES))
 @example(episode={**VALID_EPISODES[0], "response_noise_s": 1e308})
 @example(episode={**VALID_EPISODES[1], "explicit_deadline_s": 1e12})
+@example(episode={**VALID_EPISODES[0], "maneuver_duration_s": 2.2250738585e-313})
 def test_simulate_never_exits_1_and_reports_finite_json(episode):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "episodes.json"

@@ -56,6 +56,12 @@ def test_relative_speed(ego, hazard, expected):
     assert components(ego, hazard) == components(expected, 0)
 
 
+def test_relative_speed_receding_hazard():
+    """A receding hazard has no closing speed."""
+    with pytest.raises(NegativeRelativeSpeed):
+        components(ego=50, hazard=80)
+
+
 # ------------------------------- lookups --------------------------------
 
 
@@ -297,13 +303,6 @@ def test_estimate_propagates_speed_range_error():
         estimate_tortb(
             TABLE_DRIVER,
             ScenarioSpec(noa=0, noj=0, ego_speed=200),
-            TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1),
-        )
-    # A receding hazard has no closing speed.
-    with pytest.raises(NegativeRelativeSpeed):
-        estimate_tortb(
-            TABLE_DRIVER,
-            ScenarioSpec(noa=0, noj=0, ego_speed=50, hazard_speed=80),
             TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1),
         )
 
