@@ -140,6 +140,33 @@ def test_parse_reports_the_first_bad_line_whatever_its_fault():
             parse_drive_log(head + "\n".join([first, *rest]))
 
 
+ROW_1 = "t,lat_disp,acc,steering,brake,tor_flag\n0.0,0,0,0,0,1\n"
+
+
+@pytest.mark.parametrize("text, outcome", [
+    (ROW_1 + "0.05,1_0,0,0,0,0\n", [0.0, 10.0]),
+    (ROW_1 + "0.05,1e5_0,0,0,0,0\n", [0.0, 1e50]),
+    (ROW_1 + "0.05,١,0,0,0,0\n", [0.0, 1.0]),
+    (ROW_1 + "0.05,１,0,0,0,0\n", [0.0, 1.0]),
+    ("t,lat_disp,acc,steering,brake,tor_flag\n1,2,3\r,4,5,0\n",
+     (MissingTorMarker, "no row carries tor_flag=1")),
+    (ROW_1 + "0.05,3\r,0,0,0,0\n", [0.0, 3.0]),
+    (ROW_1 + "0.05,0,0,0,0,0\r\r", [0.0, 0.0]),
+    (ROW_1 + "0.05,\x1c0.5\x1f,0,0,0,0\n",
+     (SchemaError, "line 3: could not convert string to float: '\\x1c0.5\\x1f'")),
+    # Unchanged: a lone CR ending a line, NBSP padding, a line holding only a CR.
+    (ROW_1 + "0.05,0.5,0,0,0,0\r", [0.0, 0.5]),
+    (ROW_1 + "0.05,\xa00.5 ,0,0,0,0\n", [0.0, 0.5]),
+    (ROW_1 + "\r", (SchemaError, "line 3: expected 6 fields")),
+])
+def test_parse_outcome_of_each_token_class(text, outcome):
+    try:
+        got = parse_drive_log(text).lateral_displacement.tolist()
+    except TortbError as exc:
+        got = type(exc), str(exc)
+    assert got == outcome
+
+
 def _reference_parse(data, sample_rate=20.0):
     """The csv.reader row loop parse_drive_log used to run; the oracle."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
