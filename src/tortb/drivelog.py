@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import NoReturn
 
 import numpy as np
@@ -110,11 +109,14 @@ class DriveLog:
 def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
     """Parse and validate a drive-log CSV.
 
-    Expects the UTF-8 header ``t,lat_disp,acc,steering,brake,tor_flag``
-    with ``.`` as decimal separator, unquoted fields, LF or CRLF line
-    ends, and exactly one row flagged as the TOR instant.  Blank lines are
-    skipped.  The schema carries no sample rate, so the expected rate is a
-    parameter and timestamps are validated against it.
+    Expects the UTF-8 header ``t,lat_disp,acc,steering,brake,tor_flag``,
+    unquoted fields, LF or CRLF line ends, and exactly one row flagged as
+    the TOR instant.  Each field is an ASCII decimal or exponent number
+    (``-0.5``, ``2.5e-3``) with ``.`` as decimal separator, optionally
+    padded with whitespace; ``_`` digit separators and non-ASCII digits are
+    rejected, and a CR may only be the last character of a line.  Blank
+    lines are skipped.  The schema carries no sample rate, so the expected
+    rate is a parameter and timestamps are validated against it.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -125,22 +127,22 @@ def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
     lines = text.replace("\r\n", "\n").split("\n")
     if tuple(h.strip() for h in lines[0].split(",")) != CSV_HEADER:
         raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]}")
-    rows = [line.split(",") for line in lines[1:] if line]
-    if not rows:
+    body = lines[1:]
+    # Checked before loadtxt, which warns on a body with no data and skips
+    # a line holding only a CR (a short row here) as blank.
+    if not any(body):
         raise SchemaError("no data rows")
-    # Every row must have the full field count before the flat values can
-    # be reshaped: a short row next to a long one would shift columns.
-    if set(map(len, rows)) != {len(CSV_HEADER)}:
+    if "\r" in body:
         _raise_first_bad_line(lines)
     try:
-        values = np.fromiter(
-            map(float, chain.from_iterable(rows)), float, len(rows) * len(CSV_HEADER)
-        )
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         _raise_first_bad_line(lines)
-    t, lat, acc, steering, brake, flags = values.reshape(-1, len(CSV_HEADER)).T
-    if not np.all((flags == 0.0) | (flags == 1.0)):
+    # loadtxt lets through a field count that is wrong on every row alike.
+    flags = values[:, -1]
+    if values.shape[1] != len(CSV_HEADER) or not np.all((flags == 0.0) | (flags == 1.0)):
         _raise_first_bad_line(lines)
+    t, lat, acc, steering, brake, _ = values.T
     marked = np.flatnonzero(flags == 1.0)
     if marked.size == 0:
         raise MissingTorMarker("no row carries tor_flag=1")
@@ -162,7 +164,8 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
 
     Only called once the bulk conversion has found that some line is
     malformed; walks the lines in order so the reported line is the first
-    one, whatever the kind of fault.
+    one, whatever the kind of fault.  It rejects exactly the lines
+    ``np.loadtxt`` rejects, so it always raises.
     """
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -171,11 +174,24 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
         if len(fields) != len(CSV_HEADER):
             raise SchemaError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
         try:
-            values = [float(field) for field in fields]
+            values = [_field_value(field) for field in fields]
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: {exc}") from None
         if values[-1] not in (0.0, 1.0):
             raise SchemaError(f"line {lineno}: tor_flag must be 0 or 1")
+        if "\r" in line[:-1]:
+            raise SchemaError(f"line {lineno}: CR before the end of the line")
+
+
+def _field_value(field: str) -> float:
+    """One field as ``np.loadtxt`` reads it: stripped, ASCII, no ``_``."""
+    s = field.strip()
+    if s.isascii() and "_" not in s:
+        try:
+            return float(s)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {field!r}")
 
 
 def drive_log_to_csv(log: DriveLog) -> str:

@@ -352,6 +352,7 @@ def test_analyze_invalid_log(tmp_path, capsys):
     header = b"t,lat_disp,acc,steering,brake,tor_flag\n"
     for body, expected in [
         (header + b"0.0,0,0,0,0,1\r0.05,0,0,0,0,0\n", "line 2"),
+        (header + b"0.0,0,0,0,0,1\n0.05,1_0,0,0,0,0\n", "line 3: could not convert"),
         (header + b"0.0,0,0,0,0,1\n0.05,nan,0,0,0,0\n", "lateral_displacement"),
         (b"\xff" + header, "not valid UTF-8"),
     ]:
