@@ -2,10 +2,11 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tortb import (
@@ -230,16 +231,23 @@ def _declared_float(field):
 
 EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+# Whitespace float() accepts around a field, and \x1c-\x1f, which it does not.
+PADDING = st.sampled_from([" ", "\t", "\xa0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f"])
 VALUE_TEXT = (
     FLOATS.map(repr)
-    | FLOATS.map(lambda x: f" {x!r}\t")
-    | st.sampled_from(["1_0", "1_000.000_1", "+0", "-0", " 3 ", "1e308", "5e-324"])
+    | st.builds(lambda pad, x, end: f"{pad}{x!r}{end}", PADDING, FLOATS, PADDING)
+    | st.sampled_from(["+0", "-0", " 3 ", "1e308", "5e-324", "\x1f3\x1c"])
 )
 NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity"])
-NOT_NUMERIC = st.sampled_from(["n/a", "", "x", "1.2.3", "0x10", "--1", "1__0", "_1", "1_"])
-FLAG_TEXT = {0: st.sampled_from(["0", " 0", "0.0", "-0", "0_0"]),
-             1: st.sampled_from(["1", "1.0", " 1 ", "1e0", "0_1"])}
-BAD_FLAGS = st.sampled_from(["2", "0.5", "-1", "nan", "inf", "1e-300", "1_0"])
+# Rejected by the declared syntax though float() reads them: "_" digit
+# separators and non-ASCII digits.
+UNDECLARED = st.sampled_from(["1_0", "1_000.000_1", "1e5_0", "0_1", "١", "٣.٥", "１", "-１e٢"])
+NOT_NUMERIC = (
+    st.sampled_from(["n/a", "", "x", "1.2.3", "0x10", "--1", "1__0", "_1", "1_"]) | UNDECLARED
+)
+FLAG_TEXT = {0: st.sampled_from(["0", " 0", "0.0", "-0", "\x1e0"]),
+             1: st.sampled_from(["1", "1.0", " 1 ", "1e0", "1\x1f"])}
+BAD_FLAGS = st.sampled_from(["2", "0.5", "-1", "nan", "inf", "1e-300", "1_0", "0_1", "١"])
 HEADERS = st.sampled_from([
     "t,lat_disp,acc,steering,brake,tor_flag",
     " t , lat_disp ,acc,steering,brake,tor_flag\t",
@@ -256,8 +264,11 @@ HEADERS = st.sampled_from([
 def drive_log_texts(draw):
     """Drive-log CSV text, mostly well formed, with up to three faults.
 
-    Never holds a double quote or a CR outside a CRLF line end: those are
-    the inputs on which the parser deliberately differs from csv.reader.
+    Fields may be padded with \x1c-\x1f, and a faulty token may be a "_"
+    digit separator or a non-ASCII digit; the reference reads those
+    through _declared_float.  Never holds a double quote or a CR outside a
+    CRLF line end: csv.reader unquotes the one and ends a record at the
+    other, so the row-loop oracle cannot follow the parser there.
     """
     n = draw(st.integers(1, 25))
     start = draw(st.integers(0, 400))
@@ -319,6 +330,30 @@ def test_parse_matches_reference_row_loop(text):
     assert got == _outcome(_reference_parse, text)
     if isinstance(got, tuple):
         assert issubclass(got[0], TortbError)
+
+
+@settings(max_examples=300)
+@given(text=drive_log_texts(), data=st.data())
+def test_parse_rejects_the_line_of_a_lone_cr(text, data):
+    """A lone CR beside a comma rejects its line unless an earlier fault wins.
+
+    The row-loop oracle cannot read such a text, so the parse of the same
+    text without the CR stands in: it is kept if it names the header or an
+    earlier line, and otherwise becomes a SchemaError naming the CR's line.
+    """
+    lines = text.split("\n")
+    commas = [(i, j) for i, line in enumerate(lines) if i for j, c in enumerate(line) if c == ","]
+    assume(commas)
+    i, j = data.draw(st.sampled_from(commas))
+    j += data.draw(st.integers(0, 1))
+    lines[i] = lines[i][:j] + "\r" + lines[i][j:]
+    got = _outcome(parse_drive_log, "\n".join(lines))
+    without = _outcome(parse_drive_log, text)
+    earlier = isinstance(without, tuple) and re.match(r"header |line (\d+):", without[1])
+    if earlier and int(earlier[1] or 0) < i + 1:
+        assert got == without
+    else:
+        assert got[0] is SchemaError and got[1].startswith(f"line {i + 1}: "), (got, without)
 
 
 def _reference_render(log):
