@@ -99,7 +99,7 @@ class CalibrationResult:
 _UNKNOWNS: dict[UnknownCoefficient, tuple[str, Callable[[AnchorCase], float]]] = {
     UnknownCoefficient.C_NOA: ("c_noa", lambda a: float(a.scenario.noa)),
     UnknownCoefficient.C_NOJ: ("c_noj", lambda a: float(a.scenario.noj)),
-    UnknownCoefficient.OC: ("oc_repeat", lambda a: -1.0 if a.ctx.ordinal >= 2 else 0.0),
+    UnknownCoefficient.OC: ("oc_repeat", lambda a: 0.0 if a.ctx.ordinal == 1 else -1.0),
 }
 
 

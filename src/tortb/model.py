@@ -104,6 +104,8 @@ class TakeoverContext:
     ordinal: int = 1  # 1 = first exposure to this scenario class
 
     def __post_init__(self) -> None:
+        if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int):
+            raise ValueError(f"ordinal must be an int, got {self.ordinal!r}")
         check_range("ordinal", self.ordinal, 1)
 
 
