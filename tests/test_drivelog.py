@@ -158,10 +158,14 @@ ROW_1 = "t,lat_disp,acc,steering,brake,tor_flag\n0.0,0,0,0,0,1\n"
     (ROW_1 + "0.05,3\r,0,0,0,0\n", (SchemaError, "line 3: CR before the end of the line")),
     (ROW_1 + "0.05,0,0,0,0,0\r\r", (SchemaError, "line 3: CR before the end of the line")),
     (ROW_1 + "0.05,\x1c0.5\x1f,0,0,0,0\n", [0.0, 0.5]),
-    # Unchanged: a lone CR ending a line, NBSP padding, a line holding only a CR.
+    # Unchanged: a lone CR ending a line, NBSP padding, a line holding only a
+    # CR, the same wrong field count on every row.
     (ROW_1 + "0.05,0.5,0,0,0,0\r", [0.0, 0.5]),
     (ROW_1 + "0.05,\xa00.5 ,0,0,0,0\n", [0.0, 0.5]),
     (ROW_1 + "\r", (SchemaError, "line 3: expected 6 fields")),
+    ("t,lat_disp,acc,steering,brake,tor_flag\n\r", (SchemaError, "line 2: expected 6 fields")),
+    ("t,lat_disp,acc,steering,brake,tor_flag\n0,0,0,0,0,1,0\n0.05,0,0,0,0,0,0\n",
+     (SchemaError, "line 2: expected 6 fields")),
 ])
 def test_parse_outcome_of_each_token_class(text, outcome):
     try:
