@@ -177,13 +177,8 @@ def _estimate_payload(
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    explicit = [
-        flag
-        for flag, value in zip(
-            _SCENARIO_FLAGS, (args.noa, args.noj, args.ego_speed, args.hazard_speed)
-        )
-        if value is not None
-    ]
+    values = (args.noa, args.noj, args.ego_speed, args.hazard_speed)
+    explicit = [flag for flag, value in zip(_SCENARIO_FLAGS, values) if value is not None]
     if args.scenario and explicit:
         return _fail(f"--scenario cannot be combined with {'/'.join(explicit)}")
     if args.scenario:
@@ -263,27 +258,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         post_window=args.post_window,
         threshold=args.threshold,
     )
+    payload = {
+        "log": str(args.log),
+        "tor_time_s": log.tor_time,
+        "tot_s": metrics.tot,
+        "avg_ld_m": metrics.avg_ld,
+        "max_acc_m_s2": metrics.max_acc,
+        "takeover_time_abs_s": metrics.takeover_time_abs,
+    }
     if args.json:
-        _emit_json(
-            {
-                "log": str(args.log),
-                "tor_time_s": log.tor_time,
-                "tot_s": metrics.tot,
-                "avg_ld_m": metrics.avg_ld,
-                "max_acc_m_s2": metrics.max_acc,
-                "takeover_time_abs_s": metrics.takeover_time_abs,
-            }
-        )
+        _emit_json(payload)
         return 0
-
-    def fmt(value: float | None) -> str:
-        return "n/a" if value is None else f"{value:.4f}"
-
     print(f"{'metric':<20}  value")
-    print(f"{'tot_s':<20}  {fmt(metrics.tot)}")
-    print(f"{'avg_ld_m':<20}  {fmt(metrics.avg_ld)}")
-    print(f"{'max_acc_m_s2':<20}  {fmt(metrics.max_acc)}")
-    print(f"{'takeover_time_abs_s':<20}  {fmt(metrics.takeover_time_abs)}")
+    for key in ("tot_s", "avg_ld_m", "max_acc_m_s2", "takeover_time_abs_s"):
+        value = payload[key]
+        print(f"{key:<20}  {'n/a' if value is None else f'{value:.4f}'}")
     return 0
 
 
@@ -314,12 +303,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "n_success": report.n_success,
         "n_late": report.n_late,
         "n_collision": report.n_collision,
-        "margin_s": {
-            "mean": report.margin_stats.mean,
-            "std": report.margin_stats.std,
-            "min": report.margin_stats.min,
-            "max": report.margin_stats.max,
-        },
+        "margin_s": {k: getattr(report.margin_stats, k) for k in ("mean", "std", "min", "max")},
         "episodes": episodes,
     }
     (out_dir / "report.json").write_text(fileio.json_text(payload), encoding="utf-8")

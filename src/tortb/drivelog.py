@@ -110,13 +110,12 @@ def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
     """Parse and validate a drive-log CSV.
 
     Expects the UTF-8 header ``t,lat_disp,acc,steering,brake,tor_flag``,
-    unquoted fields, LF or CRLF line ends, and exactly one row flagged as
-    the TOR instant.  Each field is an ASCII decimal or exponent number
-    (``-0.5``, ``2.5e-3``) with ``.`` as decimal separator, optionally
-    padded with whitespace; ``_`` digit separators and non-ASCII digits are
-    rejected, and a CR may only be the last character of a line.  Blank
-    lines are skipped.  The schema carries no sample rate, so the expected
-    rate is a parameter and timestamps are validated against it.
+    unquoted ASCII decimal or exponent numbers (``-0.5``, ``2.5e-3``) with
+    ``.`` as decimal separator, no ``_`` and optional whitespace around
+    them, LF or CRLF line ends with a CR only at a line end, and exactly
+    one row flagged as the TOR instant.  Blank lines are skipped.  The
+    schema carries no sample rate, so the expected rate is a parameter and
+    timestamps are validated against it.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data

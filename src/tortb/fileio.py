@@ -161,9 +161,8 @@ def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
 
 def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverContext:
     ndrt = _choice(data, "ndrt", where, [c.value for c in NdrtClass])
-    return build(
-        TakeoverContext, where, ndrt_class=NdrtClass(ndrt), ordinal=_count(data, "ordinal", where)
-    )
+    ordinal = _get(data, "ordinal", where)
+    return build(TakeoverContext, where, ndrt_class=NdrtClass(ndrt), ordinal=ordinal)
 
 
 def load_json(path: str | Path) -> Any:

@@ -105,7 +105,7 @@ class TakeoverContext:
 
     def __post_init__(self) -> None:
         if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int):
-            raise ValueError(f"ordinal must be an int, got {self.ordinal!r}")
+            raise ValueError(f"ordinal must be an integer, got {self.ordinal!r}")
         check_range("ordinal", self.ordinal, 1)
 
 

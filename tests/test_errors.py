@@ -72,11 +72,11 @@ REJECTIONS = [
     ("ordinal_too_large", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 10**400),
      ValueError, f"ordinal must be finite and >= 1, got {10**400}"),
     ("ordinal_float", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 1.5),
-     ValueError, "ordinal must be an int, got 1.5"),
+     ValueError, "ordinal must be an integer, got 1.5"),
     ("ordinal_integral_float", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 2.0),
-     ValueError, "ordinal must be an int, got 2.0"),
+     ValueError, "ordinal must be an integer, got 2.0"),
     ("ordinal_bool", lambda: TakeoverContext(NdrtClass.HANDS_FREE, True),
-     ValueError, "ordinal must be an int, got True"),
+     ValueError, "ordinal must be an integer, got True"),
     ("c_noa", lambda: replace(DEFAULT_COEFFICIENTS, c_noa=math.nan),
      ValueError, "c_noa must be finite and >= 0, got nan"),
     ("c_noj", lambda: replace(DEFAULT_COEFFICIENTS, c_noj=-0.5),
