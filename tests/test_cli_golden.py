@@ -114,6 +114,7 @@ STDOUT_DIGESTS = {
     "estimate_srt_warning": "913c645fce756e2ce1c40fb15cbaaa98c64371b774c8f70f985f547893182b96",
     "calibrate": "018bc53f561d3a1d6a257675c97c35d3f25e403afdc134d8241dbf20113d124d",
     "simulate": "36f33766184266140f77b44d99d0c530cbd30d88e180fa1075e3d9ce3808ff07",
+    "estimate_explicit": "07f3158e1c99ae312deaa4151ecb45a013fda0a94c213b5bd910fed858906eec",
 }
 
 # The three episodes end late, success and collision, in that order.
@@ -150,6 +151,30 @@ STDOUT_CASES = {
     ],
     "calibrate": ["calibrate", "--anchors", "anchors.json", "--out", "solved.json"],
     "simulate": ["simulate", "--config", "episodes.json", "--out-dir", "simulate"],
+    # An explicit scenario has no label, so no "scenario:" line.
+    "estimate_explicit": [
+        "estimate", "--srt", "0.22", "--experience", "45.5",
+        "--noa", "3", "--noj", "1", "--ego-speed", "120", "--hazard-speed", "35",
+        "--ndrt", "handsfree", "--ordinal", "1", "--coeffs", "raw",
+    ],
+}
+
+# Rejections: the exact stderr bytes, with nothing on stdout and exit 2.
+STDERR_CASES = {
+    "estimate_preset_with_flags": (
+        ["estimate", "--srt", "0.2", "--experience", "80", "--scenario", "S1",
+         "--noa", "1", "--ego-speed", "80", "--ndrt", "handsfree", "--ordinal", "1"],
+        "error: --scenario cannot be combined with --noa/--ego-speed\n",
+    ),
+    "estimate_no_scenario": (
+        ["estimate", "--srt", "0.2", "--experience", "80", "--noa", "1",
+         "--ndrt", "handsfree", "--ordinal", "1"],
+        "error: provide --scenario, or --noa and --ego-speed\n",
+    ),
+    "analyze_unparsable_log": (
+        ["analyze", "--log", "no_tor.csv"],
+        "error: no_tor.csv: no row carries tor_flag=1\n",
+    ),
 }
 
 
@@ -172,6 +197,15 @@ def test_stdout_digest(name, workdir, capsys):
     assert main(STDOUT_CASES[name]) == 0
     out = capsys.readouterr().out
     assert sha256(out.encode("utf-8")) == STDOUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STDERR_CASES))
+def test_stderr_bytes(name, workdir, capsys):
+    argv, expected = STDERR_CASES[name]
+    (workdir / "no_tor.csv").write_text(
+        "t,lat_disp,acc,steering,brake,tor_flag\n0,0,0,0,0,0\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", expected)
 
 
 def test_written_file_digests(workdir, capsys):
