@@ -59,15 +59,6 @@ _NAMED_COEFFICIENTS = {
 }
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _emit_json(payload: Any) -> None:
-    sys.stdout.write(fileio.json_text(payload))
-
-
 def _load_coefficient_set(spec: str) -> CoefficientSet:
     """Named set ('default', 'raw', 'rounded') or a coefficient file path."""
     if spec in _NAMED_COEFFICIENTS:
@@ -154,38 +145,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _estimate_payload(
-    driver: DriverProfile,
-    scenario: ScenarioSpec,
-    ctx: TakeoverContext,
-    coeffs: CoefficientSet,
-    coeffs_label: str,
-) -> dict[str, Any]:
-    est = estimate_tortb(driver, scenario, ctx, coeffs)
-    return {
-        "inputs": {
-            "driver": fileio.driver_to_dict(driver),
-            "scenario": fileio.scenario_to_dict(scenario),
-            "ctx": fileio.context_to_dict(ctx),
-            "coefficients": fileio.coefficients_to_dict(coeffs),
-            "coefficient_set": coeffs_label,
-        },
-        "components_s": est.components,
-        "total_s": est.total,
-        "warnings": list(est.warnings),
-    }
+#: What a handler returns: the ``--json`` payload and the text lines.
+Output = tuple[Any, list[str]]
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> Output:
     values = (args.noa, args.noj, args.ego_speed, args.hazard_speed)
     explicit = [flag for flag, value in zip(_SCENARIO_FLAGS, values) if value is not None]
     if args.scenario and explicit:
-        return _fail(f"--scenario cannot be combined with {'/'.join(explicit)}")
+        raise ValueError(f"--scenario cannot be combined with {'/'.join(explicit)}")
     if args.scenario:
         scenario = SCENARIO_PRESETS[args.scenario]
     else:
         if args.noa is None or args.ego_speed is None:
-            return _fail("provide --scenario, or --noa and --ego-speed")
+            raise ValueError("provide --scenario, or --noa and --ego-speed")
         scenario = build(
             ScenarioSpec,
             "/".join(_SCENARIO_FLAGS),
@@ -199,23 +172,30 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     ctx = build(TakeoverContext, "--ordinal",
                 ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
-    payload = _estimate_payload(driver, scenario, ctx, coeffs, args.coeffs)
-    if args.json:
-        _emit_json(payload)
-        return 0
-    print(f"coefficient set: {args.coeffs}")
+    est = estimate_tortb(driver, scenario, ctx, coeffs)
+    payload = {
+        "inputs": {
+            "driver": fileio.driver_to_dict(driver),
+            "scenario": fileio.scenario_to_dict(scenario),
+            "ctx": fileio.context_to_dict(ctx),
+            "coefficients": fileio.coefficients_to_dict(coeffs),
+            "coefficient_set": args.coeffs,
+        },
+        "components_s": est.components,
+        "total_s": est.total,
+        "warnings": list(est.warnings),
+    }
+    lines = [f"coefficient set: {args.coeffs}"]
     if scenario.label:
-        print(f"scenario: {scenario.label}")
-    print(f"{'component':<10}  seconds")
-    for key, seconds in payload["components_s"].items():
-        print(f"{key:<10}  {seconds:7.3f}")
-    print(f"{'total':<10}  {payload['total_s']:7.3f}")
-    for warning in payload["warnings"]:
-        print(f"warning: {warning}")
-    return 0
+        lines.append(f"scenario: {scenario.label}")
+    lines.append(f"{'component':<10}  seconds")
+    lines += [f"{key:<10}  {seconds:7.3f}" for key, seconds in est.components.items()]
+    lines.append(f"{'total':<10}  {est.total:7.3f}")
+    lines += [f"warning: {warning}" for warning in est.warnings]
+    return payload, lines
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _cmd_calibrate(args: argparse.Namespace) -> Output:
     anchors = fileio.load_anchors(args.anchors)
     seed = _load_coefficient_set(args.coeffs)
     result, coeffs = calibrate_sequence(anchors, seed, Chaining(args.chaining))
@@ -233,25 +213,22 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         "coefficients": fileio.coefficients_to_dict(coeffs),
         "out_file": str(args.out),
     }
-    if args.json:
-        _emit_json(payload)
-        return 0
-    print(f"chaining: {args.chaining}")
-    for name, entry in payload["solved"].items():
-        print(
-            f"{name}: raw={entry['raw_s']:.6g} s  rounded={entry['rounded_s']:.6g} s  "
-            f"residual={entry['residual_s']:+.6g} s"
-        )
-    print(f"coefficient file written: {args.out}")
-    return 0
+    lines = [f"chaining: {args.chaining}"]
+    lines += [
+        f"{name}: raw={entry['raw_s']:.6g} s  rounded={entry['rounded_s']:.6g} s  "
+        f"residual={entry['residual_s']:+.6g} s"
+        for name, entry in payload["solved"].items()
+    ]
+    lines.append(f"coefficient file written: {args.out}")
+    return payload, lines
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Output:
     data = Path(args.log).read_bytes()
     try:
         log = parse_drive_log(data, sample_rate=args.sample_rate)
     except TortbError as exc:
-        return _fail(f"{args.log}: {exc}")
+        raise type(exc)(f"{args.log}: {exc}") from None
     metrics = extract_metrics(
         log,
         pre_window=args.pre_window,
@@ -266,17 +243,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "max_acc_m_s2": metrics.max_acc,
         "takeover_time_abs_s": metrics.takeover_time_abs,
     }
-    if args.json:
-        _emit_json(payload)
-        return 0
-    print(f"{'metric':<20}  value")
+    lines = [f"{'metric':<20}  value"]
     for key in ("tot_s", "avg_ld_m", "max_acc_m_s2", "takeover_time_abs_s"):
         value = payload[key]
-        print(f"{key:<20}  {'n/a' if value is None else f'{value:.4f}'}")
-    return 0
+        lines.append(f"{key:<20}  {'n/a' if value is None else f'{value:.4f}'}")
+    return payload, lines
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> Output:
     configs, file_seed = fileio.load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
     report = run_batch(configs, base_seed)
@@ -307,12 +281,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "episodes": episodes,
     }
     (out_dir / "report.json").write_text(fileio.json_text(payload), encoding="utf-8")
-    print(
+    lines = [
         f"episodes: {len(episodes)}  success: {report.n_success}  "
-        f"late: {report.n_late}  collision: {report.n_collision}"
-    )
-    print(f"report written: {out_dir / 'report.json'}")
-    return 0
+        f"late: {report.n_late}  collision: {report.n_collision}",
+        f"report written: {out_dir / 'report.json'}",
+    ]
+    return payload, lines
 
 
 def table_rows() -> list[dict[str, Any]]:
@@ -340,31 +314,27 @@ def table_rows() -> list[dict[str, Any]]:
     return rows
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Output:
     rows = table_rows()
-    if args.json:
-        _emit_json(
-            {
-                "driver": fileio.driver_to_dict(TABLE_DRIVER),
-                "coefficient_set": "rounded",
-                "rows": rows,
-            }
-        )
-        return 0
-    print(
+    payload = {
+        "driver": fileio.driver_to_dict(TABLE_DRIVER),
+        "coefficient_set": "rounded",
+        "rows": rows,
+    }
+    header = ("row", "noa", "noj", "rs_km_hr", "rsc_s", "ndrtc_s", "oc_s", "tortb_s")
+    lines = [
         "Reference budget estimates "
         f"(driver: srt {TABLE_DRIVER.srt:g} s, experience "
-        f"{TABLE_DRIVER.experience_km_per_week:g} km/wk; rounded coefficient set)"
-    )
-    header = ("row", "noa", "noj", "rs_km_hr", "rsc_s", "ndrtc_s", "oc_s", "tortb_s")
-    print("  ".join(f"{h:>8}" for h in header))
-    for row in rows:
-        print(
-            f"{row['row']:>8}  {row['noa']:>8}  {row['noj']:>8}  "
-            f"{row['rs_km_hr']:>8.0f}  {row['rsc_s']:>8.2f}  {row['ndrtc_s']:>8.2f}  "
-            f"{row['oc_s']:>8.2f}  {row['tortb_s']:>8.2f}"
-        )
-    return 0
+        f"{TABLE_DRIVER.experience_km_per_week:g} km/wk; rounded coefficient set)",
+        "  ".join(f"{h:>8}" for h in header),
+    ]
+    lines += [
+        f"{row['row']:>8}  {row['noa']:>8}  {row['noj']:>8}  "
+        f"{row['rs_km_hr']:>8.0f}  {row['rsc_s']:>8.2f}  {row['ndrtc_s']:>8.2f}  "
+        f"{row['oc_s']:>8.2f}  {row['tortb_s']:>8.2f}"
+        for row in rows
+    ]
+    return payload, lines
 
 
 _HANDLERS = {
@@ -377,15 +347,22 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only code here that writes output or sets the exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        payload, lines = _HANDLERS[args.command](args)
+        # simulate has no --json; its payload is the report file it wrote.
+        if getattr(args, "json", False):
+            sys.stdout.write(fileio.json_text(payload))
+        else:
+            print("\n".join(lines))
     except (TortbError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":
