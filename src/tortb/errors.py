@@ -72,6 +72,13 @@ def check_range(
     raise ValueError(f"{name} must be {bound}, got {shown(value)}")
 
 
+def check_count(name: str, value: Any, lo: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, and ``>= lo``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_range(name, value, lo)
+
+
 def shown(value: Any) -> str:
     """``str(value)``, or the size of an int with too many digits to print."""
     try:

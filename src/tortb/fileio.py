@@ -66,11 +66,6 @@ def _number(data: Any, key: str, where: str, default: Any = _MISSING) -> float:
         raise SchemaError(f"{where}: {key} is out of range") from None
 
 
-def _count(data: Any, key: str, where: str) -> int:
-    """An int (not a bool) under ``key``."""
-    return _typed(data, key, where, int, "an integer")
-
-
 def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
     return {
         "c_noa_s": coeffs.c_noa,
@@ -147,8 +142,8 @@ def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> S
     return build(
         ScenarioSpec,
         where,
-        noa=_count(data, "noa", where),
-        noj=_count(data, "noj", where),
+        noa=_get(data, "noa", where),
+        noj=_get(data, "noj", where),
         ego_speed=_number(data, "ego_speed_km_per_hr", where),
         hazard_speed=_number(data, "hazard_speed_km_per_hr", where, 0.0),
         label=_typed(data, "label", where, str, "a string", ""),
@@ -256,4 +251,4 @@ def load_episode_configs(path: str | Path) -> tuple[list[EpisodeConfig], int | N
     data, configs = _load_list(path, "episodes", episode_config_from_dict)
     if data.get("base_seed") is None:
         return configs, None
-    return configs, _count(data, "base_seed", str(path))
+    return configs, _typed(data, "base_seed", str(path), int, "an integer")

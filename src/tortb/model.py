@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
-from .errors import NegativeRelativeSpeed, SpeedAboveModelRange, check_range
+from .errors import NegativeRelativeSpeed, SpeedAboveModelRange, check_count, check_range
 
 # Typical visual stimulus response range [s]; profiles outside it are
 # accepted but flagged in the estimate's warnings.
@@ -92,8 +92,10 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # The counts enter the budget as floats, so they must fit in one.
-        for name in ("noa", "noj", "ego_speed", "hazard_speed"):
-            check_range(name, getattr(self, name), 0)
+        check_count("noa", self.noa, 0)
+        check_count("noj", self.noj, 0)
+        check_range("ego_speed", self.ego_speed, 0)
+        check_range("hazard_speed", self.hazard_speed, 0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,7 @@ class TakeoverContext:
     ordinal: int = 1  # 1 = first exposure to this scenario class
 
     def __post_init__(self) -> None:
-        if isinstance(self.ordinal, bool) or not isinstance(self.ordinal, int):
-            raise ValueError(f"ordinal must be an integer, got {self.ordinal!r}")
-        check_range("ordinal", self.ordinal, 1)
+        check_count("ordinal", self.ordinal, 1)
 
 
 def _validate_bands(

@@ -17,7 +17,12 @@ from tortb.errors import (
     build,
     check_range,
 )
-from tortb.fileio import anchor_from_dict, context_from_dict, episode_config_from_dict
+from tortb.fileio import (
+    anchor_from_dict,
+    context_from_dict,
+    episode_config_from_dict,
+    scenario_from_dict,
+)
 from tortb.model import (
     DEFAULT_COEFFICIENTS,
     SCENARIO_PRESETS,
@@ -63,6 +68,13 @@ REJECTIONS = [
      ValueError, "noa must be finite and >= 0, got an int of 16610 bits"),
     ("noa_negative_over_str_limit", lambda: ScenarioSpec(noa=-10**5000, noj=0, ego_speed=80.0),
      ValueError, "noa must be finite and >= 0, got a negative int of 16610 bits"),
+    ("noa_float", lambda: ScenarioSpec(noa=1.5, noj=0, ego_speed=80.0),
+     ValueError, "noa must be an integer, got 1.5"),
+    ("noj_bool", lambda: ScenarioSpec(noa=1, noj=True, ego_speed=80.0),
+     ValueError, "noj must be an integer, got True"),
+    ("noa_file_float",
+     lambda: scenario_from_dict({"noa": 1.5, "noj": 0, "ego_speed_km_per_hr": 80}),
+     SchemaError, "scenario: noa must be an integer, got 1.5"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
      ValueError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),
