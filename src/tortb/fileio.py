@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Container
 
 from .calibration import AnchorCase, UnknownCoefficient
 from .errors import SchemaError, build
@@ -36,6 +36,15 @@ def _get(data: Any, key: str, where: str, default: Any = _MISSING) -> Any:
     if default is _MISSING:
         raise SchemaError(f"{where}: missing key '{key}'")
     return default
+
+
+def _only(data: Any, where: str, keys: Container[str]) -> None:
+    """Raise unless ``data`` is a JSON object holding no key outside ``keys``."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{where}: unknown key '{key}'")
 
 
 def _typed(
@@ -84,23 +93,30 @@ def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
     }
 
 
-def _bands(data: Any, key: str, upper_key: str, where: str) -> tuple[tuple[float, float], ...]:
-    bands = _typed(data, key, where, list, "a list")
-    return tuple(
-        (_number(band, upper_key, f"{where}: {key}[{i}]"),
-         _number(band, "value_s", f"{where}: {key}[{i}]"))
-        for i, band in enumerate(bands)
-    )
+#: A written coefficient record; one read back may hold only its keys.
+_WRITTEN_COEFFICIENTS = coefficients_to_dict(DEFAULT_COEFFICIENTS)
+
+
+def _bands(data: Any, key: str, where: str) -> tuple[tuple[float, float], ...]:
+    """The bands under ``key``, each holding the two keys of a written band."""
+    upper_key, value_key = _WRITTEN_COEFFICIENTS[key][0]
+    bands = []
+    for i, band in enumerate(_typed(data, key, where, list, "a list")):
+        at = f"{where}: {key}[{i}]"
+        _only(band, at, (upper_key, value_key))
+        bands.append((_number(band, upper_key, at), _number(band, value_key, at)))
+    return tuple(bands)
 
 
 def coefficients_from_dict(data: dict[str, Any], where: str = "coefficients") -> CoefficientSet:
+    _only(data, where, _WRITTEN_COEFFICIENTS)
     return build(
         CoefficientSet,
         where,
         c_noa=_number(data, "c_noa_s", where),
         c_noj=_number(data, "c_noj_s", where),
-        rsc_bands=_bands(data, "rsc_bands", "upper_km_per_hr", where),
-        dec_bands=_bands(data, "dec_bands", "upper_km_per_wk", where),
+        rsc_bands=_bands(data, "rsc_bands", where),
+        dec_bands=_bands(data, "dec_bands", where),
         dec_floor=_number(data, "dec_floor_s", where),
         ndrtc_handheld=_number(data, "ndrtc_handheld_s", where),
         oc_repeat=_number(data, "oc_repeat_s", where),
@@ -114,7 +130,11 @@ def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
     }
 
 
+_DRIVER_KEYS = frozenset(driver_to_dict(DriverProfile(0.0, 0.0)))
+
+
 def driver_from_dict(data: dict[str, Any], where: str = "driver") -> DriverProfile:
+    _only(data, where, _DRIVER_KEYS)
     return build(
         DriverProfile,
         where,
@@ -133,12 +153,16 @@ def scenario_to_dict(scenario: ScenarioSpec) -> dict[str, Any]:
     }
 
 
+_SCENARIO_KEYS = frozenset(scenario_to_dict(SCENARIO_PRESETS["S1"]))
+
+
 def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> ScenarioSpec:
     """Accepts either a preset name ("S1") or an inline scenario object."""
     if isinstance(data, str):
         if data not in SCENARIO_PRESETS:
             raise SchemaError(f"{where}: unknown preset '{data}'")
         return SCENARIO_PRESETS[data]
+    _only(data, where, _SCENARIO_KEYS)
     return build(
         ScenarioSpec,
         where,
@@ -154,7 +178,11 @@ def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
     return {"ndrt": ctx.ndrt_class.value, "ordinal": ctx.ordinal}
 
 
+_CONTEXT_KEYS = frozenset(context_to_dict(TakeoverContext(NdrtClass.HANDS_FREE)))
+
+
 def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverContext:
+    _only(data, where, _CONTEXT_KEYS)
     ndrt = _choice(data, "ndrt", where, [c.value for c in NdrtClass])
     ordinal = _get(data, "ordinal", where)
     return build(TakeoverContext, where, ndrt_class=NdrtClass(ndrt), ordinal=ordinal)
@@ -178,9 +206,13 @@ def json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _load_list(path: str | Path, key: str, from_dict: Callable[..., Any]) -> tuple[Any, list]:
-    """Read a JSON object holding a non-empty list under ``key``; parse each entry."""
+def _load_list(
+    path: str | Path, key: str, from_dict: Callable[..., Any], *optional: str
+) -> tuple[Any, list]:
+    """Read a JSON object holding a non-empty list under ``key``, and only
+    the ``optional`` keys besides; parse each entry."""
     data = load_json(path)
+    _only(data, str(path), (key, *optional))
     entries = _typed(data, key, str(path), list, "a list")
     if not entries:
         raise SchemaError(f"{path}: {key} list is empty")
@@ -195,7 +227,11 @@ def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
     Path(path).write_text(json_text(coefficients_to_dict(coeffs)), encoding="utf-8")
 
 
+_ANCHOR_KEYS = frozenset({"scenario", "driver", "ctx", "known_tortb_s", "unknown"})
+
+
 def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
+    _only(data, where, _ANCHOR_KEYS)
     unknown = _choice(data, "unknown", where, [u.value for u in UnknownCoefficient])
     return build(
         AnchorCase,
@@ -212,9 +248,16 @@ def load_anchors(path: str | Path) -> list[AnchorCase]:
     return _load_list(path, "anchors", anchor_from_dict)[1]
 
 
+_EPISODE_KEYS = frozenset({
+    "driver", "scenario", "ctx", "coefficients", "budget_driver", "deadline_mode",
+    "explicit_deadline_s", "response_noise_s", "maneuver_duration_s",
+})
+
+
 def episode_config_from_dict(
     data: dict[str, Any], where: str = "episode"
 ) -> EpisodeConfig:
+    _only(data, where, _EPISODE_KEYS)
     driver = driver_from_dict(_get(data, "driver", where), f"{where}.driver")
     coeffs = (
         coefficients_from_dict(data["coefficients"], f"{where}.coefficients")
@@ -248,7 +291,7 @@ def episode_config_from_dict(
 
 def load_episode_configs(path: str | Path) -> tuple[list[EpisodeConfig], int | None]:
     """Load episode configs and the file's base seed (None when unset)."""
-    data, configs = _load_list(path, "episodes", episode_config_from_dict)
+    data, configs = _load_list(path, "episodes", episode_config_from_dict, "base_seed")
     if data.get("base_seed") is None:
         return configs, None
     return configs, _typed(data, "base_seed", str(path), int, "an integer")

@@ -506,6 +506,25 @@ def test_simulate_writes_no_log_when_a_later_episode_is_too_long(tmp_path, capsy
     assert list(out_dir.iterdir()) == []
 
 
+def test_simulate_refuses_a_misspelled_optional_key(tmp_path, capsys):
+    episode = {
+        "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+        "scenario": "S1",
+        "ctx": {"ndrt": "handsfree", "ordinal": 1},
+        "response_noise": 0.9,
+        "explicit_deadline": 3.0,
+        "maneuver_duration": 9,
+    }
+    config = tmp_path / "episodes.json"
+    config.write_text(json.dumps({"episodes": [episode]}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(config), "--out-dir", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}: episodes[0]: unknown key 'response_noise'\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_explicit_deadline_reaches_report(tmp_path, capsys):
     config = tmp_path / "episodes.json"
     write_episode_config(config)

@@ -159,6 +159,38 @@ def test_malformed_document_raises_schema_error(loader, document, expected, tmp_
     assert "doc.json" in str(info.value) and expected in str(info.value)
 
 
+# (loader, document, where the unknown key sits, the key): additions only,
+# so each document loads once its unknown key is removed.
+UNKNOWN_KEYS = [
+    ("coefficients", coeffs(c_noa=1.9), "", "c_noa"),
+    ("coefficients", band("rsc_bands", 1, upper_km_per_wk=80), "rsc_bands[1]: ",
+     "upper_km_per_wk"),
+    ("anchors", {**anchor(), "base_seed": 1}, "", "base_seed"),
+    ("anchors", anchor(known_tortb=7.0), "anchors[0]: ", "known_tortb"),
+    ("anchors", anchor(driver={**DRIVER, "srt": 0.3}), "anchors[0].driver: ", "srt"),
+    ("episodes", {**episode(), "base_sed": 1}, "", "base_sed"),
+    ("episodes", episode(explicit_deadline=3.0), "episodes[0]: ", "explicit_deadline"),
+    ("episodes", episode(scenario={**INLINE_SCENARIO, "hazard_speed": 30}),
+     "episodes[0].scenario: ", "hazard_speed"),
+    ("episodes", episode(ctx={**CTX, "ndrt_class": "handheld"}), "episodes[0].ctx: ",
+     "ndrt_class"),
+    ("episodes", episode(budget_driver={**DRIVER, "experience": 20}),
+     "episodes[0].budget_driver: ", "experience"),
+    ("episodes", episode(coefficients=coeffs(oc_repeat=0.4)), "episodes[0].coefficients: ",
+     "oc_repeat"),
+]
+
+
+@pytest.mark.parametrize("loader,document,where,key", UNKNOWN_KEYS,
+                         ids=[f"{m[0]}-{m[3]}" for m in UNKNOWN_KEYS])
+def test_unknown_key_is_refused_naming_the_record(loader, document, where, key, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        LOADERS[loader](path)
+    assert str(info.value) == f"{path}: {where}unknown key '{key}'"
+
+
 def test_integral_numbers_read_as_floats(tmp_path):
     path = tmp_path / "doc.json"
     driver = {"srt_s": 0, "experience_km_per_wk": 20}
