@@ -126,6 +126,8 @@ def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
     lines = text.replace("\r\n", "\n").split("\n")
     if tuple(h.strip() for h in lines[0].split(",")) != CSV_HEADER:
         raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]}")
+    if "\r" in lines[0][:-1]:
+        raise SchemaError("line 1: CR before the end of the line")
     body = lines[1:]
     # Checked before loadtxt, which warns on a body with no data and skips
     # a line holding only a CR (a short row here) as blank.
@@ -185,12 +187,14 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
 def _field_value(field: str) -> float:
     """One field as ``np.loadtxt`` reads it: stripped, ASCII, no ``_``."""
     s = field.strip()
-    if s.isascii() and "_" not in s:
-        try:
-            return float(s)
-        except ValueError:
-            pass
-    raise ValueError(f"could not convert string to float: {field!r}")
+    if "_" in s:
+        raise ValueError(f"field {field!r} holds a '_' digit separator")
+    if not s.isascii():
+        raise ValueError(f"field {field!r} holds a non-ASCII character")
+    try:
+        return float(s)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {field!r}") from None
 
 
 def drive_log_to_csv(log: DriveLog) -> str:

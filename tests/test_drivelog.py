@@ -146,13 +146,16 @@ ROW_1 = "t,lat_disp,acc,steering,brake,tor_flag\n0.0,0,0,0,0,1\n"
 
 @pytest.mark.parametrize("text, outcome", [
     (ROW_1 + "0.05,1_0,0,0,0,0\n",
-     (SchemaError, "line 3: could not convert string to float: '1_0'")),
+     (SchemaError, "line 3: field '1_0' holds a '_' digit separator")),
     (ROW_1 + "0.05,1e5_0,0,0,0,0\n",
-     (SchemaError, "line 3: could not convert string to float: '1e5_0'")),
+     (SchemaError, "line 3: field '1e5_0' holds a '_' digit separator")),
     (ROW_1 + "0.05,١,0,0,0,0\n",
-     (SchemaError, "line 3: could not convert string to float: '١'")),
+     (SchemaError, "line 3: field '١' holds a non-ASCII character")),
     (ROW_1 + "0.05,１,0,0,0,0\n",
-     (SchemaError, "line 3: could not convert string to float: '１'")),
+     (SchemaError, "line 3: field '１' holds a non-ASCII character")),
+    ("t\r,lat_disp,acc,steering,brake,tor_flag\n0,0,0,0,0,1\n",
+     (SchemaError, "line 1: CR before the end of the line")),
+    ("t,lat_disp,acc,steering,brake,tor_flag\r\r\n0,0,0,0,0,1\n", [0.0]),
     ("t,lat_disp,acc,steering,brake,tor_flag\n1,2,3\r,4,5,0\n",
      (SchemaError, "line 2: CR before the end of the line")),
     (ROW_1 + "0.05,3\r,0,0,0,0\n", (SchemaError, "line 3: CR before the end of the line")),
@@ -223,14 +226,17 @@ def _reference_parse(data, sample_rate=20.0):
 
 def _declared_float(field):
     """float() on the declared field syntax: stripped of Unicode whitespace,
-    then ASCII with no ``_`` digit separator; float()'s message otherwise."""
+    then ASCII with no ``_`` digit separator, each rule named when it fails;
+    float()'s message otherwise."""
     stripped = field.strip()
-    if stripped.isascii() and "_" not in stripped:
-        try:
-            return float(stripped)
-        except ValueError:
-            pass
-    raise ValueError(f"could not convert string to float: {field!r}")
+    if "_" in stripped:
+        raise ValueError(f"field {field!r} holds a '_' digit separator")
+    if not stripped.isascii():
+        raise ValueError(f"field {field!r} holds a non-ASCII character")
+    try:
+        return float(stripped)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {field!r}") from None
 
 
 EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
