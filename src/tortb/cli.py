@@ -22,7 +22,8 @@ from typing import Any
 
 from . import __version__, fileio
 from .calibration import Chaining, calibrate_sequence
-from .drivelog import extract_metrics, drive_log_to_csv, parse_drive_log
+from .drivelog import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
+from .drivelog import drive_log_to_csv, extract_metrics, parse_drive_log
 from .errors import TortbError, build
 from .model import (
     DEFAULT_COEFFICIENTS,
@@ -104,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     calibrate.add_argument("--anchors", required=True, metavar="JSON",
                            help="Anchors file (see README for the schema).")
-    calibrate.add_argument("--chaining", choices=["raw", "rounded"], default="raw",
+    calibrate.add_argument("--chaining", choices=[c.value for c in Chaining],
+                           default=Chaining.USE_RAW.value,
                            help="Precision of solved values fed into later anchors.")
     calibrate.add_argument("--coeffs", default="default", metavar="SET|FILE",
                            help="Seed coefficient set for the known terms.")
@@ -114,14 +116,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="Extract metrics from a drive-log CSV.")
     analyze.add_argument("--log", required=True, metavar="CSV", help="Drive-log file.")
-    analyze.add_argument("--pre-window", type=float, default=5.0, metavar="S",
-                         help="Lateral-displacement window before the TOR [s] (default 5).")
-    analyze.add_argument("--post-window", type=float, default=5.0, metavar="S",
-                         help="Lateral-displacement window after the TOR [s] (default 5).")
-    analyze.add_argument("--threshold", type=float, default=0.05, metavar="FRAC",
-                         help="Takeover detection threshold, fraction of full range (default 0.05).")
-    analyze.add_argument("--sample-rate", type=float, default=20.0, metavar="HZ",
-                         help="Expected log sample rate (default 20).")
+    analyze.add_argument("--pre-window", type=float, default=PRE_WINDOW_S, metavar="S",
+                         help="Lateral-displacement window before the TOR [s] "
+                         "(default %(default)g).")
+    analyze.add_argument("--post-window", type=float, default=POST_WINDOW_S, metavar="S",
+                         help="Lateral-displacement window after the TOR [s] "
+                         "(default %(default)g).")
+    analyze.add_argument("--threshold", type=float, default=TOT_THRESHOLD, metavar="FRAC",
+                         help="Takeover detection threshold, fraction of full range "
+                         "(default %(default)g).")
+    analyze.add_argument("--sample-rate", type=float, default=SAMPLE_RATE_HZ, metavar="HZ",
+                         help="Expected log sample rate (default %(default)g).")
     analyze.add_argument("--json", action="store_true", help="Machine-readable output.")
 
     simulate = sub.add_parser(
@@ -229,12 +234,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
         log = parse_drive_log(data, sample_rate=args.sample_rate)
     except TortbError as exc:
         raise type(exc)(f"{args.log}: {exc}") from None
-    metrics = extract_metrics(
-        log,
-        pre_window=args.pre_window,
-        post_window=args.post_window,
-        threshold=args.threshold,
-    )
+    metrics = extract_metrics(log, args.pre_window, args.post_window, args.threshold)
     payload = {
         "log": str(args.log),
         "tor_time_s": log.tor_time,
@@ -260,17 +260,11 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     for i, outcome in enumerate(report.outcomes):
         log_name = f"episode_{i:03d}.csv"
         (out_dir / log_name).write_text(drive_log_to_csv(outcome.log), encoding="utf-8")
-        episodes.append(
-            {
-                "index": i,
-                "seed": outcome.seed,
-                "required_s": outcome.required_time,
-                "deadline_s": outcome.deadline,
-                "margin_s": outcome.margin,
-                "classification": outcome.classification.value,
-                "log_csv": log_name,
-            }
-        )
+        episodes.append({
+            "index": i, "seed": outcome.seed, "required_s": outcome.required_time,
+            "deadline_s": outcome.deadline, "margin_s": outcome.margin,
+            "classification": outcome.classification.value, "log_csv": log_name,
+        })
     payload = {
         "base_seed": base_seed,
         "n_episodes": len(episodes),
@@ -297,20 +291,12 @@ def table_rows() -> list[dict[str, Any]]:
         scenario = ScenarioSpec(noa=noa, noj=noj, ego_speed=ego, hazard_speed=hazard)
         ctx = TakeoverContext(ndrt_class=ndrt, ordinal=ordinal)
         est = estimate_tortb(TABLE_DRIVER, scenario, ctx, coeffs)
-        rows.append(
-            {
-                "row": i,
-                "noa": noa,
-                "noj": noj,
-                "ego_km_hr": ego,
-                "hazard_km_hr": hazard,
-                "rs_km_hr": ego - hazard,
-                "rsc_s": est.components["rsc"],
-                "ndrtc_s": est.components["ndrtc"],
-                "oc_s": est.components["oc"],
-                "tortb_s": est.total,
-            }
-        )
+        rows.append({
+            "row": i, "noa": noa, "noj": noj,
+            "ego_km_hr": ego, "hazard_km_hr": hazard, "rs_km_hr": ego - hazard,
+            "rsc_s": est.components["rsc"], "ndrtc_s": est.components["ndrtc"],
+            "oc_s": est.components["oc"], "tortb_s": est.total,
+        })
     return rows
 
 

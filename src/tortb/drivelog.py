@@ -40,6 +40,13 @@ from .errors import (
 
 CSV_HEADER = ("t", "lat_disp", "acc", "steering", "brake", "tor_flag")
 
+# Analysis defaults: log sample rate, lateral-displacement windows before and
+# after the TOR, takeover threshold as a fraction of full input range.
+SAMPLE_RATE_HZ = 20.0
+PRE_WINDOW_S = 5.0
+POST_WINDOW_S = 5.0
+TOT_THRESHOLD = 0.05
+
 # Slack for float comparisons on sample timestamps (the sample period is
 # 0.05 s at 20 Hz, so 1e-9 can never move a boundary across a sample).
 _T_EPS = 1e-9
@@ -61,7 +68,7 @@ class DriveLog:
     steering: np.ndarray  # normalized [0, 1] of full range
     brake: np.ndarray  # normalized [0, 1]
     tor_time: float  # [s]
-    sample_rate: float = 20.0  # [Hz]
+    sample_rate: float = SAMPLE_RATE_HZ  # [Hz]
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -106,7 +113,7 @@ class DriveLog:
         return int(np.searchsorted(self.t, self.tor_time - _T_EPS))
 
 
-def parse_drive_log(data: bytes | str, sample_rate: float = 20.0) -> DriveLog:
+def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> DriveLog:
     """Parse and validate a drive-log CSV.
 
     Expects the UTF-8 header ``t,lat_disp,acc,steering,brake,tor_flag``,
@@ -218,7 +225,7 @@ def drive_log_to_csv(log: DriveLog) -> str:
     return ",".join(CSV_HEADER) + "\n" + body + "\n"
 
 
-def detect_tot(log: DriveLog, threshold: float = 0.05) -> float | None:
+def detect_tot(log: DriveLog, threshold: float = TOT_THRESHOLD) -> float | None:
     """Takeover time [s], or None if the driver never responded.
 
     Scans forward from the TOR for the earliest sample where steering or
@@ -301,9 +308,9 @@ class TakeoverMetrics:
 
 def extract_metrics(
     log: DriveLog,
-    pre_window: float = 5.0,
-    post_window: float = 5.0,
-    threshold: float = 0.05,
+    pre_window: float = PRE_WINDOW_S,
+    post_window: float = POST_WINDOW_S,
+    threshold: float = TOT_THRESHOLD,
 ) -> TakeoverMetrics:
     """All measures for one log in a single pass."""
     tot = detect_tot(log, threshold)

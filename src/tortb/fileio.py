@@ -93,13 +93,33 @@ def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
     }
 
 
-#: A written coefficient record; one read back may hold only its keys.
-_WRITTEN_COEFFICIENTS = coefficients_to_dict(DEFAULT_COEFFICIENTS)
+def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
+    return {"srt_s": driver.srt, "experience_km_per_wk": driver.experience_km_per_week}
+
+
+def scenario_to_dict(scenario: ScenarioSpec) -> dict[str, Any]:
+    return {"noa": scenario.noa, "noj": scenario.noj, "ego_speed_km_per_hr": scenario.ego_speed,
+            "hazard_speed_km_per_hr": scenario.hazard_speed, "label": scenario.label}
+
+
+def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
+    return {"ndrt": ctx.ndrt_class.value, "ordinal": ctx.ordinal}
+
+
+# The keys a record read back may hold: for a record with a writer, the
+# keys it writes. The written coefficients also give each band's keys.
+_COEFFICIENT_KEYS = coefficients_to_dict(DEFAULT_COEFFICIENTS)
+_DRIVER_KEYS = driver_to_dict(DriverProfile(0.0, 0.0))
+_SCENARIO_KEYS = scenario_to_dict(SCENARIO_PRESETS["S1"])
+_CONTEXT_KEYS = context_to_dict(TakeoverContext(NdrtClass.HANDS_FREE))
+_ANCHOR_KEYS = ("scenario", "driver", "ctx", "known_tortb_s", "unknown")
+_EPISODE_KEYS = ("driver", "scenario", "ctx", "coefficients", "budget_driver", "deadline_mode",
+                 "explicit_deadline_s", "response_noise_s", "maneuver_duration_s")
 
 
 def _bands(data: Any, key: str, where: str) -> tuple[tuple[float, float], ...]:
     """The bands under ``key``, each holding the two keys of a written band."""
-    upper_key, value_key = _WRITTEN_COEFFICIENTS[key][0]
+    upper_key, value_key = _COEFFICIENT_KEYS[key][0]
     bands = []
     for i, band in enumerate(_typed(data, key, where, list, "a list")):
         at = f"{where}: {key}[{i}]"
@@ -109,7 +129,7 @@ def _bands(data: Any, key: str, where: str) -> tuple[tuple[float, float], ...]:
 
 
 def coefficients_from_dict(data: dict[str, Any], where: str = "coefficients") -> CoefficientSet:
-    _only(data, where, _WRITTEN_COEFFICIENTS)
+    _only(data, where, _COEFFICIENT_KEYS)
     return build(
         CoefficientSet,
         where,
@@ -123,16 +143,6 @@ def coefficients_from_dict(data: dict[str, Any], where: str = "coefficients") ->
     )
 
 
-def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
-    return {
-        "srt_s": driver.srt,
-        "experience_km_per_wk": driver.experience_km_per_week,
-    }
-
-
-_DRIVER_KEYS = frozenset(driver_to_dict(DriverProfile(0.0, 0.0)))
-
-
 def driver_from_dict(data: dict[str, Any], where: str = "driver") -> DriverProfile:
     _only(data, where, _DRIVER_KEYS)
     return build(
@@ -141,19 +151,6 @@ def driver_from_dict(data: dict[str, Any], where: str = "driver") -> DriverProfi
         srt=_number(data, "srt_s", where),
         experience_km_per_week=_number(data, "experience_km_per_wk", where),
     )
-
-
-def scenario_to_dict(scenario: ScenarioSpec) -> dict[str, Any]:
-    return {
-        "noa": scenario.noa,
-        "noj": scenario.noj,
-        "ego_speed_km_per_hr": scenario.ego_speed,
-        "hazard_speed_km_per_hr": scenario.hazard_speed,
-        "label": scenario.label,
-    }
-
-
-_SCENARIO_KEYS = frozenset(scenario_to_dict(SCENARIO_PRESETS["S1"]))
 
 
 def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> ScenarioSpec:
@@ -172,13 +169,6 @@ def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> S
         hazard_speed=_number(data, "hazard_speed_km_per_hr", where, 0.0),
         label=_typed(data, "label", where, str, "a string", ""),
     )
-
-
-def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
-    return {"ndrt": ctx.ndrt_class.value, "ordinal": ctx.ordinal}
-
-
-_CONTEXT_KEYS = frozenset(context_to_dict(TakeoverContext(NdrtClass.HANDS_FREE)))
 
 
 def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverContext:
@@ -227,9 +217,6 @@ def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
     Path(path).write_text(json_text(coefficients_to_dict(coeffs)), encoding="utf-8")
 
 
-_ANCHOR_KEYS = frozenset({"scenario", "driver", "ctx", "known_tortb_s", "unknown"})
-
-
 def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
     _only(data, where, _ANCHOR_KEYS)
     unknown = _choice(data, "unknown", where, [u.value for u in UnknownCoefficient])
@@ -246,12 +233,6 @@ def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
 
 def load_anchors(path: str | Path) -> list[AnchorCase]:
     return _load_list(path, "anchors", anchor_from_dict)[1]
-
-
-_EPISODE_KEYS = frozenset({
-    "driver", "scenario", "ctx", "coefficients", "budget_driver", "deadline_mode",
-    "explicit_deadline_s", "response_noise_s", "maneuver_duration_s",
-})
 
 
 def episode_config_from_dict(

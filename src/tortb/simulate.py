@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drivelog import DriveLog, SummaryStats, describe
+from .drivelog import PRE_WINDOW_S, SAMPLE_RATE_HZ, DriveLog, SummaryStats, describe
 from .errors import EmptyBatch, TortbError, check_range
 from .model import (
     DEFAULT_COEFFICIENTS,
@@ -35,8 +35,7 @@ from .model import (
     ndrtc_lookup,
 )
 
-SAMPLE_RATE_HZ = 20.0
-LOG_LEAD_IN_S = 5.0  # automation phase kept before the TOR (fits the default analysis window)
+LOG_LEAD_IN_S = PRE_WINDOW_S  # automation phase kept before the TOR
 LOG_TAIL_S = 1.0  # padding after the last event of interest
 MAX_LOG_S = 3600.0  # longest log an episode may synthesize, lead-in included
 LANE_CHANGE_AMPLITUDE_M = 3.5  # one lane width
