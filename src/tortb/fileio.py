@@ -28,9 +28,8 @@ from .simulate import EpisodeConfig
 _MISSING: Any = object()
 
 
-def _get(data: Any, key: str, where: str, default: Any = _MISSING) -> Any:
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {data!r}")
+def _get(data: dict[str, Any], key: str, where: str, default: Any = _MISSING) -> Any:
+    """The value under ``key`` of a record that :func:`_only` has checked."""
     if key in data:
         return data[key]
     if default is _MISSING:
