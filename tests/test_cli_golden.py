@@ -159,6 +159,16 @@ STDOUT_CASES = {
     ],
 }
 
+# The --help text of tortb and of each subcommand, wrapped at 80 columns.
+HELP_DIGESTS = {
+    "tortb": "737c5d0f6bd56c97a49ce50075835bdb84e028031388aad2495ceefe30107454",
+    "estimate": "a535cd5965aed6cb622bd08be3c3730936112fbb9eae45d0aa9f5acccc677490",
+    "calibrate": "8690fa6da256fd2520359176a22519c6edf5f972fc388d3e1925512316763027",
+    "analyze": "875410cdf7e62e43958f5808dcc4606dc279a7d2fe4b8dd3f2968369b4853933",
+    "simulate": "cefb5e636fe012a32506436d736ab6e6d5717cf514fb4155eee33d3a8002263c",
+    "table": "998fdb39a9800f8c51da98b59460ac054097a31c0338c52d95f7919b6ff933fa",
+}
+
 # Rejections: the exact stderr bytes, with nothing on stdout and exit 2.
 STDERR_CASES = {
     "estimate_preset_with_flags": (
@@ -197,6 +207,16 @@ def test_stdout_digest(name, workdir, capsys):
     assert main(STDOUT_CASES[name]) == 0
     out = capsys.readouterr().out
     assert sha256(out.encode("utf-8")) == STDOUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(HELP_DIGESTS))
+def test_help_digest(name, monkeypatch, capsys):
+    # argparse wraps help text to the terminal width, which it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["--help"] if name == "tortb" else [name, "--help"])
+    assert info.value.code == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == HELP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(STDERR_CASES))
