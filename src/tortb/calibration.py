@@ -151,11 +151,9 @@ def calibrate_sequence(
     current = seed_coeffs
     rounded_chain = seed_coeffs
     solved: dict[UnknownCoefficient, SolvedCoefficient] = {}
-    remaining = set(unknowns)
     for i, anchor in enumerate(anchors):
         try:
-            remaining.discard(anchor.unknown)
-            for later in remaining:
+            for later in unknowns[i + 1:]:
                 if _UNKNOWNS[later][1](anchor) != 0:
                     raise DependencyOrderError(
                         f"anchor for {anchor.unknown.value} needs {later.value}, "

@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="Exposure number for this scenario class (1 = first).")
     estimate.add_argument("--coeffs", default="default", metavar="SET|FILE",
                           help="Coefficient set: 'default', 'raw', 'rounded', or a JSON file.")
-    estimate.add_argument("--json", action="store_true", help="Machine-readable output.")
 
     calibrate = sub.add_parser(
         "calibrate", help="Solve unknown coefficients from an anchors file."
@@ -112,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="Seed coefficient set for the known terms.")
     calibrate.add_argument("--out", required=True, metavar="JSON",
                            help="Where to write the updated coefficient file.")
-    calibrate.add_argument("--json", action="store_true", help="Machine-readable output.")
 
     analyze = sub.add_parser("analyze", help="Extract metrics from a drive-log CSV.")
     analyze.add_argument("--log", required=True, metavar="CSV", help="Drive-log file.")
@@ -127,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(default %(default)g).")
     analyze.add_argument("--sample-rate", type=float, default=SAMPLE_RATE_HZ, metavar="HZ",
                          help="Expected log sample rate (default %(default)g).")
-    analyze.add_argument("--json", action="store_true", help="Machine-readable output.")
 
     simulate = sub.add_parser(
         "simulate", help="Run takeover episodes and write logs plus a report."
@@ -140,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="Directory for synthetic logs and report.json.")
 
     table = sub.add_parser("table", help="Print the six-row reference estimation table.")
-    table.add_argument("--json", action="store_true", help="Machine-readable output.")
+    for command in (estimate, calibrate, analyze, table):
+        command.add_argument("--json", action="store_true", help="Machine-readable output.")
 
     # Read "-1e+300", "-inf" and "-nan" as values, like argparse's own "-1" and
     # "-.5", so they reach the range checks; no option string looks like a number.
@@ -307,19 +305,15 @@ def _cmd_table(args: argparse.Namespace) -> Output:
         "coefficient_set": "rounded",
         "rows": rows,
     }
-    header = ("row", "noa", "noj", "rs_km_hr", "rsc_s", "ndrtc_s", "oc_s", "tortb_s")
+    columns = (("row", "d"), ("noa", "d"), ("noj", "d"), ("rs_km_hr", ".0f"),
+               ("rsc_s", ".2f"), ("ndrtc_s", ".2f"), ("oc_s", ".2f"), ("tortb_s", ".2f"))
     lines = [
         "Reference budget estimates "
         f"(driver: srt {TABLE_DRIVER.srt:g} s, experience "
         f"{TABLE_DRIVER.experience_km_per_week:g} km/wk; rounded coefficient set)",
-        "  ".join(f"{h:>8}" for h in header),
+        "  ".join(f"{key:>8}" for key, _ in columns),
     ]
-    lines += [
-        f"{row['row']:>8}  {row['noa']:>8}  {row['noj']:>8}  "
-        f"{row['rs_km_hr']:>8.0f}  {row['rsc_s']:>8.2f}  {row['ndrtc_s']:>8.2f}  "
-        f"{row['oc_s']:>8.2f}  {row['tortb_s']:>8.2f}"
-        for row in rows
-    ]
+    lines += ["  ".join(f"{row[key]:>8{spec}}" for key, spec in columns) for row in rows]
     return payload, lines
 
 

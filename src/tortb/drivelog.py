@@ -38,7 +38,11 @@ from .errors import (
     shown,
 )
 
-CSV_HEADER = ("t", "lat_disp", "acc", "steering", "brake", "tor_flag")
+#: The CSV's value columns in file order, each with the DriveLog field it
+#: fills; a tor_flag column follows them.
+_CHANNELS = {"t": "t", "lat_disp": "lateral_displacement", "acc": "acceleration",
+             "steering": "steering", "brake": "brake"}
+CSV_HEADER = (*_CHANNELS, "tor_flag")
 
 # Analysis defaults: log sample rate, lateral-displacement windows before and
 # after the TOR, takeover threshold as a fraction of full input range.
@@ -72,7 +76,7 @@ class DriveLog:
 
     def __post_init__(self) -> None:
         arrays = {}
-        for name in ("t", "lateral_displacement", "acceleration", "steering", "brake"):
+        for name in _CHANNELS.values():
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             arrays[name] = arr
@@ -132,7 +136,7 @@ def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> D
         raise SchemaError("empty file; header row is mandatory")
     lines = text.replace("\r\n", "\n").split("\n")
     if tuple(h.strip() for h in lines[0].split(",")) != CSV_HEADER:
-        raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]}")
+        raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]!r}")
     if "\r" in lines[0][:-1]:
         raise SchemaError("line 1: CR before the end of the line")
     body = lines[1:]
@@ -150,19 +154,14 @@ def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> D
     flags = values[:, -1]
     if values.shape[1] != len(CSV_HEADER) or not np.all((flags == 0.0) | (flags == 1.0)):
         _raise_first_bad_line(lines)
-    t, lat, acc, steering, brake, _ = values.T
     marked = np.flatnonzero(flags == 1.0)
     if marked.size == 0:
         raise MissingTorMarker("no row carries tor_flag=1")
     if marked.size > 1:
         raise MultipleTorMarkers(f"{marked.size} rows carry tor_flag=1")
     return DriveLog(
-        t=t,
-        lateral_displacement=lat,
-        acceleration=acc,
-        steering=steering,
-        brake=brake,
-        tor_time=float(t[marked[0]]),
+        **dict(zip(_CHANNELS.values(), values.T)),
+        tor_time=float(values[marked[0], 0]),
         sample_rate=sample_rate,
     )
 
@@ -213,7 +212,7 @@ def drive_log_to_csv(log: DriveLog) -> str:
     text reused wherever it occurs.  Reprs are keyed by bits, never by
     value: ``-0.0 == 0.0`` would write one as the other.
     """
-    channels = (log.t, log.lateral_displacement, log.acceleration, log.steering, log.brake)
+    channels = [getattr(log, field) for field in _CHANNELS.values()]
     n = log.t.size
     bits, inverse = np.unique(np.concatenate(channels).view(np.uint64), return_inverse=True)
     reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)

@@ -72,11 +72,11 @@ def check_range(
     raise ValueError(f"{name} must be {bound}, got {shown(value)}")
 
 
-def check_count(name: str, value: Any, lo: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int, not a bool, and ``>= lo``."""
+def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, within ``[lo, hi]``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    check_range(name, value, lo)
+    check_range(name, value, lo, hi)
 
 
 def shown(value: Any) -> str:

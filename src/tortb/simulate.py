@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .drivelog import PRE_WINDOW_S, SAMPLE_RATE_HZ, DriveLog, SummaryStats, describe
-from .errors import EmptyBatch, TortbError, check_range
+from .drivelog import _T_EPS, PRE_WINDOW_S, SAMPLE_RATE_HZ, DriveLog, SummaryStats, describe
+from .errors import EmptyBatch, TortbError, check_count, check_range
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -83,11 +83,13 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.deadline is not None:
             check_range("deadline", self.deadline, 0)
+            if self.budget_driver is not None:
+                raise ValueError("deadline and budget_driver exclude each other, got both")
         # A half-width beyond MAX_LOG_S is longer than any log an episode may
         # write, and near 1e308 the uniform draw's range would overflow.
         check_range("response_noise", self.response_noise, 0, MAX_LOG_S)
         check_range("maneuver_duration", self.maneuver_duration, 0, above=True)
-        check_range("seed", self.seed, 0, _MASK64)
+        check_count("seed", self.seed, 0, _MASK64)
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,9 @@ def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> Dri
     tor_time = float(t[tor_index])
     rel = t - tor_time
 
-    # 1e-9 absorbs timestamp rounding so the step lands on the first
+    # The slack absorbs timestamp rounding so the step lands on the first
     # sample at or after the onset.
-    steering = np.where(rel >= onset - 1e-9, STEERING_STEP, 0.0)
+    steering = np.where(rel >= onset - _T_EPS, STEERING_STEP, 0.0)
     # A subnormal maneuver duration overflows the ramp to +-inf, clipped to a step.
     with np.errstate(over="ignore"):
         u = np.clip((rel - maneuver_start) / cfg.maneuver_duration, 0.0, 1.0)
@@ -230,6 +232,8 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
     """Run every config with per-episode seeds derived via :func:`mix_seed`."""
     if not configs:
         raise EmptyBatch("no episode configs")
+    # Any integer: mix_seed reduces it modulo 2**64.
+    check_count("base_seed", base_seed, -np.inf, np.inf)
     outcomes = []
     for i, cfg in enumerate(configs):
         try:

@@ -4,6 +4,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tortb
 from tortb import DEFAULT_COEFFICIENTS, estimate_tortb
 from tortb import fileio
 from tortb.cli import main
@@ -299,6 +303,33 @@ def test_calibrate_names_the_failing_anchor(tmp_path, capsys):
     )
 
 
+def test_calibrate_order_error_names_the_first_later_anchor_under_any_hash_seed(tmp_path):
+    """The oc anchor needs both c_noa and c_noj, which later anchors solve in
+    that order; the message names c_noa whatever the string hash seed."""
+    anchors = tmp_path / "anchors.json"
+    write_anchors(anchors)
+    payload = json.loads(anchors.read_text())
+    oc_anchor = {**payload["anchors"][0], "unknown": "oc",
+                 "scenario": {"noa": 2, "noj": 3, "ego_speed_km_per_hr": 80},
+                 "ctx": {"ndrt": "handsfree", "ordinal": 2}}
+    payload["anchors"].insert(0, oc_anchor)
+    anchors.write_text(json.dumps(payload), encoding="utf-8")
+    src = str(Path(tortb.__file__).parents[1])
+    messages = set()
+    for hash_seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "tortb.cli", "calibrate", "--anchors", str(anchors),
+             "--out", str(tmp_path / "o.json")],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        messages.add(done.stderr)
+    assert messages == {
+        "error: anchors[0]: anchor for oc needs c_noa, which a later anchor solves\n"
+    }
+
+
 # -------------------------------- analyze --------------------------------
 
 
@@ -355,6 +386,9 @@ def test_analyze_invalid_log(tmp_path, capsys):
         (header + b"0.0,0,0,0,0,1\n0.05,1_0,0,0,0,0\n", "line 3: field '1_0' holds a '_'"),
         (header + b"0.0,0,0,0,0,1\n0.05,nan,0,0,0,0\n", "lateral_displacement"),
         (b"\xff" + header, "not valid UTF-8"),
+        # The header is quoted, so its CR cannot return the terminal's cursor.
+        (b"t\r,lat,acc,steering,brake,tor_flag\n0,0,0,0,0,1\n",
+         "got 't\\r,lat,acc,steering,brake,tor_flag'\n"),
     ]:
         bad.write_bytes(body)
         code, _, err = run_cli(["analyze", "--log", str(bad)], capsys)

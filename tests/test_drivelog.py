@@ -188,7 +188,7 @@ def _reference_parse(data, sample_rate=20.0):
         raise SchemaError("empty file; header row is mandatory") from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise SchemaError(
-            f"header must be {','.join(CSV_HEADER)}, got {','.join(header)}"
+            f"header must be {','.join(CSV_HEADER)}, got {','.join(header)!r}"
         )
     columns = [[] for _ in CSV_HEADER]
     for lineno, row in enumerate(reader, start=2):

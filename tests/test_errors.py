@@ -141,6 +141,19 @@ REJECTIONS = [
      ValueError, "maneuver_duration must be finite and > 0, got 0.0"),
     ("seed", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=-1),
      ValueError, "seed must be within [0, 18446744073709551615], got -1"),
+    ("seed_float", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=1.5),
+     ValueError, "seed must be an integer, got 1.5"),
+    ("seed_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=True),
+     ValueError, "seed must be an integer, got True"),
+    ("seed_float_below_2_64", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=1e19),
+     ValueError, "seed must be an integer, got 1e+19"),
+    ("base_seed_float", lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX)], 1.5),
+     ValueError, "base_seed must be an integer, got 1.5"),
+    ("base_seed_bool", lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX)], True),
+     ValueError, "base_seed must be an integer, got True"),
+    ("deadline_and_budget_driver",
+     lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=3.0, budget_driver=DRIVER),
+     ValueError, "deadline and budget_driver exclude each other, got both"),
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
      ValueError, "sample_rate must be finite and > 0, got 0.0"),
     ("tor_time", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=25.0),

@@ -129,6 +129,8 @@ MALFORMED = [
     ("episodes", episode(coefficients=coeffs(c_noa_s=NAN)), "c_noa_s"),
     ("episodes", episode(deadline_mode="explicit", explicit_deadline_s="3"),
      "explicit_deadline_s"),
+    ("episodes", episode(deadline_mode="explicit", explicit_deadline_s=3.0, budget_driver=DRIVER),
+     "episodes[0]: deadline and budget_driver exclude each other"),
     ("episodes", {**episode(), "base_seed": True}, "base_seed"),
     ("episodes", {**episode(), "base_seed": 1.5}, "base_seed"),
     ("episodes", {"episodes": [[1]]}, "episodes[0]"),
