@@ -63,8 +63,10 @@ def check_range(
 
     Every ordered comparison with NaN is false, so only this positive form
     rejects NaN.  The default ``hi`` rejects infinities and ints too large
-    for a float.
+    for a float.  A bool is refused, though it compares as 0 or 1.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if (lo < value if above else lo <= value) and value <= hi:
         return
     op, bracket = (">", "(") if above else (">=", "[")

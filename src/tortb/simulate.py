@@ -23,7 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .drivelog import _T_EPS, PRE_WINDOW_S, SAMPLE_RATE_HZ, DriveLog, SummaryStats, describe
+from .drivelog import _T_EPS, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
+from .drivelog import DriveLog, SummaryStats, describe
 from .errors import EmptyBatch, TortbError, check_count, check_range
 from .model import (
     DEFAULT_COEFFICIENTS,
@@ -37,7 +38,6 @@ from .model import (
 
 LOG_LEAD_IN_S = PRE_WINDOW_S  # automation phase kept before the TOR
 LOG_TAIL_S = 1.0  # padding after the last event of interest
-MAX_LOG_S = 3600.0  # longest log an episode may synthesize, lead-in included
 LANE_CHANGE_AMPLITUDE_M = 3.5  # one lane width
 ACCEL_PULSE_PEAK = 1.0  # [m/s^2], half-sine during the maneuver
 STEERING_STEP = 0.2  # fraction of full range at response onset
@@ -85,6 +85,10 @@ class EpisodeConfig:
             check_range("deadline", self.deadline, 0)
             if self.budget_driver is not None:
                 raise ValueError("deadline and budget_driver exclude each other, got both")
+        if self.budget_driver is not None and not isinstance(self.budget_driver, DriverProfile):
+            raise ValueError(
+                f"budget_driver must be a DriverProfile or None, got {self.budget_driver!r}"
+            )
         # A half-width beyond MAX_LOG_S is longer than any log an episode may
         # write, and near 1e308 the uniform draw's range would overflow.
         check_range("response_noise", self.response_noise, 0, MAX_LOG_S)

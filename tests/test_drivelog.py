@@ -2,7 +2,11 @@
 
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +32,10 @@ from tortb import (
     parse_drive_log,
     summarize,
 )
+from tortb import drivelog
 from tortb.drivelog import CSV_HEADER
 
 RATE = 20.0
-DT = 1.0 / RATE
 CHANNELS = ("t", "lateral_displacement", "acceleration", "steering", "brake")
 
 
@@ -395,15 +399,40 @@ RENDER_EDGES = st.sampled_from([
 RENDER_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | RENDER_EDGES
 
 
+GRID_CAP = drivelog._GRID_CAP
+
+
+def _timestamps(draw, rate):
+    """Timestamps that miss the shared time grid, hit it, or lie on either
+    side of its ends, at the drawn rate."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["offset", "grid", "lone"]))
+    if kind == "offset":
+        start = draw(st.integers(-400, 400).map(lambda k: k / rate) | st.floats(-1e4, 1e4))
+        return start + np.arange(n) / rate
+    if kind == "lone":
+        # 1e308 * RATE overflows in the grid lookup.
+        return np.array([draw(st.sampled_from([-0.0, 5e-324, 1e308]))])
+    # (k0 + i) / rate lies on the grid, which ends where k0 / rate reaches
+    # the cap; at 50 Hz only every fifth sample lies on it.
+    at_cap = int(GRID_CAP * rate / RATE)
+    k0 = draw(st.integers(-400, 400) | st.integers(at_cap - 40, at_cap + 40))
+    t = (k0 + np.arange(n)) / rate
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        t[i] = np.nextafter(t[i], draw(st.sampled_from([-np.inf, np.inf])))
+    return t
+
+
 @st.composite
 def drive_logs(draw):
     """Valid logs of arbitrary finite channel values, TOR on or between samples."""
-    n = draw(st.integers(1, 30))
-    start = draw(st.integers(-400, 400).map(lambda k: k / RATE) | st.floats(-1e4, 1e4))
-    t = start + np.arange(n) / RATE
+    rate = draw(st.sampled_from([RATE, 10.0, 50.0]))
+    t = _timestamps(draw, rate)
+    n = t.size
     tor = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
     # Half a period early still marks sample `tor` as the TOR sample.
-    early = draw(st.sampled_from([0.0, 0.5 * DT])) if tor > 0 else 0.0
+    early = draw(st.sampled_from([0.0, 0.5 / rate])) if tor > 0 else 0.0
     # Channels draw from one small pool, so values repeat within and across
     # columns, as the simulator's do.
     pool = st.sampled_from(draw(st.lists(RENDER_FLOATS, min_size=1, max_size=10)))
@@ -415,8 +444,14 @@ def drive_logs(draw):
         steering=channels[2],
         brake=channels[3],
         tor_time=float(t[tor]) - early,
-        sample_rate=RATE,
+        sample_rate=rate,
     )
+
+
+def _lone(t):
+    """A one-sample log at ``t``."""
+    return DriveLog(t=[t], lateral_displacement=[0.0], acceleration=[0.0], steering=[0.0],
+                    brake=[0.0], tor_time=t)
 
 
 @settings(max_examples=300)
@@ -425,13 +460,38 @@ def drive_logs(draw):
 @example(log=make_log(n=4, tor_index=0, lat=[-0.0, 0.0, 0.0, -0.0], brake=[1e-05] * 4))
 @example(log=make_log(n=4, tor_index=3, acc=[0.0, -0.0, 1e16, 5e-324], steering=[-1e308] * 4))
 @example(log=make_log(n=3, tor_index=1, lat=[-0.0] * 3, acc=[0.0] * 3, brake=[-0.0, 1.0, -0.0]))
+@example(log=_lone(-0.0))
+@example(log=_lone(5e-324))
+@example(log=_lone(1e308))
 def test_render_matches_reference_row_loop_and_round_trips(log):
     text = drive_log_to_csv(log)
     assert text == _reference_render(log)
-    parsed = parse_drive_log(text)
+    parsed = parse_drive_log(text, log.sample_rate)
     for name in CHANNELS:
         assert getattr(parsed, name).tobytes() == getattr(log, name).tobytes()
     assert parsed.tor_time == log.t[log.tor_index]
+
+
+def test_time_grid_grows_to_the_longest_log_and_stops_at_the_cap():
+    zeros = np.zeros(GRID_CAP + 10)
+    longest = DriveLog(t=np.arange(GRID_CAP + 10) / RATE, lateral_displacement=zeros,
+                       acceleration=zeros, steering=zeros, brake=zeros, tor_time=0.0)
+    for log in (longest, make_log(n=5, tor_index=2), _lone((GRID_CAP + 5) / RATE)):
+        assert drive_log_to_csv(log) == _reference_render(log)
+        grid_bits, grid_text = drivelog._time_grid
+        assert grid_bits.size == grid_text.size == GRID_CAP
+    assert GRID_CAP == int(drivelog.MAX_LOG_S * RATE) + 1
+    assert grid_bits.tobytes() == (np.arange(GRID_CAP) / RATE).tobytes()
+
+
+def test_importing_the_package_builds_no_time_grid():
+    env = {**os.environ, "PYTHONPATH": str(Path(drivelog.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import tortb, tortb.cli; print(tortb.drivelog._time_grid[0].size)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "0\n"
 
 
 def test_csv_round_trip():

@@ -154,6 +154,17 @@ REJECTIONS = [
     ("deadline_and_budget_driver",
      lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=3.0, budget_driver=DRIVER),
      ValueError, "deadline and budget_driver exclude each other, got both"),
+    ("deadline_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=True),
+     ValueError, "deadline must be a number, got True"),
+    ("response_noise_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=True),
+     ValueError, "response_noise must be a number, got True"),
+    ("maneuver_duration_bool",
+     lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, maneuver_duration=True),
+     ValueError, "maneuver_duration must be a number, got True"),
+    ("budget_driver_type", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, budget_driver="x"),
+     ValueError, "budget_driver must be a DriverProfile or None, got 'x'"),
+    ("srt_bool", lambda: DriverProfile(False, 80.0),
+     ValueError, "srt must be a number, got False"),
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
      ValueError, "sample_rate must be finite and > 0, got 0.0"),
     ("tor_time", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=25.0),
