@@ -6,7 +6,7 @@ anchor scenarios, objective metric extraction from 20 Hz drive logs, and
 a deterministic takeover-episode simulator for round-trip validation.
 """
 
-from types import ModuleType as _ModuleType
+from importlib import import_module as _import_module
 
 from .calibration import (
     AnchorCase,
@@ -17,19 +17,6 @@ from .calibration import (
     calibrate_sequence,
     derive_oc,
     solve_coefficient,
-)
-from .drivelog import (
-    DriveLog,
-    SummaryStats,
-    TakeoverMetrics,
-    avg_lateral_displacement,
-    describe,
-    detect_tot,
-    drive_log_to_csv,
-    extract_metrics,
-    max_acceleration,
-    parse_drive_log,
-    summarize,
 )
 from .errors import (
     DependencyOrderError,
@@ -61,23 +48,49 @@ from .model import (
     ndrtc_lookup,
     round_coefficient,
 )
-from .simulate import (
-    BatchReport,
-    Classification,
-    EpisodeConfig,
-    EpisodeOutcome,
-    mix_seed,
-    response_onset,
-    run_batch,
-    run_episode,
-)
 
 __version__ = "0.1.0"
 
-# Every public name imported above; the submodules bound by those imports
-# are not part of the star-import surface.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+# Each public name of the numpy-backed submodules, with its submodule.  A
+# submodule is imported on the first use of one of its names (PEP 562), so
+# estimating and calibrating load no numpy.
+_LAZY = {
+    **dict.fromkeys(
+        ("DriveLog", "SummaryStats", "TakeoverMetrics", "avg_lateral_displacement",
+         "describe", "detect_tot", "drive_log_to_csv", "extract_metrics",
+         "max_acceleration", "parse_drive_log", "summarize"),
+        "drivelog",
+    ),
+    **dict.fromkeys(
+        ("BatchReport", "Classification", "EpisodeConfig", "EpisodeOutcome", "mix_seed",
+         "response_onset", "run_batch", "run_episode"),
+        "simulate",
+    ),
+}
+
+__all__ = [
+    "AnchorCase", "BatchReport", "CalibrationResult", "Chaining", "Classification",
+    "CoefficientSet", "DEFAULT_COEFFICIENTS", "DependencyOrderError", "DriveLog",
+    "DriverProfile", "EmptyBatch", "EmptyGroup", "EpisodeConfig", "EpisodeOutcome",
+    "MissingTorMarker", "MultipleTorMarkers", "NdrtClass", "NegativeCoefficient",
+    "NegativeRelativeSpeed", "NonUniformSampling", "RAW_COEFFICIENTS", "SCENARIO_PRESETS",
+    "ScenarioSpec", "SchemaError", "SolvedCoefficient", "SpeedAboveModelRange",
+    "SummaryStats", "TakeoverContext", "TakeoverMetrics", "TortbError",
+    "TortbEstimate", "UnidentifiableUnknown", "UnknownCoefficient", "VISUAL_SRT_RANGE",
+    "WindowOutOfRange", "avg_lateral_displacement", "calibrate_sequence",
+    "derive_oc", "describe", "detect_tot", "drive_log_to_csv",
+    "estimate_tortb", "extract_metrics", "max_acceleration", "mix_seed", "ndrtc_lookup",
+    "parse_drive_log", "response_onset", "round_coefficient",
+    "run_batch", "run_episode", "solve_coefficient", "summarize",
+]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

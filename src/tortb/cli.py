@@ -20,10 +20,11 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import tortb
+
 from . import __version__, fileio
 from .calibration import Chaining, calibrate_sequence
-from .drivelog import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
-from .drivelog import drive_log_to_csv, extract_metrics, parse_drive_log
+from .defaults import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
 from .errors import TortbError, build
 from .model import (
     DEFAULT_COEFFICIENTS,
@@ -36,7 +37,26 @@ from .model import (
     TakeoverContext,
     estimate_tortb,
 )
-from .simulate import run_batch
+
+# The numpy-backed names `analyze` and `simulate` use.  Each is taken from the
+# package on first access (PEP 562), which imports its submodule, and is then
+# bound here, so the other subcommands start without numpy.  Handlers fetch
+# them through this module with _lazy, so a replaced module attribute is the
+# one called.
+_LAZY = ("drive_log_to_csv", "extract_metrics", "parse_drive_log", "run_batch")
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(tortb, name)
+    return value
+
+
+def _lazy(*names: str) -> list[Any]:
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
+
 
 #: Inputs of the reference estimation table: (noa, noj, ego, hazard, ndrt, ordinal),
 #: all estimated for a driver with srt 0.2 s and experience 80 km/wk using the
@@ -227,6 +247,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> Output:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Output:
+    parse_drive_log, extract_metrics = _lazy("parse_drive_log", "extract_metrics")
     data = Path(args.log).read_bytes()
     try:
         log = parse_drive_log(data, sample_rate=args.sample_rate)
@@ -249,6 +270,7 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Output:
+    run_batch, drive_log_to_csv = _lazy("run_batch", "drive_log_to_csv")
     configs, file_seed = fileio.load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
     report = run_batch(configs, base_seed)

@@ -27,6 +27,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from .defaults import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
 from .errors import (
     EmptyGroup,
     MissingTorMarker,
@@ -43,13 +44,6 @@ from .errors import (
 _CHANNELS = {"t": "t", "lat_disp": "lateral_displacement", "acc": "acceleration",
              "steering": "steering", "brake": "brake"}
 CSV_HEADER = (*_CHANNELS, "tor_flag")
-
-# Analysis defaults: log sample rate, lateral-displacement windows before and
-# after the TOR, takeover threshold as a fraction of full input range.
-SAMPLE_RATE_HZ = 20.0
-PRE_WINDOW_S = 5.0
-POST_WINDOW_S = 5.0
-TOT_THRESHOLD = 0.05
 
 # Slack for float comparisons on sample timestamps (the sample period is
 # 0.05 s at 20 Hz, so 1e-9 can never move a boundary across a sample).

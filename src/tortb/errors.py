@@ -1,6 +1,7 @@
 """Exception types, and the input checks that raise them, shared across the package."""
 
 import sys
+from numbers import Real
 from typing import Any, Callable
 
 
@@ -63,9 +64,13 @@ def check_range(
 
     Every ordered comparison with NaN is false, so only this positive form
     rejects NaN.  The default ``hi`` rejects infinities and ints too large
-    for a float.  A bool is refused, though it compares as 0 or 1.
+    for a float.  A bool is refused, though it compares as 0 or 1, and so is
+    numpy's, which is not a ``numbers.Real``.  A plain float or int skips
+    that check, which costs several times the rest of this function.
     """
-    if isinstance(value, bool):
+    if type(value) not in (float, int) and (
+        isinstance(value, bool) or not isinstance(value, Real)
+    ):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if (lo < value if above else lo <= value) and value <= hi:
         return

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from pathlib import Path
-from typing import Any, Callable, Container
+from typing import TYPE_CHECKING, Any, Callable, Container
 
 from .calibration import AnchorCase, UnknownCoefficient
 from .errors import SchemaError, build
@@ -23,7 +23,9 @@ from .model import (
     ScenarioSpec,
     TakeoverContext,
 )
-from .simulate import EpisodeConfig
+
+if TYPE_CHECKING:
+    from .simulate import EpisodeConfig
 
 _MISSING: Any = object()
 
@@ -237,6 +239,8 @@ def load_anchors(path: str | Path) -> list[AnchorCase]:
 def episode_config_from_dict(
     data: dict[str, Any], where: str = "episode"
 ) -> EpisodeConfig:
+    from .simulate import EpisodeConfig  # numpy, only for the commands that simulate
+
     _only(data, where, _EPISODE_KEYS)
     driver = driver_from_dict(_get(data, "driver", where), f"{where}.driver")
     coeffs = (

@@ -81,6 +81,11 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, cls in (("driver", DriverProfile), ("scenario", ScenarioSpec),
+                          ("ctx", TakeoverContext), ("coeffs", CoefficientSet)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
         if self.deadline is not None:
             check_range("deadline", self.deadline, 0)
             if self.budget_driver is not None:

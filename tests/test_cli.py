@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tortb
+import tortb.cli
 from tortb import DEFAULT_COEFFICIENTS, estimate_tortb
 from tortb import fileio
 from tortb.cli import main
@@ -446,6 +447,32 @@ def test_simulate_writes_logs_and_report(tmp_path, capsys):
     assert (out_dir / "episode_000.csv").exists()
     assert (out_dir / "episode_001.csv").exists()
     assert "success: 2" in out
+
+
+def count_calls(monkeypatch, module, names):
+    """Replace each named attribute of ``module`` with a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_handlers_call_the_replaceable_cli_attributes(tmp_path, monkeypatch, capsys):
+    """The traced bench times the simulate, render, parse and extract layers by
+    replacing these ``tortb.cli`` attributes; the handlers must call them."""
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    calls = count_calls(monkeypatch, tortb.cli, ["run_batch", "drive_log_to_csv"])
+    argv = ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert run_cli(argv, capsys)[0] == 0
+    assert calls == {"run_batch": 1, "drive_log_to_csv": 2}
+
+    calls = count_calls(monkeypatch, tortb.cli, ["parse_drive_log", "extract_metrics"])
+    assert run_cli(["analyze", "--log", str(make_log_csv(tmp_path))], capsys)[0] == 0
+    assert calls == {"parse_drive_log": 1, "extract_metrics": 1}
 
 
 def test_simulate_byte_identical_reruns(tmp_path, capsys):

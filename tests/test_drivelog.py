@@ -488,7 +488,7 @@ def test_importing_the_package_builds_no_time_grid():
     env = {**os.environ, "PYTHONPATH": str(Path(drivelog.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-c",
-         "import tortb, tortb.cli; print(tortb.drivelog._time_grid[0].size)"],
+         "import tortb, tortb.cli, tortb.drivelog; print(tortb.drivelog._time_grid[0].size)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout == "0\n"

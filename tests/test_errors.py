@@ -163,6 +163,16 @@ REJECTIONS = [
      ValueError, "maneuver_duration must be a number, got True"),
     ("budget_driver_type", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, budget_driver="x"),
      ValueError, "budget_driver must be a DriverProfile or None, got 'x'"),
+    ("driver_type", lambda: EpisodeConfig("x", SCENARIO, CTX),
+     ValueError, "driver must be a DriverProfile, got 'x'"),
+    ("scenario_type", lambda: EpisodeConfig(DRIVER, "S1", CTX),
+     ValueError, "scenario must be a ScenarioSpec, got 'S1'"),
+    ("ctx_type", lambda: EpisodeConfig(DRIVER, SCENARIO, None),
+     ValueError, "ctx must be a TakeoverContext, got None"),
+    ("coeffs_type", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, coeffs="default"),
+     ValueError, "coeffs must be a CoefficientSet, got 'default'"),
+    ("deadline_numpy_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=np.True_),
+     ValueError, f"deadline must be a number, got {np.True_!r}"),
     ("srt_bool", lambda: DriverProfile(False, 80.0),
      ValueError, "srt must be a number, got False"),
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
@@ -234,6 +244,14 @@ def test_check_range_accepts_both_closed_bounds(value):
 def test_check_range_rejects_nan_infinities_and_outside_values(value):
     with pytest.raises(ValueError, match=r"^x must be within \[0, 1\], got "):
         check_range("x", value, 0, 1)
+
+
+def test_check_range_takes_numpy_numbers_but_not_numpy_bools():
+    for value in (np.float64(0.5), np.float32(0.5), np.int64(1)):
+        check_range("x", value, 0, 1)
+    for value in (np.True_, np.False_):
+        with pytest.raises(ValueError, match=r"^x must be a number, got "):
+            check_range("x", value, 0, 1)
 
 
 def test_check_range_default_upper_bound_is_the_largest_float():
