@@ -202,6 +202,25 @@ def test_integral_numbers_read_as_floats(tmp_path):
     assert type(case.driver.srt) is float
 
 
+# A record with two faults reports the one its reader meets first.
+TWO_FAULTS = [
+    (fileio.anchor_from_dict, {**ANCHOR, "unknown": "C_NOA", "scenario": "S9"},
+     "anchor: unknown must be one of ['c_noa', 'c_noj', 'oc'], got 'C_NOA'"),
+    (fileio.episode_config_from_dict, {**EPISODE, "explicit_deadline_s": 3.0, "scenario": "S9"},
+     "episode: deadline_mode 'explicit' and explicit_deadline_s go together"),
+    (fileio.episode_config_from_dict,
+     {**EPISODE, "driver": {**DRIVER, "srt_s": -1}, "deadline_mode": "explicit"},
+     "episode.driver: srt must be within [0, 1], got -1.0"),
+]
+
+
+@pytest.mark.parametrize("from_dict,data,message", TWO_FAULTS)
+def test_first_fault_of_a_two_fault_record_is_reported(from_dict, data, message):
+    with pytest.raises(SchemaError) as info:
+        from_dict(data)
+    assert str(info.value) == message
+
+
 # ------------------------------- property --------------------------------
 
 KEYS = sorted(
@@ -250,3 +269,4 @@ def test_only_schema_errors_escape(from_dict, valid, data):
         from_dict(document, "doc")
     except SchemaError:
         pass
+
