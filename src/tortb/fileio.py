@@ -3,19 +3,26 @@
 Keys carry their unit as a suffix (``c_noa_s``, ``ego_speed_km_per_hr``)
 so values cannot silently drift units.  Malformed input raises
 :class:`~tortb.errors.SchemaError` naming the offending key.
+
+Each record's format is one table below, mapping each JSON key, in read
+order, to the field it fills.  That table alone drives the record's
+writer, its key check and its reader.  A key left out of a record takes
+the default of its field, which only the dataclass states.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+from collections import Counter
 from decimal import Decimal
+from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Container
+from typing import TYPE_CHECKING, Any, Callable, Container, NamedTuple
 
 from .calibration import AnchorCase, UnknownCoefficient
 from .errors import SchemaError, build
 from .model import (
-    DEFAULT_COEFFICIENTS,
     SCENARIO_PRESETS,
     CoefficientSet,
     DriverProfile,
@@ -27,16 +34,14 @@ from .model import (
 if TYPE_CHECKING:
     from .simulate import EpisodeConfig
 
-_MISSING: Any = object()
 
+class _Key(NamedTuple):
+    """How one key of a JSON record is read into its field and written back."""
 
-def _get(data: dict[str, Any], key: str, where: str, default: Any = _MISSING) -> Any:
-    """The value under ``key`` of a record that :func:`_only` has checked."""
-    if key in data:
-        return data[key]
-    if default is _MISSING:
-        raise SchemaError(f"{where}: missing key '{key}'")
-    return default
+    field: str | None  # None: the key fills no field, and its reader only checks the record
+    read: Callable[[dict[str, Any], str, str], Any]  # (record, key, where) -> field value
+    write: Callable[[Any], Any] = lambda value: value  # field value -> JSON value
+    required: bool = False  # present even though the field has a default
 
 
 def _only(data: Any, where: str, keys: Container[str]) -> None:
@@ -48,110 +53,144 @@ def _only(data: Any, where: str, keys: Container[str]) -> None:
             raise SchemaError(f"{where}: unknown key '{key}'")
 
 
-def _typed(
-    data: Any, key: str, where: str, types: Any, what: str, default: Any = _MISSING
-) -> Any:
-    value = _get(data, key, where, default)
+def _typed(data: Any, key: str, where: str, types: Any, what: str) -> Any:
+    value = data[key]
     if isinstance(value, bool) or not isinstance(value, types):
         raise SchemaError(f"{where}: {key} must be {what}, got {value!r}")
     return value
 
 
-def _choice(
-    data: Any, key: str, where: str, choices: list[str], default: Any = _MISSING
-) -> str:
+def _choice(data: Any, key: str, where: str, choices: list[str]) -> str:
     """The value under ``key``, which must equal one of ``choices`` exactly."""
-    value = _get(data, key, where, default)
+    value = data[key]
     if value not in choices:
         raise SchemaError(f"{where}: {key} must be one of {choices}, got {value!r}")
     return value
 
 
-def _number(data: Any, key: str, where: str, default: Any = _MISSING) -> float:
+def _number(data: Any, key: str, where: str) -> float:
     """An int or float (not a bool) under ``key``, as a float."""
-    value = _typed(data, key, where, (int, float), "a number", default)
+    value = _typed(data, key, where, (int, float), "a number")
     try:
         return float(value)
     except OverflowError:
         raise SchemaError(f"{where}: {key} is out of range") from None
 
 
+def _raw(data: Any, key: str, where: str) -> Any:
+    """The value under ``key`` as it is; the dataclass it fills checks its type."""
+    return data[key]
+
+
+def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
+    """Reader and writer of an enum field, held in JSON as its exact value."""
+    choices = [member.value for member in cls]
+    return (lambda data, key, where: cls(_choice(data, key, where, choices)),
+            lambda member: member.value)
+
+
+def _record(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
+    """Reader of the nested record under a key, named ``where.key`` in errors."""
+    return lambda data, key, where: from_dict(data[key], f"{where}.{key}")
+
+
+@cache
+def _optional(cls: Any) -> frozenset[str]:
+    """The fields ``cls`` can be built without: those with a default."""
+    parameters = inspect.signature(cls).parameters.values()
+    return frozenset(p.name for p in parameters if p.default is not p.empty)
+
+
+def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
+    """Build ``cls`` from a JSON record that holds only ``table``'s keys.
+
+    The keys are read in table order.  A key that fills no field is always
+    read, to check the record; another key is read when present, and may be
+    absent only when its field has a default.
+    """
+    _only(data, where, table)
+    fields = {}
+    for key, (field, read, _, required) in table.items():
+        if field is None:
+            read(data, key, where)
+        elif key in data:
+            fields[field] = read(data, key, where)
+        elif required or field not in _optional(cls):
+            raise SchemaError(f"{where}: missing key '{key}'")
+    return build(cls, where, **fields)
+
+
+def _to_dict(obj: Any, table: dict[str, _Key]) -> dict[str, Any]:
+    """The JSON record of ``obj``: each key of ``table``, holding its field as written."""
+    return {key: k.write(getattr(obj, k.field)) for key, k in table.items()}
+
+
+def _band(upper: float, value: float) -> tuple[float, float]:
+    return upper, value
+
+
+def _bands(upper_key: str) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
+    """Reader and writer of a band list, each band an ``(upper, value)`` record."""
+    table = {upper_key: _Key("upper", _number), "value_s": _Key("value", _number)}
+
+    def read(data: Any, key: str, where: str) -> tuple[tuple[float, float], ...]:
+        bands = _typed(data, key, where, list, "a list")
+        return tuple(
+            _from_dict(band, table, _band, f"{where}: {key}[{i}]") for i, band in enumerate(bands)
+        )
+
+    return read, lambda bands: [dict(zip(table, band)) for band in bands]
+
+
+_COEFFICIENTS = {
+    "c_noa_s": _Key("c_noa", _number),
+    "c_noj_s": _Key("c_noj", _number),
+    "rsc_bands": _Key("rsc_bands", *_bands("upper_km_per_hr")),
+    "dec_bands": _Key("dec_bands", *_bands("upper_km_per_wk")),
+    "dec_floor_s": _Key("dec_floor", _number),
+    "ndrtc_handheld_s": _Key("ndrtc_handheld", _number),
+    "oc_repeat_s": _Key("oc_repeat", _number),
+}
+_DRIVER = {
+    "srt_s": _Key("srt", _number),
+    "experience_km_per_wk": _Key("experience_km_per_week", _number),
+}
+_SCENARIO = {
+    "noa": _Key("noa", _raw),
+    "noj": _Key("noj", _raw),
+    "ego_speed_km_per_hr": _Key("ego_speed", _number),
+    "hazard_speed_km_per_hr": _Key("hazard_speed", _number),
+    "label": _Key("label", lambda data, key, where: _typed(data, key, where, str, "a string")),
+}
+_CONTEXT = {
+    "ndrt": _Key("ndrt_class", *_enum(NdrtClass)),
+    # A file states the exposure it describes, as the CLI's --ordinal must.
+    "ordinal": _Key("ordinal", _raw, required=True),
+}
+
+
 def coefficients_to_dict(coeffs: CoefficientSet) -> dict[str, Any]:
-    return {
-        "c_noa_s": coeffs.c_noa,
-        "c_noj_s": coeffs.c_noj,
-        "rsc_bands": [
-            {"upper_km_per_hr": upper, "value_s": value}
-            for upper, value in coeffs.rsc_bands
-        ],
-        "dec_bands": [
-            {"upper_km_per_wk": upper, "value_s": value}
-            for upper, value in coeffs.dec_bands
-        ],
-        "dec_floor_s": coeffs.dec_floor,
-        "ndrtc_handheld_s": coeffs.ndrtc_handheld,
-        "oc_repeat_s": coeffs.oc_repeat,
-    }
+    return _to_dict(coeffs, _COEFFICIENTS)
 
 
 def driver_to_dict(driver: DriverProfile) -> dict[str, Any]:
-    return {"srt_s": driver.srt, "experience_km_per_wk": driver.experience_km_per_week}
+    return _to_dict(driver, _DRIVER)
 
 
 def scenario_to_dict(scenario: ScenarioSpec) -> dict[str, Any]:
-    return {"noa": scenario.noa, "noj": scenario.noj, "ego_speed_km_per_hr": scenario.ego_speed,
-            "hazard_speed_km_per_hr": scenario.hazard_speed, "label": scenario.label}
+    return _to_dict(scenario, _SCENARIO)
 
 
 def context_to_dict(ctx: TakeoverContext) -> dict[str, Any]:
-    return {"ndrt": ctx.ndrt_class.value, "ordinal": ctx.ordinal}
-
-
-# The keys a record read back may hold: for a record with a writer, the
-# keys it writes. The written coefficients also give each band's keys.
-_COEFFICIENT_KEYS = coefficients_to_dict(DEFAULT_COEFFICIENTS)
-_DRIVER_KEYS = driver_to_dict(DriverProfile(0.0, 0.0))
-_SCENARIO_KEYS = scenario_to_dict(SCENARIO_PRESETS["S1"])
-_CONTEXT_KEYS = context_to_dict(TakeoverContext(NdrtClass.HANDS_FREE))
-_ANCHOR_KEYS = ("scenario", "driver", "ctx", "known_tortb_s", "unknown")
-_EPISODE_KEYS = ("driver", "scenario", "ctx", "coefficients", "budget_driver", "deadline_mode",
-                 "explicit_deadline_s", "response_noise_s", "maneuver_duration_s")
-
-
-def _bands(data: Any, key: str, where: str) -> tuple[tuple[float, float], ...]:
-    """The bands under ``key``, each holding the two keys of a written band."""
-    upper_key, value_key = _COEFFICIENT_KEYS[key][0]
-    bands = []
-    for i, band in enumerate(_typed(data, key, where, list, "a list")):
-        at = f"{where}: {key}[{i}]"
-        _only(band, at, (upper_key, value_key))
-        bands.append((_number(band, upper_key, at), _number(band, value_key, at)))
-    return tuple(bands)
+    return _to_dict(ctx, _CONTEXT)
 
 
 def coefficients_from_dict(data: dict[str, Any], where: str = "coefficients") -> CoefficientSet:
-    _only(data, where, _COEFFICIENT_KEYS)
-    return build(
-        CoefficientSet,
-        where,
-        c_noa=_number(data, "c_noa_s", where),
-        c_noj=_number(data, "c_noj_s", where),
-        rsc_bands=_bands(data, "rsc_bands", where),
-        dec_bands=_bands(data, "dec_bands", where),
-        dec_floor=_number(data, "dec_floor_s", where),
-        ndrtc_handheld=_number(data, "ndrtc_handheld_s", where),
-        oc_repeat=_number(data, "oc_repeat_s", where),
-    )
+    return _from_dict(data, _COEFFICIENTS, CoefficientSet, where)
 
 
 def driver_from_dict(data: dict[str, Any], where: str = "driver") -> DriverProfile:
-    _only(data, where, _DRIVER_KEYS)
-    return build(
-        DriverProfile,
-        where,
-        srt=_number(data, "srt_s", where),
-        experience_km_per_week=_number(data, "experience_km_per_wk", where),
-    )
+    return _from_dict(data, _DRIVER, DriverProfile, where)
 
 
 def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> ScenarioSpec:
@@ -160,23 +199,11 @@ def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> S
         if data not in SCENARIO_PRESETS:
             raise SchemaError(f"{where}: unknown preset '{data}'")
         return SCENARIO_PRESETS[data]
-    _only(data, where, _SCENARIO_KEYS)
-    return build(
-        ScenarioSpec,
-        where,
-        noa=_get(data, "noa", where),
-        noj=_get(data, "noj", where),
-        ego_speed=_number(data, "ego_speed_km_per_hr", where),
-        hazard_speed=_number(data, "hazard_speed_km_per_hr", where, 0.0),
-        label=_typed(data, "label", where, str, "a string", ""),
-    )
+    return _from_dict(data, _SCENARIO, ScenarioSpec, where)
 
 
 def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverContext:
-    _only(data, where, _CONTEXT_KEYS)
-    ndrt = _choice(data, "ndrt", where, [c.value for c in NdrtClass])
-    ordinal = _get(data, "ordinal", where)
-    return build(TakeoverContext, where, ndrt_class=NdrtClass(ndrt), ordinal=ordinal)
+    return _from_dict(data, _CONTEXT, TakeoverContext, where)
 
 
 def load_json(path: str | Path) -> Any:
@@ -184,10 +211,18 @@ def load_json(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        record = dict(pairs)
+        if len(record) < len(pairs):
+            twice = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+            raise SchemaError(f"{path}: duplicate key '{twice}'")
+        return record
+
     try:
         # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
         # reader, and that reader names the key they sit under.
-        return json.loads(text, parse_constant=Decimal)
+        return json.loads(text, parse_constant=Decimal, object_pairs_hook=unique)
     except ValueError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
@@ -204,6 +239,8 @@ def _load_list(
     the ``optional`` keys besides; parse each entry."""
     data = load_json(path)
     _only(data, str(path), (key, *optional))
+    if key not in data:
+        raise SchemaError(f"{path}: missing key '{key}'")
     entries = _typed(data, key, str(path), list, "a list")
     if not entries:
         raise SchemaError(f"{path}: {key} list is empty")
@@ -218,22 +255,46 @@ def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
     Path(path).write_text(json_text(coefficients_to_dict(coeffs)), encoding="utf-8")
 
 
+_ANCHOR = {
+    "unknown": _Key("unknown", *_enum(UnknownCoefficient)),
+    "scenario": _Key("scenario", _record(scenario_from_dict)),
+    "driver": _Key("driver", _record(driver_from_dict)),
+    "ctx": _Key("ctx", _record(context_from_dict)),
+    "known_tortb_s": _Key("known_tortb", _number),
+}
+
+
 def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
-    _only(data, where, _ANCHOR_KEYS)
-    unknown = _choice(data, "unknown", where, [u.value for u in UnknownCoefficient])
-    return build(
-        AnchorCase,
-        where,
-        scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
-        driver=driver_from_dict(_get(data, "driver", where), f"{where}.driver"),
-        ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
-        known_tortb=_number(data, "known_tortb_s", where),
-        unknown=UnknownCoefficient(unknown),
-    )
+    return _from_dict(data, _ANCHOR, AnchorCase, where)
 
 
 def load_anchors(path: str | Path) -> list[AnchorCase]:
     return _load_list(path, "anchors", anchor_from_dict)[1]
+
+
+def _deadline_mode(data: Any, key: str, where: str) -> None:
+    """Check that ``deadline_mode`` 'explicit' and an ``explicit_deadline_s`` come together."""
+    mode = _choice(data, key, where, ["from_budget", "explicit"]) if key in data else None
+    if (mode == "explicit") != (data.get("explicit_deadline_s") is not None):
+        raise SchemaError(
+            f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
+        )
+
+
+_EPISODE = {
+    "driver": _Key("driver", _record(driver_from_dict)),
+    "coefficients": _Key("coeffs", _record(coefficients_from_dict)),
+    "budget_driver": _Key("budget_driver", _record(driver_from_dict)),
+    "deadline_mode": _Key(None, _deadline_mode),
+    "scenario": _Key("scenario", _record(scenario_from_dict)),
+    "ctx": _Key("ctx", _record(context_from_dict)),
+    # A null deadline is unset, as is an absent one.
+    "explicit_deadline_s": _Key(
+        "deadline", lambda data, key, where: None if data[key] is None else _number(data, key, where)
+    ),
+    "response_noise_s": _Key("response_noise", _number),
+    "maneuver_duration_s": _Key("maneuver_duration", _number),
+}
 
 
 def episode_config_from_dict(
@@ -241,36 +302,7 @@ def episode_config_from_dict(
 ) -> EpisodeConfig:
     from .simulate import EpisodeConfig  # numpy, only for the commands that simulate
 
-    _only(data, where, _EPISODE_KEYS)
-    driver = driver_from_dict(_get(data, "driver", where), f"{where}.driver")
-    coeffs = (
-        coefficients_from_dict(data["coefficients"], f"{where}.coefficients")
-        if "coefficients" in data
-        else DEFAULT_COEFFICIENTS
-    )
-    budget_driver = (
-        driver_from_dict(data["budget_driver"], f"{where}.budget_driver")
-        if "budget_driver" in data
-        else None
-    )
-    mode = _choice(data, "deadline_mode", where, ["from_budget", "explicit"], "from_budget")
-    explicit = data.get("explicit_deadline_s")
-    if (mode == "explicit") != (explicit is not None):
-        raise SchemaError(
-            f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
-        )
-    return build(
-        EpisodeConfig,
-        where,
-        driver=driver,
-        scenario=scenario_from_dict(_get(data, "scenario", where), f"{where}.scenario"),
-        ctx=context_from_dict(_get(data, "ctx", where), f"{where}.ctx"),
-        coeffs=coeffs,
-        deadline=None if explicit is None else _number(data, "explicit_deadline_s", where),
-        budget_driver=budget_driver,
-        response_noise=_number(data, "response_noise_s", where, 0.0),
-        maneuver_duration=_number(data, "maneuver_duration_s", where, 2.0),
-    )
+    return _from_dict(data, _EPISODE, EpisodeConfig, where)
 
 
 def load_episode_configs(path: str | Path) -> tuple[list[EpisodeConfig], int | None]:

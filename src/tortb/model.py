@@ -121,6 +121,9 @@ def _validate_bands(
     # Comparing from -inf makes a NaN bound fail even in a one-band table.
     if not all(a < b for a, b in zip([-math.inf] + uppers, uppers)):
         raise ValueError(f"{name} upper bounds must strictly increase, got {uppers}")
+    # Once they increase, only the last bound can be infinite.
+    if uppers[-1] == math.inf:
+        raise ValueError(f"{name} upper bounds must be finite, got {uppers}")
     if values_decrease:
         if any(b > a for a, b in zip(values, values[1:])):
             raise ValueError(f"{name} values must not increase with the band key")

@@ -1,5 +1,6 @@
 """Tests for the JSON file layer: round trips and strict rejection."""
 
+import dataclasses
 import json
 
 import pytest
@@ -71,6 +72,55 @@ def test_context_round_trip(ctx):
     assert fileio.context_from_dict(fileio.context_to_dict(ctx)) == ctx
 
 
+# --------------------------- keys and defaults ---------------------------
+
+RAW_COEFFS = fileio.coefficients_to_dict(RAW_COEFFICIENTS)
+# (reader, writer or None, a document holding every key with a value other
+# than its default, the keys it may leave out with the field each fills,
+# the other keys the reader accepts)
+RECORDS = [
+    (fileio.coefficients_from_dict, fileio.coefficients_to_dict, RAW_COEFFS, {}, set()),
+    (fileio.driver_from_dict, fileio.driver_to_dict, DRIVER, {}, set()),
+    (fileio.scenario_from_dict, fileio.scenario_to_dict,
+     {**INLINE_SCENARIO, "hazard_speed_km_per_hr": 30, "label": "x"},
+     {"hazard_speed_km_per_hr": "hazard_speed", "label": "label"}, set()),
+    (fileio.context_from_dict, fileio.context_to_dict, {"ndrt": "handheld", "ordinal": 2}, {},
+     set()),
+    (fileio.anchor_from_dict, None, ANCHOR, {}, set()),
+    (fileio.episode_config_from_dict, None,
+     {**EPISODE, "coefficients": RAW_COEFFS, "budget_driver": {**DRIVER, "srt_s": 0.25},
+      "response_noise_s": 0.5, "maneuver_duration_s": 3.0},
+     {"coefficients": "coeffs", "budget_driver": "budget_driver",
+      "response_noise_s": "response_noise", "maneuver_duration_s": "maneuver_duration"},
+     # An explicit deadline excludes a budget_driver; the pair has its own tests.
+     {"deadline_mode", "explicit_deadline_s"}),
+]
+RECORD_KEYS = set().union(*(set(document) | also for _, _, document, _, also in RECORDS))
+
+
+@pytest.mark.parametrize("from_dict,to_dict,document,optional,also", RECORDS,
+                         ids=[record[0].__name__ for record in RECORDS])
+def test_a_record_reads_the_keys_it_writes_and_defaults_each_optional_one(
+    from_dict, to_dict, document, optional, also
+):
+    record = from_dict(document)
+    if to_dict is not None:
+        assert set(to_dict(record)) == set(document) | also
+    for key in sorted(RECORD_KEYS - set(document) - also):
+        with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
+            from_dict({**document, key: 0})
+    defaults = {field.name: field.default for field in dataclasses.fields(record)}
+    for key in document:
+        rest = {k: v for k, v in document.items() if k != key}
+        if key in optional:
+            field = optional[key]
+            assert getattr(record, field) != defaults[field]
+            assert from_dict(rest) == dataclasses.replace(record, **{field: defaults[field]})
+        else:
+            with pytest.raises(SchemaError, match=f"missing key '{key}'"):
+                from_dict(rest)
+
+
 # --------------------------- malformed documents -------------------------
 
 
@@ -90,6 +140,12 @@ def band(key, i, **fields):
     bands = [dict(b) for b in COEFFS[key]]
     bands[i].update(fields)
     return coeffs(**{key: bands})
+
+
+def twice(document, key):
+    """The JSON text of ``document`` with its ``"twice"`` key renamed ``key``,
+    a key the same record already holds."""
+    return json.dumps(document).replace('"twice"', f'"{key}"')
 
 
 NAN = float("nan")
@@ -141,6 +197,15 @@ MALFORMED = [
     ("anchors", anchor(scenario="S9"), "unknown preset 'S9'"),
     ("anchors", anchor(unknown="C_NOA"), "unknown must be one of"),
     ("episodes", {"episodes": []}, "episodes list is empty"),
+    ("coefficients", twice(coeffs(twice=0), "c_noa_s"), "duplicate key 'c_noa_s'"),
+    ("coefficients", twice(band("rsc_bands", 0, twice=0), "upper_km_per_hr"),
+     "duplicate key 'upper_km_per_hr'"),
+    ("anchors", twice({**anchor(), "twice": 0}, "anchors"), "duplicate key 'anchors'"),
+    ("anchors", twice(anchor(driver={**DRIVER, "twice": 0}), "srt_s"), "duplicate key 'srt_s'"),
+    ("episodes", twice({**episode(), "base_seed": 1, "twice": 0}, "base_seed"),
+     "duplicate key 'base_seed'"),
+    ("episodes", twice(episode(scenario={**INLINE_SCENARIO, "twice": 0}), "noa"),
+     "duplicate key 'noa'"),
 ]
 
 LOADERS = {
@@ -155,7 +220,8 @@ LOADERS = {
 def test_malformed_document_raises_schema_error(loader, document, expected, tmp_path):
     path = tmp_path / "doc.json"
     # json.dumps writes NaN and Infinity literals, which the loader must reject.
-    path.write_text(json.dumps(document), encoding="utf-8")
+    text = document if isinstance(document, str) else json.dumps(document)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaError) as info:
         LOADERS[loader](path)
     assert "doc.json" in str(info.value) and expected in str(info.value)
