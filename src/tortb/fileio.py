@@ -41,7 +41,14 @@ class _Key(NamedTuple):
     field: str | None  # None: the key fills no field, and its reader only checks the record
     read: Callable[[dict[str, Any], str, str], Any]  # (record, key, where) -> field value
     write: Callable[[Any], Any] = lambda value: value  # field value -> JSON value
-    required: bool = False  # present even though the field has a default
+    required: bool = False  # required even though its field has a default
+
+
+def _get(data: dict[str, Any], key: str, where: str) -> Any:
+    """The value under ``key`` of a record that :func:`_only` has checked."""
+    if key not in data:
+        raise SchemaError(f"{where}: missing key '{key}'")
+    return data[key]
 
 
 def _only(data: Any, where: str, keys: Container[str]) -> None:
@@ -54,7 +61,7 @@ def _only(data: Any, where: str, keys: Container[str]) -> None:
 
 
 def _typed(data: Any, key: str, where: str, types: Any, what: str) -> Any:
-    value = data[key]
+    value = _get(data, key, where)
     if isinstance(value, bool) or not isinstance(value, types):
         raise SchemaError(f"{where}: {key} must be {what}, got {value!r}")
     return value
@@ -62,7 +69,7 @@ def _typed(data: Any, key: str, where: str, types: Any, what: str) -> Any:
 
 def _choice(data: Any, key: str, where: str, choices: list[str]) -> str:
     """The value under ``key``, which must equal one of ``choices`` exactly."""
-    value = data[key]
+    value = _get(data, key, where)
     if value not in choices:
         raise SchemaError(f"{where}: {key} must be one of {choices}, got {value!r}")
     return value
@@ -77,9 +84,9 @@ def _number(data: Any, key: str, where: str) -> float:
         raise SchemaError(f"{where}: {key} is out of range") from None
 
 
-def _raw(data: Any, key: str, where: str) -> Any:
-    """The value under ``key`` as it is; the dataclass it fills checks its type."""
-    return data[key]
+def _number_or_null(data: Any, key: str, where: str) -> float | None:
+    """A number under ``key``, or None for ``null``, which leaves it unset."""
+    return None if _get(data, key, where) is None else _number(data, key, where)
 
 
 def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
@@ -91,7 +98,7 @@ def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
 
 def _record(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
     """Reader of the nested record under a key, named ``where.key`` in errors."""
-    return lambda data, key, where: from_dict(data[key], f"{where}.{key}")
+    return lambda data, key, where: from_dict(_get(data, key, where), f"{where}.{key}")
 
 
 @cache
@@ -105,18 +112,16 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
     """Build ``cls`` from a JSON record that holds only ``table``'s keys.
 
     The keys are read in table order.  A key that fills no field is always
-    read, to check the record; another key is read when present, and may be
-    absent only when its field has a default.
+    read, to check the record.  An absent key whose field has a default is
+    left to it; every reader raises on any other absent key.
     """
     _only(data, where, table)
     fields = {}
     for key, (field, read, _, required) in table.items():
         if field is None:
             read(data, key, where)
-        elif key in data:
+        elif key in data or required or field not in _optional(cls):
             fields[field] = read(data, key, where)
-        elif required or field not in _optional(cls):
-            raise SchemaError(f"{where}: missing key '{key}'")
     return build(cls, where, **fields)
 
 
@@ -155,9 +160,10 @@ _DRIVER = {
     "srt_s": _Key("srt", _number),
     "experience_km_per_wk": _Key("experience_km_per_week", _number),
 }
+# noa, noj and ordinal are read as they are: their dataclass checks that each is an int.
 _SCENARIO = {
-    "noa": _Key("noa", _raw),
-    "noj": _Key("noj", _raw),
+    "noa": _Key("noa", _get),
+    "noj": _Key("noj", _get),
     "ego_speed_km_per_hr": _Key("ego_speed", _number),
     "hazard_speed_km_per_hr": _Key("hazard_speed", _number),
     "label": _Key("label", lambda data, key, where: _typed(data, key, where, str, "a string")),
@@ -165,7 +171,7 @@ _SCENARIO = {
 _CONTEXT = {
     "ndrt": _Key("ndrt_class", *_enum(NdrtClass)),
     # A file states the exposure it describes, as the CLI's --ordinal must.
-    "ordinal": _Key("ordinal", _raw, required=True),
+    "ordinal": _Key("ordinal", _get, required=True),
 }
 
 
@@ -239,8 +245,6 @@ def _load_list(
     the ``optional`` keys besides; parse each entry."""
     data = load_json(path)
     _only(data, str(path), (key, *optional))
-    if key not in data:
-        raise SchemaError(f"{path}: missing key '{key}'")
     entries = _typed(data, key, str(path), list, "a list")
     if not entries:
         raise SchemaError(f"{path}: {key} list is empty")
@@ -288,10 +292,7 @@ _EPISODE = {
     "deadline_mode": _Key(None, _deadline_mode),
     "scenario": _Key("scenario", _record(scenario_from_dict)),
     "ctx": _Key("ctx", _record(context_from_dict)),
-    # A null deadline is unset, as is an absent one.
-    "explicit_deadline_s": _Key(
-        "deadline", lambda data, key, where: None if data[key] is None else _number(data, key, where)
-    ),
+    "explicit_deadline_s": _Key("deadline", _number_or_null),
     "response_noise_s": _Key("response_noise", _number),
     "maneuver_duration_s": _Key("maneuver_duration", _number),
 }

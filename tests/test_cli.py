@@ -181,7 +181,8 @@ def test_estimate_coeff_file_errors(tmp_path, capsys):
     text = json.dumps(fileio.coefficients_to_dict(DEFAULT_COEFFICIENTS))
     # The last RSC bound 1e999 reads as inf; a repeated key would win with its last value.
     for broken_text, message in [
-        (text.replace("130.0", "1e999"), "rsc_bands upper bounds must be finite, got [50.0, 80.0, inf]"),
+        (text.replace("130.0", "1e999"),
+         "rsc_bands upper bounds must be finite, got [50.0, 80.0, inf]"),
         (text[:-1] + ', "c_noa_s": 99.0}', "duplicate key 'c_noa_s'"),
     ]:
         broken.write_text(broken_text, encoding="utf-8")

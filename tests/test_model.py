@@ -198,7 +198,8 @@ def test_coefficient_set_validation():
             replace(DEFAULT_COEFFICIENTS, rsc_bands=((bad, 0.25),))
         with pytest.raises(ValueError, match="dec_bands upper bounds"):
             replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 2.0), (bad, 1.5)))
-    with pytest.raises(ValueError, match=r"^rsc_bands upper bounds must be finite, got \[50.0, inf\]$"):
+    finite = r"^rsc_bands upper bounds must be finite, got \[50.0, inf\]$"
+    with pytest.raises(ValueError, match=finite):
         replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, 0.25), (math.inf, 0.5)))
 
 
