@@ -335,4 +335,3 @@ def test_only_schema_errors_escape(from_dict, valid, data):
         from_dict(document, "doc")
     except SchemaError:
         pass
-
