@@ -259,6 +259,33 @@ def test_unknown_key_is_refused_naming_the_record(loader, document, where, key, 
     assert str(info.value) == f"{path}: {where}unknown key '{key}'"
 
 
+# (loader, document, the whole message after the path): each fault of a
+# file's top level, and one document with two faults.
+TOP_LEVEL = [
+    *((loader, document, message) for loader in ("anchors", "episodes") for document, message in [
+        ([1], "expected a JSON object, got [1]"),
+        ({}, f"missing key '{loader}'"),
+        ({loader: 3}, f"{loader} must be a list, got 3"),
+        ({loader: []}, f"{loader} list is empty"),
+        ({loader: ["x"]}, f"{loader}[0]: expected a JSON object, got 'x'"),
+        ({loader: [], "seed": 1}, "unknown key 'seed'"),
+    ]),
+    ("episodes", {**episode(), "base_seed": True}, "base_seed must be an integer, got True"),
+    ("episodes", {**episode(), "base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+    ("episodes", {"episodes": [], "base_seed": True}, "episodes list is empty"),
+]
+
+
+@pytest.mark.parametrize("loader,document,message", TOP_LEVEL,
+                         ids=[f"{i}-{m[0]}" for i, m in enumerate(TOP_LEVEL)])
+def test_top_level_fault_message(loader, document, message, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        LOADERS[loader](path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_integral_numbers_read_as_floats(tmp_path):
     path = tmp_path / "doc.json"
     driver = {"srt_s": 0, "experience_km_per_wk": 20}
