@@ -4,9 +4,9 @@ Keys carry their unit as a suffix (``c_noa_s``, ``ego_speed_km_per_hr``)
 so values cannot silently drift units.  Malformed input raises
 :class:`~tortb.errors.SchemaError` naming the offending key.
 
-Each record's format is one table below, mapping each JSON key, in read
-order, to the field it fills.  That table alone drives the record's
-writer, its key check and its reader.  A key left out of a record takes
+Each record's format, a file's top level included, is one table below,
+mapping each JSON key, in read order, to the field it fills.  That table
+alone drives the record's writer, its key check and its reader.  A key left out of a record takes
 the default of its field, which only the dataclass states.
 """
 
@@ -41,7 +41,6 @@ class _Key(NamedTuple):
     field: str | None  # None: the key fills no field, and its reader only checks the record
     read: Callable[[dict[str, Any], str, str], Any]  # (record, key, where) -> field value
     write: Callable[[Any], Any] = lambda value: value  # field value -> JSON value
-    required: bool = False  # required even though its field has a default
 
 
 def _get(data: dict[str, Any], key: str, where: str) -> Any:
@@ -84,9 +83,9 @@ def _number(data: Any, key: str, where: str) -> float:
         raise SchemaError(f"{where}: {key} is out of range") from None
 
 
-def _number_or_null(data: Any, key: str, where: str) -> float | None:
-    """A number under ``key``, or None for ``null``, which leaves it unset."""
-    return None if _get(data, key, where) is None else _number(data, key, where)
+def _or_null(read: Callable[..., Any]) -> Callable[..., Any]:
+    """Reader of ``null``, as None, or of a value ``read`` takes."""
+    return lambda d, k, w: None if _get(d, k, w) is None else read(d, k, w)
 
 
 def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
@@ -99,6 +98,18 @@ def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
 def _record(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
     """Reader of the nested record under a key, named ``where.key`` in errors."""
     return lambda data, key, where: from_dict(_get(data, key, where), f"{where}.{key}")
+
+
+def _list(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
+    """Reader of a non-empty list of records under a key, entry ``i`` named ``where: key[i]``."""
+
+    def read(data: Any, key: str, where: str) -> list[Any]:
+        entries = _typed(data, key, where, list, "a list")
+        if not entries:
+            raise SchemaError(f"{where}: {key} list is empty")
+        return [from_dict(entry, f"{where}: {key}[{i}]") for i, entry in enumerate(entries)]
+
+    return read
 
 
 @cache
@@ -117,10 +128,10 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
     """
     _only(data, where, table)
     fields = {}
-    for key, (field, read, _, required) in table.items():
+    for key, (field, read, _) in table.items():
         if field is None:
             read(data, key, where)
-        elif key in data or required or field not in _optional(cls):
+        elif key in data or field not in _optional(cls):
             fields[field] = read(data, key, where)
     return build(cls, where, **fields)
 
@@ -137,14 +148,8 @@ def _band(upper: float, value: float) -> tuple[float, float]:
 def _bands(upper_key: str) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
     """Reader and writer of a band list, each band an ``(upper, value)`` record."""
     table = {upper_key: _Key("upper", _number), "value_s": _Key("value", _number)}
-
-    def read(data: Any, key: str, where: str) -> tuple[tuple[float, float], ...]:
-        bands = _typed(data, key, where, list, "a list")
-        return tuple(
-            _from_dict(band, table, _band, f"{where}: {key}[{i}]") for i, band in enumerate(bands)
-        )
-
-    return read, lambda bands: [dict(zip(table, band)) for band in bands]
+    return (_list(lambda band, where: _from_dict(band, table, _band, where)),
+            lambda bands: [dict(zip(table, band)) for band in bands])
 
 
 _COEFFICIENTS = {
@@ -170,8 +175,7 @@ _SCENARIO = {
 }
 _CONTEXT = {
     "ndrt": _Key("ndrt_class", *_enum(NdrtClass)),
-    # A file states the exposure it describes, as the CLI's --ordinal must.
-    "ordinal": _Key("ordinal", _get, required=True),
+    "ordinal": _Key("ordinal", _get),
 }
 
 
@@ -238,19 +242,6 @@ def json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _load_list(
-    path: str | Path, key: str, from_dict: Callable[..., Any], *optional: str
-) -> tuple[Any, list]:
-    """Read a JSON object holding a non-empty list under ``key``, and only
-    the ``optional`` keys besides; parse each entry."""
-    data = load_json(path)
-    _only(data, str(path), (key, *optional))
-    entries = _typed(data, key, str(path), list, "a list")
-    if not entries:
-        raise SchemaError(f"{path}: {key} list is empty")
-    return data, [from_dict(entry, f"{path}: {key}[{i}]") for i, entry in enumerate(entries)]
-
-
 def load_coefficients(path: str | Path) -> CoefficientSet:
     return coefficients_from_dict(load_json(path), where=str(path))
 
@@ -272,17 +263,22 @@ def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
     return _from_dict(data, _ANCHOR, AnchorCase, where)
 
 
+def _anchors(anchors: list[AnchorCase]) -> list[AnchorCase]:
+    return anchors
+
+
+_ANCHORS = {"anchors": _Key("anchors", _list(anchor_from_dict))}
+
+
 def load_anchors(path: str | Path) -> list[AnchorCase]:
-    return _load_list(path, "anchors", anchor_from_dict)[1]
+    return _from_dict(load_json(path), _ANCHORS, _anchors, str(path))
 
 
 def _deadline_mode(data: Any, key: str, where: str) -> None:
     """Check that ``deadline_mode`` 'explicit' and an ``explicit_deadline_s`` come together."""
     mode = _choice(data, key, where, ["from_budget", "explicit"]) if key in data else None
     if (mode == "explicit") != (data.get("explicit_deadline_s") is not None):
-        raise SchemaError(
-            f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
-        )
+        raise SchemaError(f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together")
 
 
 _EPISODE = {
@@ -292,23 +288,30 @@ _EPISODE = {
     "deadline_mode": _Key(None, _deadline_mode),
     "scenario": _Key("scenario", _record(scenario_from_dict)),
     "ctx": _Key("ctx", _record(context_from_dict)),
-    "explicit_deadline_s": _Key("deadline", _number_or_null),
+    "explicit_deadline_s": _Key("deadline", _or_null(_number)),
     "response_noise_s": _Key("response_noise", _number),
     "maneuver_duration_s": _Key("maneuver_duration", _number),
 }
 
 
-def episode_config_from_dict(
-    data: dict[str, Any], where: str = "episode"
-) -> EpisodeConfig:
+def episode_config_from_dict(data: dict[str, Any], where: str = "episode") -> EpisodeConfig:
     from .simulate import EpisodeConfig  # numpy, only for the commands that simulate
 
     return _from_dict(data, _EPISODE, EpisodeConfig, where)
 
 
+def _episodes(
+    episodes: list[EpisodeConfig], base_seed: int | None = None
+) -> tuple[list[EpisodeConfig], int | None]:
+    return episodes, base_seed
+
+
+_EPISODES = {
+    "episodes": _Key("episodes", _list(episode_config_from_dict)),
+    "base_seed": _Key("base_seed", _or_null(lambda d, k, w: _typed(d, k, w, int, "an integer"))),
+}
+
+
 def load_episode_configs(path: str | Path) -> tuple[list[EpisodeConfig], int | None]:
     """Load episode configs and the file's base seed (None when unset)."""
-    data, configs = _load_list(path, "episodes", episode_config_from_dict, "base_seed")
-    if data.get("base_seed") is None:
-        return configs, None
-    return configs, _typed(data, "base_seed", str(path), int, "an integer")
+    return _from_dict(load_json(path), _EPISODES, _episodes, str(path))

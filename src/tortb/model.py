@@ -103,7 +103,7 @@ class TakeoverContext:
     """Driver-state inputs that are not part of the scenario geometry."""
 
     ndrt_class: NdrtClass
-    ordinal: int = 1  # 1 = first exposure to this scenario class
+    ordinal: int  # 1 = first exposure to this scenario class
 
     def __post_init__(self) -> None:
         check_count("ordinal", self.ordinal, 1)
@@ -111,24 +111,24 @@ class TakeoverContext:
 
 def _validate_bands(
     name: str, bands: tuple[tuple[float, float], ...], *, values_decrease: bool
-) -> None:
+) -> tuple[tuple[float, float], ...]:
+    """Check a band table, each entry a number before it becomes a float; return the floats."""
+    if not isinstance(bands, (tuple, list)):
+        raise ValueError(f"{name} must be a tuple of (upper, value) pairs, got {bands!r}")
     if not bands:
         raise ValueError(f"{name} must contain at least one band")
-    uppers = [u for u, _ in bands]
-    values = [v for _, v in bands]
-    for i, value in enumerate(values):
-        check_range(f"{name} values[{i}]", value, 0)
-    # Comparing from -inf makes a NaN bound fail even in a one-band table.
-    if not all(a < b for a, b in zip([-math.inf] + uppers, uppers)):
+    for i, band in enumerate(bands):
+        if not isinstance(band, (tuple, list)) or len(band) != 2:
+            raise ValueError(f"{name}[{i}] must be an (upper, value) pair, got {band!r}")
+        check_range(f"{name} upper bounds[{i}]", band[0], 0)
+        check_range(f"{name} values[{i}]", band[1], 0)
+    uppers, values = ([float(x) for x in column] for column in zip(*bands))
+    if not all(a < b for a, b in zip(uppers, uppers[1:])):
         raise ValueError(f"{name} upper bounds must strictly increase, got {uppers}")
-    # Once they increase, only the last bound can be infinite.
-    if uppers[-1] == math.inf:
-        raise ValueError(f"{name} upper bounds must be finite, got {uppers}")
-    if values_decrease:
-        if any(b > a for a, b in zip(values, values[1:])):
-            raise ValueError(f"{name} values must not increase with the band key")
-    elif any(b < a for a, b in zip(values, values[1:])):
-        raise ValueError(f"{name} values must not decrease with the band key")
+    if any(b > a if values_decrease else b < a for a, b in zip(values, values[1:])):
+        trend = "increase" if values_decrease else "decrease"
+        raise ValueError(f"{name} values must not {trend} with the band key")
+    return tuple(zip(uppers, values))
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,11 @@ class CoefficientSet:
     oc_repeat: float  # [s] deduction from the second exposure on
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rsc_bands", tuple((float(u), float(v)) for u, v in self.rsc_bands)
-        )
-        object.__setattr__(
-            self, "dec_bands", tuple((float(u), float(v)) for u, v in self.dec_bands)
-        )
         for name in ("c_noa", "c_noj", "dec_floor", "ndrtc_handheld", "oc_repeat"):
             check_range(name, getattr(self, name), 0)
-        _validate_bands("rsc_bands", self.rsc_bands, values_decrease=False)
-        _validate_bands("dec_bands", self.dec_bands, values_decrease=True)
+        for name, values_decrease in (("rsc_bands", False), ("dec_bands", True)):
+            bands = _validate_bands(name, getattr(self, name), values_decrease=values_decrease)
+            object.__setattr__(self, name, bands)
 
     def rounded(self) -> "CoefficientSet":
         """Copy with the scalar coefficients at one-decimal precision.

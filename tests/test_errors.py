@@ -19,6 +19,8 @@ from tortb.errors import (
 )
 from tortb.fileio import (
     anchor_from_dict,
+    coefficients_from_dict,
+    coefficients_to_dict,
     context_from_dict,
     episode_config_from_dict,
     scenario_from_dict,
@@ -36,7 +38,7 @@ from tortb.simulate import EpisodeConfig, run_batch
 
 DRIVER = DriverProfile(srt=0.2, experience_km_per_week=80.0)
 SCENARIO = SCENARIO_PRESETS["S1"]
-CTX = TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE)
+CTX = TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1)
 T = np.arange(401) / 20.0
 ZEROS = np.zeros(401)
 
@@ -103,6 +105,29 @@ REJECTIONS = [
      ValueError, "rsc_bands values[1] must be finite and >= 0, got nan"),
     ("dec_bands", lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, -2.0),)),
      ValueError, "dec_bands values[0] must be finite and >= 0, got -2.0"),
+    ("rsc_bands_int", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=5),
+     ValueError, "rsc_bands must be a tuple of (upper, value) pairs, got 5"),
+    ("rsc_bands_none", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=None),
+     ValueError, "rsc_bands must be a tuple of (upper, value) pairs, got None"),
+    ("dec_bands_three_items",
+     lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 2.0), (100.0, 1.5, 0.0))),
+     ValueError, "dec_bands[1] must be an (upper, value) pair, got (100.0, 1.5, 0.0)"),
+    ("rsc_bands_str_value", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, "1"),)),
+     ValueError, "rsc_bands values[0] must be a number, got '1'"),
+    ("rsc_bands_bool_bound", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((True, 1.0),)),
+     ValueError, "rsc_bands upper bounds[0] must be a number, got True"),
+    ("rsc_bands_huge_bound", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((10**400, 1.0),)),
+     ValueError, f"rsc_bands upper bounds[0] must be finite and >= 0, got {10**400}"),
+    ("rsc_bands_inf_bound",
+     lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, 0.25), (math.inf, 0.5))),
+     ValueError, "rsc_bands upper bounds[1] must be finite and >= 0, got inf"),
+    ("dec_bands_negative_bound",
+     lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((-5.0, 2.0), (100.0, 1.5))),
+     ValueError, "dec_bands upper bounds[0] must be finite and >= 0, got -5.0"),
+    ("rsc_bands_file_empty",
+     lambda: coefficients_from_dict({**coefficients_to_dict(DEFAULT_COEFFICIENTS),
+                                     "rsc_bands": []}),
+     SchemaError, "coefficients: rsc_bands list is empty"),
     ("known_tortb", lambda: AnchorCase(SCENARIO, DRIVER, CTX, 0.0, UnknownCoefficient.C_NOA),
      ValueError, "known_tortb must be finite and > 0, got 0.0"),
     ("ordinal_effect_size", lambda: derive_oc(math.nan, 7.0),

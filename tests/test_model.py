@@ -171,6 +171,9 @@ def test_context_validation():
         TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=0)
     with pytest.raises(ValueError, match="ordinal"):
         TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=math.nan)
+    # Every input path states the exposure, as the CLI's --ordinal and a ctx record must.
+    with pytest.raises(TypeError, match="'ordinal'"):
+        TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE)
 
 
 def test_coefficient_set_validation():
@@ -198,7 +201,7 @@ def test_coefficient_set_validation():
             replace(DEFAULT_COEFFICIENTS, rsc_bands=((bad, 0.25),))
         with pytest.raises(ValueError, match="dec_bands upper bounds"):
             replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 2.0), (bad, 1.5)))
-    finite = r"^rsc_bands upper bounds must be finite, got \[50.0, inf\]$"
+    finite = r"^rsc_bands upper bounds\[1\] must be finite and >= 0, got inf$"
     with pytest.raises(ValueError, match=finite):
         replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, 0.25), (math.inf, 0.5)))
 
@@ -215,7 +218,7 @@ def test_scenario_presets():
 
 def preset_components(name):
     return estimate_tortb(
-        TABLE_DRIVER, SCENARIO_PRESETS[name], TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE)
+        TABLE_DRIVER, SCENARIO_PRESETS[name], TakeoverContext(NdrtClass.HANDS_FREE, ordinal=1)
     ).components
 
 
