@@ -4,9 +4,9 @@ Keys carry their unit as a suffix (``c_noa_s``, ``ego_speed_km_per_hr``)
 so values cannot silently drift units.  Malformed input raises
 :class:`~tortb.errors.SchemaError` naming the offending key.
 
-Each record's format, a file's top level included, is one table below,
-mapping each JSON key, in read order, to the field it fills.  That table
-alone drives the record's writer, its key check and its reader.  A key left out of a record takes
+Each record's format is one table below, mapping each JSON key, in read
+order, to the field it fills.  That table alone drives the record's
+writer, its key check and its reader.  A key left out of a record takes
 the default of its field, which only the dataclass states.
 """
 
@@ -16,9 +16,9 @@ import inspect
 import json
 from collections import Counter
 from decimal import Decimal
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Container, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .calibration import AnchorCase, UnknownCoefficient
 from .errors import SchemaError, build
@@ -44,19 +44,10 @@ class _Key(NamedTuple):
 
 
 def _get(data: dict[str, Any], key: str, where: str) -> Any:
-    """The value under ``key`` of a record that :func:`_only` has checked."""
+    """The value under ``key`` of a record that :func:`_from_dict` has checked."""
     if key not in data:
         raise SchemaError(f"{where}: missing key '{key}'")
     return data[key]
-
-
-def _only(data: Any, where: str, keys: Container[str]) -> None:
-    """Raise unless ``data`` is a JSON object holding no key outside ``keys``."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {data!r}")
-    for key in data:
-        if key not in keys:
-            raise SchemaError(f"{where}: unknown key '{key}'")
 
 
 def _typed(data: Any, key: str, where: str, types: Any, what: str) -> Any:
@@ -85,7 +76,9 @@ def _number(data: Any, key: str, where: str) -> float:
 
 def _or_null(read: Callable[..., Any]) -> Callable[..., Any]:
     """Reader of ``null``, as None, or of a value ``read`` takes."""
-    return lambda d, k, w: None if _get(d, k, w) is None else read(d, k, w)
+    return lambda data, key, where: (
+        None if _get(data, key, where) is None else read(data, key, where)
+    )
 
 
 def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
@@ -126,7 +119,11 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
     read, to check the record.  An absent key whose field has a default is
     left to it; every reader raises on any other absent key.
     """
-    _only(data, where, table)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {data!r}")
+    for key in data:
+        if key not in table:
+            raise SchemaError(f"{where}: unknown key '{key}'")
     fields = {}
     for key, (field, read, _) in table.items():
         if field is None:
@@ -171,7 +168,7 @@ _SCENARIO = {
     "noj": _Key("noj", _get),
     "ego_speed_km_per_hr": _Key("ego_speed", _number),
     "hazard_speed_km_per_hr": _Key("hazard_speed", _number),
-    "label": _Key("label", lambda data, key, where: _typed(data, key, where, str, "a string")),
+    "label": _Key("label", partial(_typed, types=str, what="a string")),
 }
 _CONTEXT = {
     "ndrt": _Key("ndrt_class", *_enum(NdrtClass)),
@@ -278,7 +275,9 @@ def _deadline_mode(data: Any, key: str, where: str) -> None:
     """Check that ``deadline_mode`` 'explicit' and an ``explicit_deadline_s`` come together."""
     mode = _choice(data, key, where, ["from_budget", "explicit"]) if key in data else None
     if (mode == "explicit") != (data.get("explicit_deadline_s") is not None):
-        raise SchemaError(f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together")
+        raise SchemaError(
+            f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
+        )
 
 
 _EPISODE = {
@@ -294,7 +293,9 @@ _EPISODE = {
 }
 
 
-def episode_config_from_dict(data: dict[str, Any], where: str = "episode") -> EpisodeConfig:
+def episode_config_from_dict(
+    data: dict[str, Any], where: str = "episode"
+) -> EpisodeConfig:
     from .simulate import EpisodeConfig  # numpy, only for the commands that simulate
 
     return _from_dict(data, _EPISODE, EpisodeConfig, where)
@@ -308,7 +309,7 @@ def _episodes(
 
 _EPISODES = {
     "episodes": _Key("episodes", _list(episode_config_from_dict)),
-    "base_seed": _Key("base_seed", _or_null(lambda d, k, w: _typed(d, k, w, int, "an integer"))),
+    "base_seed": _Key("base_seed", _or_null(partial(_typed, types=int, what="an integer"))),
 }
 
 
