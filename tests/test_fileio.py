@@ -286,6 +286,14 @@ def test_top_level_fault_message(loader, document, message, tmp_path):
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_null_base_seed_and_deadline_read_as_unset(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**episode(explicit_deadline_s=None), "base_seed": None}),
+                    encoding="utf-8")
+    ([config], base_seed) = fileio.load_episode_configs(path)
+    assert (config.deadline, base_seed) == (None, None)
+
+
 def test_integral_numbers_read_as_floats(tmp_path):
     path = tmp_path / "doc.json"
     driver = {"srt_s": 0, "experience_km_per_wk": 20}
