@@ -28,6 +28,7 @@ from .errors import (
     TortbError,
     UnidentifiableUnknown,
     check_range,
+    check_types,
 )
 from .model import (
     CoefficientSet,
@@ -70,6 +71,8 @@ class AnchorCase:
     unknown: UnknownCoefficient
 
     def __post_init__(self) -> None:
+        check_types(self, scenario=ScenarioSpec, driver=DriverProfile, ctx=TakeoverContext,
+                    unknown=UnknownCoefficient)
         check_range("known_tortb", self.known_tortb, 0, above=True)
 
 

@@ -276,10 +276,12 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     report = run_batch(configs, base_seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # report.json is written last, so an out-dir without one holds an unfinished run.
+    (out_dir / "report.json").unlink(missing_ok=True)
     episodes = []
     for i, outcome in enumerate(report.outcomes):
         log_name = f"episode_{i:03d}.csv"
-        (out_dir / log_name).write_text(drive_log_to_csv(outcome.log), encoding="utf-8")
+        fileio.write_file(out_dir / log_name, drive_log_to_csv(outcome.log))
         episodes.append({
             "index": i, "seed": outcome.seed, "required_s": outcome.required_time,
             "deadline_s": outcome.deadline, "margin_s": outcome.margin,
@@ -294,7 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
         "margin_s": {k: getattr(report.margin_stats, k) for k in ("mean", "std", "min", "max")},
         "episodes": episodes,
     }
-    (out_dir / "report.json").write_text(fileio.json_text(payload), encoding="utf-8")
+    fileio.write_file(out_dir / "report.json", fileio.json_text(payload))
     lines = [
         f"episodes: {len(episodes)}  success: {report.n_success}  "
         f"late: {report.n_late}  collision: {report.n_collision}",

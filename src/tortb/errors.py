@@ -86,6 +86,14 @@ def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max
     check_range(name, value, lo, hi)
 
 
+def check_types(obj: Any, **types: type) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` is an instance of its type."""
+    for name, cls in types.items():
+        value = getattr(obj, name)
+        if not isinstance(value, cls):
+            raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def shown(value: Any) -> str:
     """``str(value)``, or the size of an int with too many digits to print."""
     try:

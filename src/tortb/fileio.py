@@ -239,12 +239,37 @@ def json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting an existing file in place.
+
+    The one writer of every output file.  An existing file is opened
+    ``r+b`` and never truncated to zero: on ext4, where this was measured,
+    emptying a file and filling it again cost several times the in-place
+    write.  The file's length is set first and the bytes are written last,
+    so a write cut off between the two leaves the old bytes cut short, or
+    followed by NUL padding, never new bytes ahead of a plausible old tail.
+    """
+    data = text.encode("utf-8")
+    try:
+        f = open(path, "r+b")
+    except OSError:
+        # No file yet, or one that cannot be opened for update, such as a pipe
+        # (``--out /dev/stdout``): a plain rewrite, which raises the error if
+        # the path cannot be written at all.
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    with f:
+        f.truncate(len(data))
+        f.write(data)
+
+
 def load_coefficients(path: str | Path) -> CoefficientSet:
     return coefficients_from_dict(load_json(path), where=str(path))
 
 
 def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
-    Path(path).write_text(json_text(coefficients_to_dict(coeffs)), encoding="utf-8")
+    write_file(path, json_text(coefficients_to_dict(coeffs)))
 
 
 _ANCHOR = {

@@ -31,7 +31,13 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 
-from .errors import NegativeRelativeSpeed, SpeedAboveModelRange, check_count, check_range
+from .errors import (
+    NegativeRelativeSpeed,
+    SpeedAboveModelRange,
+    check_count,
+    check_range,
+    check_types,
+)
 
 # Typical visual stimulus response range [s]; profiles outside it are
 # accepted but flagged in the estimate's warnings.
@@ -106,6 +112,7 @@ class TakeoverContext:
     ordinal: int  # 1 = first exposure to this scenario class
 
     def __post_init__(self) -> None:
+        check_types(self, ndrt_class=NdrtClass)
         check_count("ordinal", self.ordinal, 1)
 
 

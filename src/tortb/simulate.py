@@ -25,7 +25,7 @@ import numpy as np
 
 from .drivelog import _T_EPS, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
 from .drivelog import DriveLog, SummaryStats, describe
-from .errors import EmptyBatch, TortbError, check_count, check_range
+from .errors import EmptyBatch, TortbError, check_count, check_range, check_types
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -81,11 +81,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, cls in (("driver", DriverProfile), ("scenario", ScenarioSpec),
-                          ("ctx", TakeoverContext), ("coeffs", CoefficientSet)):
-            value = getattr(self, name)
-            if not isinstance(value, cls):
-                raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        check_types(self, driver=DriverProfile, scenario=ScenarioSpec, ctx=TakeoverContext,
+                    coeffs=CoefficientSet)
         if self.deadline is not None:
             check_range("deadline", self.deadline, 0)
             if self.budget_driver is not None:

@@ -64,13 +64,15 @@ def write_anchors(path):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-def write_episode_config(path, noise=0.0, base_seed=None):
+def write_episode_config(path, noise=0.0, base_seed=None, deadline=None):
     episode = {
         "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
         "scenario": "S1",
         "ctx": {"ndrt": "handsfree", "ordinal": 1},
         "response_noise_s": noise,
     }
+    if deadline is not None:
+        episode.update(deadline_mode="explicit", explicit_deadline_s=deadline)
     payload = {"episodes": [episode, dict(episode, scenario="S3")]}
     if base_seed is not None:
         payload["base_seed"] = base_seed
@@ -269,6 +271,32 @@ def test_calibrate_rounded_chaining(tmp_path, capsys):
     written = fileio.load_coefficients(out_file)
     assert written.c_noa == 1.9
     assert written.c_noj == 0.1  # (7 - 6.6) / 3 rounds down to 0.1
+
+
+def test_calibrate_out_overwrites_a_longer_file_exactly(tmp_path, capsys):
+    anchors = tmp_path / "anchors.json"
+    write_anchors(anchors)
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_bytes(b"9" * 10_000)
+    for out_file in (fresh, reused):
+        argv = ["calibrate", "--anchors", str(anchors), "--out", str(out_file)]
+        assert run_cli(argv, capsys)[0] == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_calibrate_out_writes_into_a_pipe(tmp_path, capsys):
+    """A path that cannot be opened for update, like ``--out /dev/stdout``, is still written."""
+    anchors = tmp_path / "anchors.json"
+    write_anchors(anchors)
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(["calibrate", "--anchors", str(anchors), "--out", str(fresh)], capsys)[0] == 0
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe:
+        with open(write_end, "wb"):
+            argv = ["calibrate", "--anchors", str(anchors), "--out", f"/dev/fd/{write_end}"]
+            assert run_cli(argv, capsys)[0] == 0
+        assert pipe.read() == fresh.read_bytes()
 
 
 def test_calibrate_empty_anchors(tmp_path, capsys):
@@ -497,6 +525,39 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
         )
         assert code == 0
     assert read_tree(dir_a) == read_tree(dir_b)
+
+
+@pytest.mark.parametrize("old,new", [(20.0, None), (None, 20.0)],
+                         ids=["old_logs_longer", "old_logs_shorter"])
+def test_simulate_rerun_overwrites_every_file_exactly(tmp_path, capsys, old, new):
+    config = tmp_path / "episodes.json"
+
+    def simulate(deadline, out_dir):
+        write_episode_config(config, noise=0.5, deadline=deadline)
+        argv = ["simulate", "--config", str(config), "--seed", "3", "--out-dir", str(out_dir)]
+        assert run_cli(argv, capsys)[0] == 0
+        return read_tree(out_dir)
+
+    before = simulate(old, tmp_path / "reused")
+    after = simulate(new, tmp_path / "reused")
+    assert after == simulate(new, tmp_path / "fresh")
+    # The first run's logs really were longer (or shorter) than the second's.
+    logs = [name for name in after if name.endswith(".csv")]
+    assert logs and all((len(before[n]) > len(after[n])) == (old is not None) for n in logs)
+
+
+def test_simulate_failed_rerun_leaves_no_report(tmp_path, capsys):
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--config", str(config), "--out-dir", str(out_dir)]
+    assert run_cli(argv, capsys)[0] == 0
+    (out_dir / "episode_001.csv").unlink()
+    (out_dir / "episode_001.csv").mkdir()  # the second episode's write fails
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "episode_001.csv" in err
+    assert not (out_dir / "report.json").exists()
 
 
 def test_simulate_seed_changes_output(tmp_path, capsys):

@@ -91,6 +91,8 @@ REJECTIONS = [
      ValueError, "ordinal must be an integer, got 2.0"),
     ("ordinal_bool", lambda: TakeoverContext(NdrtClass.HANDS_FREE, True),
      ValueError, "ordinal must be an integer, got True"),
+    ("ndrt_class_str", lambda: TakeoverContext("handsfree", 1),
+     ValueError, "ndrt_class must be a NdrtClass, got 'handsfree'"),
     ("c_noa", lambda: replace(DEFAULT_COEFFICIENTS, c_noa=math.nan),
      ValueError, "c_noa must be finite and >= 0, got nan"),
     ("c_noj", lambda: replace(DEFAULT_COEFFICIENTS, c_noj=-0.5),
@@ -127,6 +129,14 @@ REJECTIONS = [
      SchemaError, "coefficients: rsc_bands list is empty"),
     ("known_tortb", lambda: AnchorCase(SCENARIO, DRIVER, CTX, 0.0, UnknownCoefficient.C_NOA),
      ValueError, "known_tortb must be finite and > 0, got 0.0"),
+    ("anchor_scenario_type", lambda: AnchorCase("S1", DRIVER, CTX, 7.0, UnknownCoefficient.C_NOA),
+     ValueError, "scenario must be a ScenarioSpec, got 'S1'"),
+    ("anchor_driver_type", lambda: AnchorCase(SCENARIO, None, CTX, 7.0, UnknownCoefficient.C_NOA),
+     ValueError, "driver must be a DriverProfile, got None"),
+    ("anchor_ctx_type", lambda: AnchorCase(SCENARIO, DRIVER, "x", 7.0, UnknownCoefficient.C_NOA),
+     ValueError, "ctx must be a TakeoverContext, got 'x'"),
+    ("anchor_unknown_type", lambda: AnchorCase(SCENARIO, DRIVER, CTX, 7.0, "c_noa"),
+     ValueError, "unknown must be a UnknownCoefficient, got 'c_noa'"),
     ("ordinal_effect_size", lambda: derive_oc(math.nan, 7.0),
      ValueError, "ordinal_effect_size must be within [0, 1], got nan"),
     ("upper_bound_tortb", lambda: derive_oc(0.053, math.inf),
