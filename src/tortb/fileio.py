@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 from collections import Counter
 from decimal import Decimal
 from functools import cache, partial
@@ -242,25 +243,22 @@ def json_text(payload: Any) -> str:
 def write_file(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path``, overwriting an existing file in place.
 
-    The one writer of every output file.  An existing file is opened
+    The one writer of every output file.  An existing regular file is opened
     ``r+b`` and never truncated to zero: on ext4, where this was measured,
     emptying a file and filling it again cost several times the in-place
     write.  The file's length is set first and the bytes are written last,
-    so a write cut off between the two leaves the old bytes cut short, or
-    followed by NUL padding, never new bytes ahead of a plausible old tail.
+    so a process stopped between the two leaves the old bytes cut short, or
+    followed by NUL padding.  A write that is itself cut short, or a machine
+    crash (nothing is fsynced), can leave new bytes followed by old ones.
+    Any other path, such as a missing file, a pipe or ``/dev/null``, is
+    opened ``wb``, which also raises the error of a path that cannot be
+    written at all.
     """
     data = text.encode("utf-8")
-    try:
-        f = open(path, "r+b")
-    except OSError:
-        # No file yet, or one that cannot be opened for update, such as a pipe
-        # (``--out /dev/stdout``): a plain rewrite, which raises the error if
-        # the path cannot be written at all.
-        with open(path, "wb") as f:
-            f.write(data)
-        return
-    with f:
-        f.truncate(len(data))
+    in_place = os.path.isfile(path)
+    with open(path, "r+b" if in_place else "wb") as f:
+        if in_place:
+            f.truncate(len(data))
         f.write(data)
 
 

@@ -299,6 +299,16 @@ def test_calibrate_out_writes_into_a_pipe(tmp_path, capsys):
         assert pipe.read() == fresh.read_bytes()
 
 
+def test_calibrate_out_devnull_prints_only_the_result(tmp_path, capsys):
+    """``/dev/null`` opens for update but cannot be truncated; it is written plainly."""
+    anchors = tmp_path / "anchors.json"
+    write_anchors(anchors)
+    argv = ["calibrate", "--anchors", str(anchors), "--out", os.devnull, "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["solved"]["c_noa"]["rounded_s"] == 1.9
+
+
 def test_calibrate_empty_anchors(tmp_path, capsys):
     anchors = tmp_path / "anchors.json"
     anchors.write_text('{"anchors": []}', encoding="utf-8")
