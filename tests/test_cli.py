@@ -556,6 +556,23 @@ def test_simulate_rerun_overwrites_every_file_exactly(tmp_path, capsys, old, new
     assert logs and all((len(before[n]) > len(after[n])) == (old is not None) for n in logs)
 
 
+def test_simulate_smaller_rerun_removes_the_larger_runs_logs(tmp_path, capsys):
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    episodes = json.loads(config.read_text())["episodes"]
+
+    def simulate(n, out_dir):
+        config.write_text(json.dumps({"episodes": (episodes * 2)[:n]}), encoding="utf-8")
+        argv = ["simulate", "--config", str(config), "--out-dir", str(out_dir)]
+        assert run_cli(argv, capsys)[0] == 0
+        return read_tree(out_dir)
+
+    assert len(simulate(3, tmp_path / "reused")) == 4
+    after = simulate(1, tmp_path / "reused")
+    assert sorted(after) == ["episode_000.csv", "report.json"]
+    assert after == simulate(1, tmp_path / "fresh")
+
+
 def test_simulate_failed_rerun_leaves_no_report(tmp_path, capsys):
     config = tmp_path / "episodes.json"
     write_episode_config(config)

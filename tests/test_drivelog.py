@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -344,6 +345,29 @@ def test_parse_matches_reference_row_loop(text):
     assert got == _outcome(_reference_parse, text)
     if isinstance(got, tuple):
         assert issubclass(got[0], TortbError)
+    # The line walker alone reads every text as the loadtxt fast path does.
+    with mock.patch.object(drivelog.np, "loadtxt", side_effect=ValueError("stub")):
+        assert _outcome(parse_drive_log, text) == got
+
+
+def _loadtxt_raises(*args, **kwargs):
+    raise ValueError("stub")
+
+
+def _loadtxt_drops_last_column(*args, _real=np.loadtxt, **kwargs):
+    return _real(*args, **kwargs)[:, :-1]
+
+
+@pytest.mark.parametrize("loadtxt", [_loadtxt_raises, _loadtxt_drops_last_column])
+def test_parse_reads_the_lines_itself_when_loadtxt_falls_short(monkeypatch, loadtxt):
+    rng = np.random.default_rng(5)
+    lat, acc, steering, brake = rng.normal(0.0, 0.5, (4, 41))
+    text = drive_log_to_csv(make_log(n=41, tor_index=17, lat=lat, acc=acc,
+                                     steering=steering, brake=brake))
+    want = _outcome(parse_drive_log, text)
+    assert isinstance(want, list)
+    monkeypatch.setattr(drivelog.np, "loadtxt", loadtxt)
+    assert _outcome(parse_drive_log, text) == want
 
 
 @settings(max_examples=300)
