@@ -287,6 +287,11 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
             "deadline_s": outcome.deadline, "margin_s": outcome.margin,
             "classification": outcome.classification.value, "log_csv": log_name,
         })
+    # Logs of a larger earlier run would otherwise sit beside this report.
+    i = len(episodes)
+    while (stale := out_dir / f"episode_{i:03d}.csv").is_file():
+        stale.unlink()
+        i += 1
     payload = {
         "base_seed": base_seed,
         "n_episodes": len(episodes),

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -142,22 +141,10 @@ def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> D
         raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]!r}")
     if "\r" in lines[0][:-1]:
         raise SchemaError("line 1: CR before the end of the line")
-    body = lines[1:]
-    # Checked before loadtxt, which warns on a body with no data and skips
-    # a line holding only a CR (a short row here) as blank.
-    if not any(body):
-        raise SchemaError("no data rows")
-    if "\r" in body:
-        _raise_first_bad_line(lines)
-    try:
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        _raise_first_bad_line(lines)
-    # loadtxt lets through a field count that is wrong on every row alike.
-    flags = values[:, -1]
-    if values.shape[1] != len(CSV_HEADER) or not np.all((flags == 0.0) | (flags == 1.0)):
-        _raise_first_bad_line(lines)
-    marked = np.flatnonzero(flags == 1.0)
+    values = _loadtxt_rows(lines[1:])
+    if values is None:
+        values = _read_lines(lines)
+    marked = np.flatnonzero(values[:, -1] == 1.0)
     if marked.size == 0:
         raise MissingTorMarker("no row carries tor_flag=1")
     if marked.size > 1:
@@ -169,14 +156,35 @@ def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> D
     )
 
 
-def _raise_first_bad_line(lines: list[str]) -> NoReturn:
-    """Raise the SchemaError of the first malformed data line.
+def _loadtxt_rows(body: list[str]) -> np.ndarray | None:
+    """The data rows as ``np.loadtxt`` reads them, or None if it falls short.
 
-    Only called once the bulk conversion has found that some line is
-    malformed; walks the lines in order so the reported line is the first
-    one, whatever the kind of fault.  It rejects exactly the lines
-    ``np.loadtxt`` rejects, so it always raises.
+    None when the body has no data line or a line holding only a CR (which
+    loadtxt would warn on, or skip as blank), when loadtxt raises, and when
+    it returns a field count or a flag the schema forbids: a wrong field
+    count on every row alike gets through it.
     """
+    if not any(body) or "\r" in body:
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    flags = values[:, -1]
+    if values.shape[1] != len(CSV_HEADER) or not np.all((flags == 0.0) | (flags == 1.0)):
+        return None
+    return values
+
+
+def _read_lines(lines: list[str]) -> np.ndarray:
+    """The data rows, read one line at a time; the rule of record.
+
+    Reads every body that ``np.loadtxt`` does not cleanly accept.  Walks the
+    lines in order and raises the SchemaError of the first malformed one,
+    whatever the kind of fault, so the reported line is the first; raises
+    ``no data rows`` when no line holds data.
+    """
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -191,6 +199,10 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
             raise SchemaError(f"line {lineno}: tor_flag must be 0 or 1")
         if "\r" in line[:-1]:
             raise SchemaError(f"line {lineno}: CR before the end of the line")
+        rows.append(values)
+    if not rows:
+        raise SchemaError("no data rows")
+    return np.array(rows)
 
 
 def _field_value(field: str) -> float:
