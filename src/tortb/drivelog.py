@@ -177,12 +177,11 @@ def _loadtxt_rows(body: list[str]) -> np.ndarray | None:
 
 
 def _read_lines(lines: list[str]) -> np.ndarray:
-    """The data rows, read one line at a time; the rule of record.
+    """The data rows, read one line at a time: the rule every body is held to.
 
-    Reads every body that ``np.loadtxt`` does not cleanly accept.  Walks the
-    lines in order and raises the SchemaError of the first malformed one,
-    whatever the kind of fault, so the reported line is the first; raises
-    ``no data rows`` when no line holds data.
+    Reads every body that ``np.loadtxt`` does not cleanly accept.  Raises
+    the SchemaError of the first malformed line in file order, whatever the
+    kind of fault, or ``no data rows`` when no line holds data.
     """
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
