@@ -15,6 +15,7 @@ Every command is deterministic given its flags, files and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -357,6 +358,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only code here that writes output or sets the exit code."""
+    # tortb calls no BLAS routine, yet OpenBLAS starts a worker thread when
+    # numpy loads, which costs processor time.  numpy first loads in the
+    # analyze or simulate handler, after this line; a value the user set wins.
+    # Only the CLI sets it: a library import must leave a user's BLAS alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         payload, lines = _HANDLERS[args.command](args)

@@ -14,6 +14,9 @@ log-analysis paths, not to reproduce vehicle dynamics.  Noise is uniform
 (bounded support) rather than Gaussian so coverage statements hold exactly
 at band edges.  Episodes are independent: each owns a generator seeded per
 a fixed mixing rule, so batch results do not depend on execution order.
+An episode's noise is the first draw of numpy's
+``default_rng(seed).uniform``, computed here bit for bit without loading
+``numpy.random``, so every seed gives the same episodes either way.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ LANE_CHANGE_AMPLITUDE_M = 3.5  # one lane width
 ACCEL_PULSE_PEAK = 1.0  # [m/s^2], half-sine during the maneuver
 STEERING_STEP = 0.2  # fraction of full range at response onset
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def mix_seed(base_seed: int, index: int) -> int:
@@ -56,6 +62,49 @@ def mix_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _uniform(seed: int, low: float, high: float) -> float:
+    """``np.random.default_rng(seed).uniform(low, high)``, without ``numpy.random``.
+
+    ``SeedSequence(seed)`` hashes the seed's little-endian 32-bit words into
+    a pool of four and mixes the pool; a seed below 2**64 has at most two
+    words, and the rest of the pool hashes 0.  ``generate_state(4, uint64)``
+    expands the pool into a PCG64 state and increment.  The generator's
+    first XSL-RR output, cut to 53 bits, places the draw in the range.
+    """
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(seed >> 32 * i & _MASK32) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src]) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    # generate_state: eight 32-bit words, paired into four little-endian uint64.
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    u0, u1, u2, u3 = (words[2 * k] | words[2 * k + 1] << 32 for k in range(4))
+    # PCG64 takes (u0, u1) as its 128-bit seed and (u2, u3) as its increment,
+    # high word first.  Seeding steps the generator twice, the draw once.
+    inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+    state = ((((u0 << 64 | u1) + inc) * _PCG64_MULT + inc) * _PCG64_MULT + inc) & _MASK128
+    out = (state >> 64 ^ state) & _MASK64
+    rot = state >> 122
+    out = (out >> rot | out << (64 - rot)) & _MASK64
+    return low + (high - low) * ((out >> 11) * 2.0**-53)
 
 
 class Classification(Enum):
@@ -196,16 +245,17 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
     """Run one deterministic episode; identical config gives identical output.
 
     The required time is the budget estimated with the driver's own
-    parameters plus a uniform draw in [-response_noise, +response_noise]
-    from a generator seeded with ``cfg.seed``, clamped at 0.  The deadline
-    is ``cfg.deadline`` when set, else the budget estimated for
+    parameters plus a uniform draw in [-response_noise, +response_noise],
+    clamped at 0.  The draw is the first of numpy's
+    ``default_rng(cfg.seed).uniform``, so every seed gives the episode it
+    gave when simulate drew through ``numpy.random``.  The deadline is
+    ``cfg.deadline`` when set, else the budget estimated for
     ``budget_driver`` when set, else the driver's own budget, without the
     draw.  The log's extent is checked here, so an episode whose log would
     exceed ``MAX_LOG_S`` fails now rather than when its log is first read.
     """
-    rng = np.random.default_rng(cfg.seed)
     own_budget = estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
-    required = max(own_budget + rng.uniform(-cfg.response_noise, cfg.response_noise), 0.0)
+    required = max(own_budget + _uniform(cfg.seed, -cfg.response_noise, cfg.response_noise), 0.0)
     if cfg.deadline is not None:
         deadline = float(cfg.deadline)
     elif cfg.budget_driver is None:

@@ -42,10 +42,44 @@ print("numpy" in sys.modules)
 """
 
 
-def run_fresh(code, *args):
-    """Stdout of ``python -c code args`` in a new interpreter that imports from this tree."""
+EPISODES = {"base_seed": 7, "episodes": [{
+    "scenario": "S1",
+    "driver": {"srt_s": 0.2, "experience_km_per_wk": 80},
+    "ctx": {"ndrt": "handsfree", "ordinal": 1},
+    "response_noise_s": 0.5,
+}]}
+
+# Runs simulate, then analyze on the log it wrote, in one process; then
+# reports what the run loaded, the BLAS thread setting and the thread count.
+NUMPY_SCRIPT = """
+import contextlib, io, json, os, sys
+import tortb, tortb.cli
+config, out = sys.argv[1:]
+for argv in (
+    ["simulate", "--config", config, "--out-dir", out],
+    ["analyze", "--log", os.path.join(out, "episode_000.csv"), "--json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tortb.cli.main(argv) == 0, argv
+print(json.dumps({
+    "numpy": "numpy" in sys.modules,
+    "numpy.random": "numpy.random" in sys.modules,
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None,
+}))
+"""
+
+
+def run_fresh(code, *args, **env):
+    """Stdout of ``python -c code args`` in a new interpreter that imports from
+    this tree, with ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``.
+
+    In-process ``cli.main`` calls elsewhere in the suite set that variable in
+    this process, so it is dropped from the copied environment.
+    """
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": SRC},
+        [sys.executable, "-c", code, *args], env={**base, "PYTHONPATH": SRC, **env},
         capture_output=True, text=True, check=True,
     ).stdout
 
@@ -55,6 +89,34 @@ def test_estimate_table_calibrate_and_help_import_no_numpy(tmp_path):
     anchors.write_text(json.dumps(ANCHORS), encoding="utf-8")
     assert run_fresh(SCRIPT, str(anchors), str(tmp_path / "out.json")) == "False\n"
     assert (tmp_path / "out.json").exists()
+
+
+def test_simulate_and_analyze_run_one_blas_thread_and_no_numpy_random(tmp_path):
+    config = tmp_path / "episodes.json"
+    config.write_text(json.dumps(EPISODES), encoding="utf-8")
+    got = json.loads(run_fresh(NUMPY_SCRIPT, str(config), str(tmp_path / "out")))
+    assert got["numpy"] and not got["numpy.random"]
+    assert got["OPENBLAS_NUM_THREADS"] == "1"
+    if sys.platform == "linux":
+        assert got["threads"] == 1
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set(tmp_path):
+    config = tmp_path / "episodes.json"
+    config.write_text(json.dumps(EPISODES), encoding="utf-8")
+    got = json.loads(run_fresh(NUMPY_SCRIPT, str(config), str(tmp_path / "out"),
+                               OPENBLAS_NUM_THREADS="3"))
+    assert got["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_library_leaves_the_environment_alone():
+    """Only ``cli.main`` sets ``OPENBLAS_NUM_THREADS``; importing the package
+    and loading a numpy-backed name must not."""
+    assert run_fresh(
+        "import os, tortb\n"
+        "tortb.parse_drive_log\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    ) == "None\n"
 
 
 def test_star_import_binds_every_public_name():

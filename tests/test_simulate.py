@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tortb import (
     DEFAULT_COEFFICIENTS,
@@ -100,6 +102,20 @@ def test_noise_has_bounded_support():
     ]
     assert all(abs(r - est) <= 0.5 + 1e-12 for r in required)
     assert len(set(required)) > 1
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    noise=st.one_of(st.sampled_from([0.0, 5e-324, 2.2e-308]), st.floats(0.0, MAX_LOG_S)),
+)
+@example(seed=0, noise=1.0)
+@example(seed=2**32, noise=MAX_LOG_S)
+@example(seed=2**64 - 1, noise=5e-324)
+def test_uniform_is_numpys_first_draw(seed, noise):
+    """The episode noise is numpy's ``default_rng(seed).uniform`` draw bit for
+    bit, so a seed gives the same episodes with or without ``numpy.random``."""
+    want = np.random.default_rng(seed).uniform(-noise, noise)
+    assert simulate._uniform(seed, -noise, noise).hex() == float(want).hex()
 
 
 def test_required_time_clamped_at_zero():
