@@ -25,10 +25,11 @@ from typing import Callable
 from .errors import (
     DependencyOrderError,
     NegativeCoefficient,
-    TortbError,
+    SchemaError,
     UnidentifiableUnknown,
     check_range,
     check_types,
+    located,
 )
 from .model import (
     CoefficientSet,
@@ -132,6 +133,7 @@ def solve_coefficient(
             f"solving {anchor.unknown.value} yields {raw:.6g} s; "
             "the anchor set is inconsistent"
         )
+    check_range(f"solved {field}", raw, 0)
     return raw, round_coefficient(raw)
 
 
@@ -150,12 +152,12 @@ def calibrate_sequence(
     """
     unknowns = [a.unknown for a in anchors]
     if len(set(unknowns)) != len(unknowns):
-        raise ValueError("each anchor must solve a distinct unknown")
+        raise SchemaError("each anchor must solve a distinct unknown")
     current = seed_coeffs
     rounded_chain = seed_coeffs
     solved: dict[UnknownCoefficient, SolvedCoefficient] = {}
     for i, anchor in enumerate(anchors):
-        try:
+        with located(f"anchors[{i}]"):
             for later in unknowns[i + 1:]:
                 if _UNKNOWNS[later][1](anchor) != 0:
                     raise DependencyOrderError(
@@ -176,8 +178,6 @@ def calibrate_sequence(
                 rounded=rounded,
                 residual=anchor.known_tortb - reconstruction,
             )
-        except (TortbError, ValueError) as exc:
-            raise type(exc)(f"anchors[{i}]: {exc}") from None
     return CalibrationResult(solved=solved), current
 
 

@@ -8,7 +8,7 @@ Subcommands::
     tortb simulate   run episode configs, write logs and a report
     tortb table      the six-row reference estimation table
 
-Exit codes: 0 success, 1 internal error, 2 usage or validation error.
+Exit codes: 0 success, 2 usage error, ``TortbError`` or ``OSError``, 1 anything else.
 Every command is deterministic given its flags, files and seed.
 """
 
@@ -26,7 +26,7 @@ import tortb
 from . import __version__, fileio
 from .calibration import Chaining, calibrate_sequence
 from .defaults import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
-from .errors import TortbError, build
+from .errors import SchemaError, TortbError, located
 from .model import (
     DEFAULT_COEFFICIENTS,
     RAW_COEFFICIENTS,
@@ -177,24 +177,20 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
     values = (args.noa, args.noj, args.ego_speed, args.hazard_speed)
     explicit = [flag for flag, value in zip(_SCENARIO_FLAGS, values) if value is not None]
     if args.scenario and explicit:
-        raise ValueError(f"--scenario cannot be combined with {'/'.join(explicit)}")
+        raise SchemaError(f"--scenario cannot be combined with {'/'.join(explicit)}")
     if args.scenario:
         scenario = SCENARIO_PRESETS[args.scenario]
     else:
         if args.noa is None or args.ego_speed is None:
-            raise ValueError("provide --scenario, or --noa and --ego-speed")
-        scenario = build(
-            ScenarioSpec,
-            "/".join(_SCENARIO_FLAGS),
-            noa=args.noa,
-            noj=args.noj if args.noj is not None else 0,
-            ego_speed=args.ego_speed,
-            hazard_speed=args.hazard_speed if args.hazard_speed is not None else 0.0,
-        )
-    driver = build(DriverProfile, "--srt/--experience",
-                   srt=args.srt, experience_km_per_week=args.experience)
-    ctx = build(TakeoverContext, "--ordinal",
-                ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
+            raise SchemaError("provide --scenario, or --noa and --ego-speed")
+        with located("/".join(_SCENARIO_FLAGS)):
+            scenario = ScenarioSpec(
+                noa=args.noa, noj=0 if args.noj is None else args.noj, ego_speed=args.ego_speed,
+                hazard_speed=0.0 if args.hazard_speed is None else args.hazard_speed)
+    with located("--srt/--experience"):
+        driver = DriverProfile(srt=args.srt, experience_km_per_week=args.experience)
+    with located("--ordinal"):
+        ctx = TakeoverContext(ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
     est = estimate_tortb(driver, scenario, ctx, coeffs)
     payload = {
@@ -250,10 +246,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> Output:
 def _cmd_analyze(args: argparse.Namespace) -> Output:
     parse_drive_log, extract_metrics = _lazy("parse_drive_log", "extract_metrics")
     data = Path(args.log).read_bytes()
-    try:
+    with located(args.log):
         log = parse_drive_log(data, sample_rate=args.sample_rate)
-    except TortbError as exc:
-        raise type(exc)(f"{args.log}: {exc}") from None
     metrics = extract_metrics(log, args.pre_window, args.post_window, args.threshold)
     payload = {
         "log": str(args.log),
@@ -371,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(fileio.json_text(payload))
         else:
             print("\n".join(lines))
-    except (TortbError, ValueError, OSError) as exc:
+    except (TortbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

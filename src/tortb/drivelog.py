@@ -35,6 +35,7 @@ from .errors import (
     SchemaError,
     WindowOutOfRange,
     check_range,
+    located,
     shown,
 )
 
@@ -108,7 +109,7 @@ class DriveLog:
         # Python floats compare exactly with an int too large for a float.
         t0, t1 = float(arrays["t"][0]), float(arrays["t"][-1])
         if not t0 - _T_EPS <= self.tor_time <= t1 + _T_EPS:
-            raise ValueError(
+            raise SchemaError(
                 f"tor_time must lie within the log extent [{t0:g}, {t1:g}] s, "
                 f"got {shown(self.tor_time)}"
             )
@@ -187,17 +188,15 @@ def _read_lines(lines: list[str]) -> np.ndarray:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) != len(CSV_HEADER):
-            raise SchemaError(f"line {lineno}: expected {len(CSV_HEADER)} fields")
-        try:
+        with located(f"line {lineno}"):
+            fields = line.split(",")
+            if len(fields) != len(CSV_HEADER):
+                raise SchemaError(f"expected {len(CSV_HEADER)} fields")
             values = [_field_value(field) for field in fields]
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from None
-        if values[-1] not in (0.0, 1.0):
-            raise SchemaError(f"line {lineno}: tor_flag must be 0 or 1")
-        if "\r" in line[:-1]:
-            raise SchemaError(f"line {lineno}: CR before the end of the line")
+            if values[-1] not in (0.0, 1.0):
+                raise SchemaError("tor_flag must be 0 or 1")
+            if "\r" in line[:-1]:
+                raise SchemaError("CR before the end of the line")
         rows.append(values)
     if not rows:
         raise SchemaError("no data rows")
@@ -208,13 +207,13 @@ def _field_value(field: str) -> float:
     """One field as ``np.loadtxt`` reads it: stripped, ASCII, no ``_``."""
     s = field.strip()
     if "_" in s:
-        raise ValueError(f"field {field!r} holds a '_' digit separator")
+        raise SchemaError(f"field {field!r} holds a '_' digit separator")
     if not s.isascii():
-        raise ValueError(f"field {field!r} holds a non-ASCII character")
+        raise SchemaError(f"field {field!r} holds a non-ASCII character")
     try:
         return float(s)
     except ValueError:
-        raise ValueError(f"could not convert string to float: {field!r}") from None
+        raise SchemaError(f"could not convert string to float: {field!r}") from None
 
 
 def drive_log_to_csv(log: DriveLog) -> str:
@@ -326,7 +325,7 @@ def avg_lateral_displacement(
     with np.errstate(over="ignore"):
         avg = float(np.mean(np.abs(log.lateral_displacement[window])))
     if not math.isfinite(avg):
-        raise ValueError(
+        raise SchemaError(
             f"mean absolute lateral displacement over [{lo:g}, {hi:g}] s overflows"
         )
     return avg
@@ -415,7 +414,7 @@ def summarize(
     if group_keys is None:
         group_keys = ["all"] * len(metrics)
     if len(group_keys) != len(metrics):
-        raise ValueError("group_keys must be parallel to metrics")
+        raise SchemaError("group_keys must be parallel to metrics")
     grouped: dict[Hashable, list[TakeoverMetrics]] = {}
     for key, metric in zip(group_keys, metrics):
         grouped.setdefault(key, []).append(metric)

@@ -1,8 +1,9 @@
 """Exception types, and the input checks that raise them, shared across the package."""
 
 import sys
+from contextlib import contextmanager
 from numbers import Real
-from typing import Any, Callable
+from typing import Any, Iterator
 
 
 class TortbError(Exception):
@@ -29,8 +30,8 @@ class DependencyOrderError(TortbError):
     """An anchor needs a coefficient that only a later anchor solves."""
 
 
-class SchemaError(TortbError):
-    """Input file does not match the expected schema."""
+class SchemaError(TortbError, ValueError):
+    """An input breaks a rule: a range, a type, a key or a line.  Also a ``ValueError``."""
 
 
 class NonUniformSampling(TortbError):
@@ -60,7 +61,7 @@ class EmptyBatch(TortbError):
 def check_range(
     name: str, value: float, lo: float, hi: float = sys.float_info.max, *, above: bool = False
 ) -> None:
-    """Raise ``ValueError`` unless ``lo <= value <= hi`` (``lo < value <= hi`` with ``above``).
+    """Raise ``SchemaError`` unless ``lo <= value <= hi`` (``lo < value <= hi`` with ``above``).
 
     Every ordered comparison with NaN is false, so only this positive form
     rejects NaN.  The default ``hi`` rejects infinities and ints too large
@@ -71,27 +72,27 @@ def check_range(
     if type(value) not in (float, int) and (
         isinstance(value, bool) or not isinstance(value, Real)
     ):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise SchemaError(f"{name} must be a number, got {value!r}")
     if (lo < value if above else lo <= value) and value <= hi:
         return
     op, bracket = (">", "(") if above else (">=", "[")
     bound = f"finite and {op} {lo}" if hi == sys.float_info.max else f"within {bracket}{lo}, {hi}]"
-    raise ValueError(f"{name} must be {bound}, got {shown(value)}")
+    raise SchemaError(f"{name} must be {bound}, got {shown(value)}")
 
 
 def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int, not a bool, within ``[lo, hi]``."""
+    """Raise ``SchemaError`` unless ``value`` is an int, not a bool, within ``[lo, hi]``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
     check_range(name, value, lo, hi)
 
 
 def check_types(obj: Any, **types: type) -> None:
-    """Raise ``ValueError`` unless each named field of ``obj`` is an instance of its type."""
+    """Raise ``SchemaError`` unless each named field of ``obj`` is an instance of its type."""
     for name, cls in types.items():
         value = getattr(obj, name)
         if not isinstance(value, cls):
-            raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+            raise SchemaError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def shown(value: Any) -> str:
@@ -102,9 +103,10 @@ def shown(value: Any) -> str:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
-def build(cls: Callable[..., Any], where: str, **kwargs: Any) -> Any:
-    """Construct ``cls``; a value it rejects becomes a SchemaError prefixed with ``where``."""
+@contextmanager
+def located(where: str) -> Iterator[None]:
+    """Re-raise a ``TortbError`` from the block, of the same type, as ``where: message``."""
     try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        yield
+    except TortbError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

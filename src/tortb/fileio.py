@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .calibration import AnchorCase, UnknownCoefficient
-from .errors import SchemaError, build
+from .errors import SchemaError, located
 from .model import (
     SCENARIO_PRESETS,
     CoefficientSet,
@@ -131,7 +131,8 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
             read(data, key, where)
         elif key in data or field not in _optional(cls):
             fields[field] = read(data, key, where)
-    return build(cls, where, **fields)
+    with located(where):
+        return cls(**fields)
 
 
 def _to_dict(obj: Any, table: dict[str, _Key]) -> dict[str, Any]:
@@ -231,8 +232,12 @@ def load_json(path: str | Path) -> Any:
         # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
         # reader, and that reader names the key they sit under.
         return json.loads(text, parse_constant=Decimal, object_pairs_hook=unique)
-    except ValueError as exc:
+    except SchemaError:  # a duplicate key, from unique
+        raise
+    except ValueError as exc:  # malformed, or an int with too many digits for int()
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
 
 
 def json_text(payload: Any) -> str:

@@ -33,6 +33,7 @@ from enum import Enum
 
 from .errors import (
     NegativeRelativeSpeed,
+    SchemaError,
     SpeedAboveModelRange,
     check_count,
     check_range,
@@ -121,20 +122,20 @@ def _validate_bands(
 ) -> tuple[tuple[float, float], ...]:
     """Check a band table, each entry a number before it becomes a float; return the floats."""
     if not isinstance(bands, (tuple, list)):
-        raise ValueError(f"{name} must be a tuple of (upper, value) pairs, got {bands!r}")
+        raise SchemaError(f"{name} must be a tuple of (upper, value) pairs, got {bands!r}")
     if not bands:
-        raise ValueError(f"{name} must contain at least one band")
+        raise SchemaError(f"{name} must contain at least one band")
     for i, band in enumerate(bands):
         if not isinstance(band, (tuple, list)) or len(band) != 2:
-            raise ValueError(f"{name}[{i}] must be an (upper, value) pair, got {band!r}")
+            raise SchemaError(f"{name}[{i}] must be an (upper, value) pair, got {band!r}")
         check_range(f"{name} upper bounds[{i}]", band[0], 0)
         check_range(f"{name} values[{i}]", band[1], 0)
     uppers, values = ([float(x) for x in column] for column in zip(*bands))
     if not all(a < b for a, b in zip(uppers, uppers[1:])):
-        raise ValueError(f"{name} upper bounds must strictly increase, got {uppers}")
+        raise SchemaError(f"{name} upper bounds must strictly increase, got {uppers}")
     if any(b > a if values_decrease else b < a for a, b in zip(values, values[1:])):
         trend = "increase" if values_decrease else "decrease"
-        raise ValueError(f"{name} values must not {trend} with the band key")
+        raise SchemaError(f"{name} values must not {trend} with the band key")
     return tuple(zip(uppers, values))
 
 
@@ -277,7 +278,7 @@ def _budget_terms(
     constructors have range-checked.  A hazard faster than the ego raises
     :class:`NegativeRelativeSpeed`.  Every input is finite, but a product
     such as ``noa * c_noa`` or the sum can still overflow; that raises
-    ``ValueError`` naming the first non-finite component, or ``total``.
+    ``SchemaError`` naming the first non-finite component, or ``total``.
     """
     dec = _band(coeffs.dec_bands, driver.experience_km_per_week)
     if dec is None:
@@ -315,7 +316,7 @@ def _budget_terms(
     if not math.isfinite(total):
         name = next((k for k, v in components.items() if not math.isfinite(v)), "total")
         value = components.get(name, total)
-        raise ValueError(f"budget term {name} overflows to {value}")
+        raise SchemaError(f"budget term {name} overflows to {value}")
     return components, total
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .drivelog import _T_EPS, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
 from .drivelog import DriveLog, SummaryStats, describe
-from .errors import EmptyBatch, TortbError, check_count, check_range, check_types
+from .errors import EmptyBatch, SchemaError, check_count, check_range, check_types, located
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -135,9 +135,9 @@ class EpisodeConfig:
         if self.deadline is not None:
             check_range("deadline", self.deadline, 0)
             if self.budget_driver is not None:
-                raise ValueError("deadline and budget_driver exclude each other, got both")
+                raise SchemaError("deadline and budget_driver exclude each other, got both")
         if self.budget_driver is not None and not isinstance(self.budget_driver, DriverProfile):
-            raise ValueError(
+            raise SchemaError(
                 f"budget_driver must be a DriverProfile or None, got {self.budget_driver!r}"
             )
         # A half-width beyond MAX_LOG_S is longer than any log an episode may
@@ -195,7 +195,7 @@ def _log_extent(
 ) -> tuple[float, float, float]:
     """Response onset, maneuver start and log horizon [s after the TOR].
 
-    Raises ``ValueError`` when the log would span more than ``MAX_LOG_S``,
+    Raises ``SchemaError`` when the log would span more than ``MAX_LOG_S``,
     before anything is allocated.
     """
     onset = response_onset(cfg)
@@ -203,7 +203,7 @@ def _log_extent(
     maneuver_end = maneuver_start + cfg.maneuver_duration
     horizon = max(maneuver_end, deadline) + LOG_TAIL_S
     if not LOG_LEAD_IN_S + horizon <= MAX_LOG_S:
-        raise ValueError(
+        raise SchemaError(
             f"drive log would span {LOG_LEAD_IN_S + horizon:g} s, above the "
             f"{MAX_LOG_S:g} s limit (deadline {deadline:g} s, required time "
             f"{required:g} s, maneuver {cfg.maneuver_duration:g} s)"
@@ -292,10 +292,8 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
     check_count("base_seed", base_seed, -np.inf, np.inf)
     outcomes = []
     for i, cfg in enumerate(configs):
-        try:
+        with located(f"episodes[{i}]"):
             outcomes.append(run_episode(replace(cfg, seed=mix_seed(base_seed, i))))
-        except (TortbError, ValueError) as exc:
-            raise type(exc)(f"episodes[{i}]: {exc}") from None
     counts = {cls: 0 for cls in Classification}
     for outcome in outcomes:
         counts[outcome.classification] += 1

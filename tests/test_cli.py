@@ -238,6 +238,41 @@ def test_overflowing_budget_exits_2_naming_the_term(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_calibrate_solution_that_overflows_exits_2_naming_the_anchor(tmp_path, capsys):
+    """With oc 1.7e308 deducted, c_noa = (1.7e308 + 1.7e308) / 2 overflows to inf."""
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps({"anchors": [{
+        "scenario": "S1", "driver": {"srt_s": 0.3, "experience_km_per_wk": 20},
+        "ctx": {"ndrt": "handsfree", "ordinal": 2}, "known_tortb_s": 1.7e308,
+        "unknown": "c_noa",
+    }]}), encoding="utf-8")
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({**fileio.coefficients_to_dict(DEFAULT_COEFFICIENTS),
+                                  "oc_repeat_s": 1.7e308}), encoding="utf-8")
+    out_file = tmp_path / "o.json"
+    code, out, err = run_cli(["calibrate", "--anchors", str(anchors), "--coeffs", str(coeffs),
+                              "--out", str(out_file)], capsys)
+    assert (code, out, err) == (
+        2, "", "error: anchors[0]: solved c_noa must be finite and >= 0, got inf\n")
+    assert not out_file.exists()
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["calibrate", "--anchors", "deep.json", "--out", "o.json"], "anchors"),
+    (["simulate", "--config", "deep.json", "--out-dir", "out"], "episodes"),
+    (ROW1_FLAGS + ["--coeffs", "deep.json"], "rsc_bands"),
+], ids=["anchors", "episodes", "coefficients"])
+def test_deeply_nested_json_exits_2_naming_the_file(argv, key, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(f'{{"{key}": {DEEP}}}', encoding="utf-8")
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", "error: deep.json: JSON nested too deeply to read\n")
+    assert sorted(os.listdir(tmp_path)) == ["deep.json"]
+
+
 # ------------------------------- calibrate -------------------------------
 
 
@@ -728,12 +763,16 @@ SCALARS = (
     | st.text(max_size=8)
     | st.sampled_from(["S1", "S4", "handsfree", "handheld", "explicit", "from_budget"])
 )
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=8,
-)
+
+
+# A def, not a lambda: hypothesis checks that ``extend`` uses its argument by
+# parsing its source, which for a lambda over several lines is the first line.
+def _containers(children):
+    return st.lists(children, max_size=3) | st.dictionaries(
+        st.text(max_size=6), children, max_size=3)
+
+
+JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=8)
 # Numbers near and past the simulator's limits, so accepted documents are common.
 NUMBERS = (
     st.floats(-1.0, 4000.0)
@@ -957,6 +996,50 @@ def test_table_text_output(capsys):
     lines = [line for line in out.splitlines() if line.strip()]
     assert len(lines) == 8  # title + header + six rows
     assert "8.70" in out
+
+
+# ------------------------------- exit codes ------------------------------
+
+# Replaces one callee of each handler with a function that raises a bare
+# ValueError, as a fault in tortb or numpy would, and runs that handler.
+FAULT_SCRIPT = """
+import contextlib, io, json, sys
+import tortb.cli
+anchors, config, log, out = sys.argv[1:]
+results = []
+for callee, argv in (
+    ("estimate_tortb", ["estimate", "--scenario", "S1", "--srt", "0.3", "--experience", "20",
+                        "--ndrt", "handsfree", "--ordinal", "1"]),
+    ("calibrate_sequence", ["calibrate", "--anchors", anchors, "--out", out]),
+    ("extract_metrics", ["analyze", "--log", log]),
+    ("run_batch", ["simulate", "--config", config, "--out-dir", out]),
+):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+    setattr(tortb.cli, callee, boom)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = tortb.cli.main(argv)
+    results.append([callee, code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_a_bare_value_error_is_an_internal_error_and_exits_1(tmp_path):
+    anchors, config = tmp_path / "anchors.json", tmp_path / "episodes.json"
+    write_anchors(anchors)
+    write_episode_config(config)
+    src = str(Path(tortb.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT, str(anchors), str(config),
+         str(make_log_csv(tmp_path)), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    results = json.loads(done.stdout)
+    assert [callee for callee, _, _ in results] == [
+        "estimate_tortb", "calibrate_sequence", "extract_metrics", "run_batch"]
+    assert all(rest == [1, "internal error: boom\n"] for _, *rest in results), results
 
 
 def test_version_flag(capsys):

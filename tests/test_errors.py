@@ -14,8 +14,8 @@ from tortb.errors import (
     SchemaError,
     SpeedAboveModelRange,
     WindowOutOfRange,
-    build,
     check_range,
+    located,
 )
 from tortb.fileio import (
     anchor_from_dict,
@@ -59,88 +59,88 @@ EPISODE_DOC = {"driver": DRIVER_DOC, "scenario": "S1", "ctx": CTX_DOC}
 # (site, call, exception type, full message)
 REJECTIONS = [
     ("srt", lambda: DriverProfile(1.5, 80.0),
-     ValueError, "srt must be within [0, 1], got 1.5"),
+     SchemaError, "srt must be within [0, 1], got 1.5"),
     ("experience", lambda: DriverProfile(0.2, math.nan),
-     ValueError, "experience_km_per_week must be finite and >= 0, got nan"),
+     SchemaError, "experience_km_per_week must be finite and >= 0, got nan"),
     ("noa", lambda: ScenarioSpec(noa=-1, noj=0, ego_speed=80.0),
-     ValueError, "noa must be finite and >= 0, got -1"),
+     SchemaError, "noa must be finite and >= 0, got -1"),
     ("noj", lambda: ScenarioSpec(noa=1, noj=10**400, ego_speed=80.0),
-     ValueError, f"noj must be finite and >= 0, got {10**400}"),
+     SchemaError, f"noj must be finite and >= 0, got {10**400}"),
     ("noa_over_str_limit", lambda: ScenarioSpec(noa=10**5000, noj=0, ego_speed=80.0),
-     ValueError, "noa must be finite and >= 0, got an int of 16610 bits"),
+     SchemaError, "noa must be finite and >= 0, got an int of 16610 bits"),
     ("noa_negative_over_str_limit", lambda: ScenarioSpec(noa=-10**5000, noj=0, ego_speed=80.0),
-     ValueError, "noa must be finite and >= 0, got a negative int of 16610 bits"),
+     SchemaError, "noa must be finite and >= 0, got a negative int of 16610 bits"),
     ("noa_float", lambda: ScenarioSpec(noa=1.5, noj=0, ego_speed=80.0),
-     ValueError, "noa must be an integer, got 1.5"),
+     SchemaError, "noa must be an integer, got 1.5"),
     ("noj_bool", lambda: ScenarioSpec(noa=1, noj=True, ego_speed=80.0),
-     ValueError, "noj must be an integer, got True"),
+     SchemaError, "noj must be an integer, got True"),
     ("noa_file_float",
      lambda: scenario_from_dict({"noa": 1.5, "noj": 0, "ego_speed_km_per_hr": 80}),
      SchemaError, "scenario: noa must be an integer, got 1.5"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
-     ValueError, "ego_speed must be finite and >= 0, got inf"),
+     SchemaError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),
-     ValueError, "hazard_speed must be finite and >= 0, got nan"),
+     SchemaError, "hazard_speed must be finite and >= 0, got nan"),
     ("ordinal", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 0),
-     ValueError, "ordinal must be finite and >= 1, got 0"),
+     SchemaError, "ordinal must be finite and >= 1, got 0"),
     ("ordinal_too_large", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 10**400),
-     ValueError, f"ordinal must be finite and >= 1, got {10**400}"),
+     SchemaError, f"ordinal must be finite and >= 1, got {10**400}"),
     ("ordinal_float", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 1.5),
-     ValueError, "ordinal must be an integer, got 1.5"),
+     SchemaError, "ordinal must be an integer, got 1.5"),
     ("ordinal_integral_float", lambda: TakeoverContext(NdrtClass.HANDS_FREE, 2.0),
-     ValueError, "ordinal must be an integer, got 2.0"),
+     SchemaError, "ordinal must be an integer, got 2.0"),
     ("ordinal_bool", lambda: TakeoverContext(NdrtClass.HANDS_FREE, True),
-     ValueError, "ordinal must be an integer, got True"),
+     SchemaError, "ordinal must be an integer, got True"),
     ("ndrt_class_str", lambda: TakeoverContext("handsfree", 1),
-     ValueError, "ndrt_class must be a NdrtClass, got 'handsfree'"),
+     SchemaError, "ndrt_class must be a NdrtClass, got 'handsfree'"),
     ("c_noa", lambda: replace(DEFAULT_COEFFICIENTS, c_noa=math.nan),
-     ValueError, "c_noa must be finite and >= 0, got nan"),
+     SchemaError, "c_noa must be finite and >= 0, got nan"),
     ("c_noj", lambda: replace(DEFAULT_COEFFICIENTS, c_noj=-0.5),
-     ValueError, "c_noj must be finite and >= 0, got -0.5"),
+     SchemaError, "c_noj must be finite and >= 0, got -0.5"),
     ("dec_floor", lambda: replace(DEFAULT_COEFFICIENTS, dec_floor=math.inf),
-     ValueError, "dec_floor must be finite and >= 0, got inf"),
+     SchemaError, "dec_floor must be finite and >= 0, got inf"),
     ("ndrtc_handheld", lambda: replace(DEFAULT_COEFFICIENTS, ndrtc_handheld=-1.0),
-     ValueError, "ndrtc_handheld must be finite and >= 0, got -1.0"),
+     SchemaError, "ndrtc_handheld must be finite and >= 0, got -1.0"),
     ("oc_repeat", lambda: replace(DEFAULT_COEFFICIENTS, oc_repeat=math.nan),
-     ValueError, "oc_repeat must be finite and >= 0, got nan"),
+     SchemaError, "oc_repeat must be finite and >= 0, got nan"),
     ("rsc_bands", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, 0.25), (80.0, math.nan))),
-     ValueError, "rsc_bands values[1] must be finite and >= 0, got nan"),
+     SchemaError, "rsc_bands values[1] must be finite and >= 0, got nan"),
     ("dec_bands", lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, -2.0),)),
-     ValueError, "dec_bands values[0] must be finite and >= 0, got -2.0"),
+     SchemaError, "dec_bands values[0] must be finite and >= 0, got -2.0"),
     ("rsc_bands_int", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=5),
-     ValueError, "rsc_bands must be a tuple of (upper, value) pairs, got 5"),
+     SchemaError, "rsc_bands must be a tuple of (upper, value) pairs, got 5"),
     ("rsc_bands_none", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=None),
-     ValueError, "rsc_bands must be a tuple of (upper, value) pairs, got None"),
+     SchemaError, "rsc_bands must be a tuple of (upper, value) pairs, got None"),
     ("dec_bands_three_items",
      lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, 2.0), (100.0, 1.5, 0.0))),
-     ValueError, "dec_bands[1] must be an (upper, value) pair, got (100.0, 1.5, 0.0)"),
+     SchemaError, "dec_bands[1] must be an (upper, value) pair, got (100.0, 1.5, 0.0)"),
     ("rsc_bands_str_value", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, "1"),)),
-     ValueError, "rsc_bands values[0] must be a number, got '1'"),
+     SchemaError, "rsc_bands values[0] must be a number, got '1'"),
     ("rsc_bands_bool_bound", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((True, 1.0),)),
-     ValueError, "rsc_bands upper bounds[0] must be a number, got True"),
+     SchemaError, "rsc_bands upper bounds[0] must be a number, got True"),
     ("rsc_bands_huge_bound", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((10**400, 1.0),)),
-     ValueError, f"rsc_bands upper bounds[0] must be finite and >= 0, got {10**400}"),
+     SchemaError, f"rsc_bands upper bounds[0] must be finite and >= 0, got {10**400}"),
     ("dec_bands_negative_bound",
      lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((-5.0, 2.0), (100.0, 1.5))),
-     ValueError, "dec_bands upper bounds[0] must be finite and >= 0, got -5.0"),
+     SchemaError, "dec_bands upper bounds[0] must be finite and >= 0, got -5.0"),
     ("rsc_bands_file_empty",
      lambda: coefficients_from_dict({**coefficients_to_dict(DEFAULT_COEFFICIENTS),
                                      "rsc_bands": []}),
      SchemaError, "coefficients: rsc_bands list is empty"),
     ("known_tortb", lambda: AnchorCase(SCENARIO, DRIVER, CTX, 0.0, UnknownCoefficient.C_NOA),
-     ValueError, "known_tortb must be finite and > 0, got 0.0"),
+     SchemaError, "known_tortb must be finite and > 0, got 0.0"),
     ("anchor_scenario_type", lambda: AnchorCase("S1", DRIVER, CTX, 7.0, UnknownCoefficient.C_NOA),
-     ValueError, "scenario must be a ScenarioSpec, got 'S1'"),
+     SchemaError, "scenario must be a ScenarioSpec, got 'S1'"),
     ("anchor_driver_type", lambda: AnchorCase(SCENARIO, None, CTX, 7.0, UnknownCoefficient.C_NOA),
-     ValueError, "driver must be a DriverProfile, got None"),
+     SchemaError, "driver must be a DriverProfile, got None"),
     ("anchor_ctx_type", lambda: AnchorCase(SCENARIO, DRIVER, "x", 7.0, UnknownCoefficient.C_NOA),
-     ValueError, "ctx must be a TakeoverContext, got 'x'"),
+     SchemaError, "ctx must be a TakeoverContext, got 'x'"),
     ("anchor_unknown_type", lambda: AnchorCase(SCENARIO, DRIVER, CTX, 7.0, "c_noa"),
-     ValueError, "unknown must be a UnknownCoefficient, got 'c_noa'"),
+     SchemaError, "unknown must be a UnknownCoefficient, got 'c_noa'"),
     ("ordinal_effect_size", lambda: derive_oc(math.nan, 7.0),
-     ValueError, "ordinal_effect_size must be within [0, 1], got nan"),
+     SchemaError, "ordinal_effect_size must be within [0, 1], got nan"),
     ("upper_bound_tortb", lambda: derive_oc(0.053, math.inf),
-     ValueError, "upper_bound_tortb must be finite and > 0, got inf"),
+     SchemaError, "upper_bound_tortb must be finite and > 0, got inf"),
     ("receding_hazard",
      lambda: estimate_tortb(DRIVER, ScenarioSpec(noa=1, noj=0, ego_speed=50.0, hazard_speed=80.0),
                             CTX),
@@ -165,66 +165,71 @@ REJECTIONS = [
      NegativeRelativeSpeed,
      "anchors[0]: hazard at 80.0 km/hr is faster than ego at 50.0 km/hr; "
      "the model does not define receding hazards"),
+    ("solved_coefficient_overflow",
+     lambda: calibrate_sequence(
+         [AnchorCase(SCENARIO, DRIVER, replace(CTX, ordinal=2), 1.7e308,
+                     UnknownCoefficient.C_NOA)], replace(DEFAULT_COEFFICIENTS, oc_repeat=1.7e308)),
+     SchemaError, "anchors[0]: solved c_noa must be finite and >= 0, got inf"),
     ("deadline", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=-1.0),
-     ValueError, "deadline must be finite and >= 0, got -1.0"),
+     SchemaError, "deadline must be finite and >= 0, got -1.0"),
     ("response_noise", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=1e308),
-     ValueError, "response_noise must be within [0, 3600.0], got 1e+308"),
+     SchemaError, "response_noise must be within [0, 3600.0], got 1e+308"),
     ("maneuver_duration", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, maneuver_duration=0.0),
-     ValueError, "maneuver_duration must be finite and > 0, got 0.0"),
+     SchemaError, "maneuver_duration must be finite and > 0, got 0.0"),
     ("seed", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=-1),
-     ValueError, "seed must be within [0, 18446744073709551615], got -1"),
+     SchemaError, "seed must be within [0, 18446744073709551615], got -1"),
     ("seed_float", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=1.5),
-     ValueError, "seed must be an integer, got 1.5"),
+     SchemaError, "seed must be an integer, got 1.5"),
     ("seed_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=True),
-     ValueError, "seed must be an integer, got True"),
+     SchemaError, "seed must be an integer, got True"),
     ("seed_float_below_2_64", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=1e19),
-     ValueError, "seed must be an integer, got 1e+19"),
+     SchemaError, "seed must be an integer, got 1e+19"),
     ("base_seed_float", lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX)], 1.5),
-     ValueError, "base_seed must be an integer, got 1.5"),
+     SchemaError, "base_seed must be an integer, got 1.5"),
     ("base_seed_bool", lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX)], True),
-     ValueError, "base_seed must be an integer, got True"),
+     SchemaError, "base_seed must be an integer, got True"),
     ("deadline_and_budget_driver",
      lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=3.0, budget_driver=DRIVER),
-     ValueError, "deadline and budget_driver exclude each other, got both"),
+     SchemaError, "deadline and budget_driver exclude each other, got both"),
     ("deadline_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=True),
-     ValueError, "deadline must be a number, got True"),
+     SchemaError, "deadline must be a number, got True"),
     ("response_noise_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=True),
-     ValueError, "response_noise must be a number, got True"),
+     SchemaError, "response_noise must be a number, got True"),
     ("maneuver_duration_bool",
      lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, maneuver_duration=True),
-     ValueError, "maneuver_duration must be a number, got True"),
+     SchemaError, "maneuver_duration must be a number, got True"),
     ("budget_driver_type", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, budget_driver="x"),
-     ValueError, "budget_driver must be a DriverProfile or None, got 'x'"),
+     SchemaError, "budget_driver must be a DriverProfile or None, got 'x'"),
     ("driver_type", lambda: EpisodeConfig("x", SCENARIO, CTX),
-     ValueError, "driver must be a DriverProfile, got 'x'"),
+     SchemaError, "driver must be a DriverProfile, got 'x'"),
     ("scenario_type", lambda: EpisodeConfig(DRIVER, "S1", CTX),
-     ValueError, "scenario must be a ScenarioSpec, got 'S1'"),
+     SchemaError, "scenario must be a ScenarioSpec, got 'S1'"),
     ("ctx_type", lambda: EpisodeConfig(DRIVER, SCENARIO, None),
-     ValueError, "ctx must be a TakeoverContext, got None"),
+     SchemaError, "ctx must be a TakeoverContext, got None"),
     ("coeffs_type", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, coeffs="default"),
-     ValueError, "coeffs must be a CoefficientSet, got 'default'"),
+     SchemaError, "coeffs must be a CoefficientSet, got 'default'"),
     ("deadline_numpy_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=np.True_),
-     ValueError, f"deadline must be a number, got {np.True_!r}"),
+     SchemaError, f"deadline must be a number, got {np.True_!r}"),
     ("srt_bool", lambda: DriverProfile(False, 80.0),
-     ValueError, "srt must be a number, got False"),
+     SchemaError, "srt must be a number, got False"),
     ("sample_rate", lambda: flat_log(sample_rate=0.0),
-     ValueError, "sample_rate must be finite and > 0, got 0.0"),
+     SchemaError, "sample_rate must be finite and > 0, got 0.0"),
     ("tor_time", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=25.0),
-     ValueError, "tor_time must lie within the log extent [0, 20] s, got 25.0"),
+     SchemaError, "tor_time must lie within the log extent [0, 20] s, got 25.0"),
     ("tor_time_nan", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=math.nan),
-     ValueError, "tor_time must lie within the log extent [0, 20] s, got nan"),
+     SchemaError, "tor_time must lie within the log extent [0, 20] s, got nan"),
     ("tor_time_too_large_for_a_float",
      lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=10**400),
-     ValueError, f"tor_time must lie within the log extent [0, 20] s, got {10**400}"),
+     SchemaError, f"tor_time must lie within the log extent [0, 20] s, got {10**400}"),
     ("tor_time_over_str_limit",
      lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=10**5000),
-     ValueError, "tor_time must lie within the log extent [0, 20] s, got an int of 16610 bits"),
+     SchemaError, "tor_time must lie within the log extent [0, 20] s, got an int of 16610 bits"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
-     ValueError, "threshold must be within [0, 1], got nan"),
+     SchemaError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
-     ValueError, "pre_window must be finite and > 0, got inf"),
+     SchemaError, "pre_window must be finite and > 0, got inf"),
     ("post_window", lambda: avg_lateral_displacement(LOG, 5.0, 0.0),
-     ValueError, "post_window must be finite and > 0, got 0.0"),
+     SchemaError, "post_window must be finite and > 0, got 0.0"),
     ("window_before_log", lambda: avg_lateral_displacement(LOG, 11.0, 1.0),
      WindowOutOfRange, "window [-1, 11] s must be ordered and lie inside the log [0, 20] s"),
     ("window_after_log", lambda: avg_lateral_displacement(LOG, 1.0, 10.5),
@@ -253,6 +258,8 @@ def test_rejection_names_field_and_value(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+    # Library callers that catch ValueError still catch every rejected value.
+    assert error is not SchemaError or isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("key,argv", [
@@ -301,10 +308,26 @@ def test_check_range_above_excludes_the_lower_bound():
         check_range("x", 0, 0, 1, above=True)
 
 
-def test_build_prefixes_a_rejected_value_with_its_origin():
-    assert build(DriverProfile, "here", srt=0.2, experience_km_per_week=1.0) == DriverProfile(
-        0.2, 1.0)
+def test_located_prefixes_a_rejection_with_its_origin_and_keeps_its_type():
+    with located("here"):
+        driver = DriverProfile(srt=0.2, experience_km_per_week=1.0)
+    assert driver == DriverProfile(0.2, 1.0)
     with pytest.raises(SchemaError) as info:
-        build(DriverProfile, "--srt/--experience", srt=0.2, experience_km_per_week=-1.0)
+        with located("--srt/--experience"):
+            DriverProfile(srt=0.2, experience_km_per_week=-1.0)
+    assert type(info.value) is SchemaError
     assert str(info.value) == (
         "--srt/--experience: experience_km_per_week must be finite and >= 0, got -1.0")
+    with pytest.raises(SpeedAboveModelRange) as info:
+        with located("outer"), located("inner"):
+            raise SpeedAboveModelRange("too fast")
+    assert type(info.value) is SpeedAboveModelRange
+    assert str(info.value) == "outer: inner: too fast"
+
+
+def test_located_leaves_a_fault_that_is_not_a_rejection_alone():
+    fault = ValueError("boom")
+    with pytest.raises(ValueError) as info:
+        with located("here"):
+            raise fault
+    assert info.value is fault

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,15 @@ def test_top_level_fault_message(loader, document, message, tmp_path):
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_an_int_past_the_digit_limit_is_refused_as_json(tmp_path):
+    """json raises a bare ValueError here, not a JSONDecodeError."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"c_noa_s": 1' + "0" * sys.get_int_max_str_digits() + "}", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"doc\.json: not valid JSON \(Exceeds the limit"):
+        fileio.load_coefficients(path)
+
+
 def test_null_base_seed_and_deadline_read_as_unset(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**episode(explicit_deadline_s=None), "base_seed": None}),
@@ -339,12 +349,16 @@ SCALARS = (
     | st.text(max_size=12)
     | st.sampled_from(["S1", "S4", "handsfree", "handheld", "c_noa", "oc", "explicit"])
 )
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), children, max_size=6),
-    max_leaves=20,
-)
+
+
+# A def, not a lambda: hypothesis checks that ``extend`` uses its argument by
+# parsing its source, which for a lambda over several lines is the first line.
+def _containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(
+        st.sampled_from(KEYS) | st.text(max_size=6), children, max_size=6)
+
+
+JSON_VALUES = st.recursive(SCALARS, _containers, max_leaves=20)
 
 
 def overrides(valid):
