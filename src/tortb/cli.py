@@ -39,12 +39,10 @@ from .model import (
     estimate_tortb,
 )
 
-# The numpy-backed names `analyze` and `simulate` use.  Each is taken from the
-# package on first access (PEP 562), which imports its submodule, and is then
-# bound here, so the other subcommands start without numpy.  Handlers fetch
-# them through this module with _lazy, so a replaced module attribute is the
-# one called.
-_LAZY = ("drive_log_to_csv", "extract_metrics", "parse_drive_log", "run_batch")
+# The numpy-backed names `simulate` calls.  Each is bound here from the package
+# on first access (PEP 562), so the other subcommands start without numpy.  The
+# handler looks them up on this module, so a replaced one (as the traced bench's) is called.
+_LAZY = ("drive_log_to_csv", "run_batch")
 
 
 def __getattr__(name: str) -> Any:
@@ -52,11 +50,6 @@ def __getattr__(name: str) -> Any:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(tortb, name)
     return value
-
-
-def _lazy(*names: str) -> list[Any]:
-    module = sys.modules[__name__]
-    return [getattr(module, name) for name in names]
 
 
 #: Inputs of the reference estimation table: (noa, noj, ego, hazard, ndrt, ordinal),
@@ -88,6 +81,13 @@ def _load_coefficient_set(spec: str) -> CoefficientSet:
     return fileio.load_coefficients(spec)
 
 
+def _path(value: str) -> str:
+    """A path flag's value; the OS cannot take one holding a NUL byte."""
+    if "\0" in value:
+        raise argparse.ArgumentTypeError(f"path holds a NUL byte: {value!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tortb",
@@ -117,24 +117,24 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="Non-driving-related task class.")
     estimate.add_argument("--ordinal", type=int, required=True, metavar="N",
                           help="Exposure number for this scenario class (1 = first).")
-    estimate.add_argument("--coeffs", default="default", metavar="SET|FILE",
+    estimate.add_argument("--coeffs", default="default", type=_path, metavar="SET|FILE",
                           help="Coefficient set: 'default', 'raw', 'rounded', or a JSON file.")
 
     calibrate = sub.add_parser(
         "calibrate", help="Solve unknown coefficients from an anchors file."
     )
-    calibrate.add_argument("--anchors", required=True, metavar="JSON",
+    calibrate.add_argument("--anchors", required=True, type=_path, metavar="JSON",
                            help="Anchors file (see README for the schema).")
     calibrate.add_argument("--chaining", choices=[c.value for c in Chaining],
                            default=Chaining.USE_RAW.value,
                            help="Precision of solved values fed into later anchors.")
-    calibrate.add_argument("--coeffs", default="default", metavar="SET|FILE",
+    calibrate.add_argument("--coeffs", default="default", type=_path, metavar="SET|FILE",
                            help="Seed coefficient set for the known terms.")
-    calibrate.add_argument("--out", required=True, metavar="JSON",
+    calibrate.add_argument("--out", required=True, type=_path, metavar="JSON",
                            help="Where to write the updated coefficient file.")
 
     analyze = sub.add_parser("analyze", help="Extract metrics from a drive-log CSV.")
-    analyze.add_argument("--log", required=True, metavar="CSV", help="Drive-log file.")
+    analyze.add_argument("--log", required=True, type=_path, metavar="CSV", help="Drive-log file.")
     analyze.add_argument("--pre-window", type=float, default=PRE_WINDOW_S, metavar="S",
                          help="Lateral-displacement window before the TOR [s] "
                          "(default %(default)g).")
@@ -150,11 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="Run takeover episodes and write logs plus a report."
     )
-    simulate.add_argument("--config", required=True, metavar="JSON",
+    simulate.add_argument("--config", required=True, type=_path, metavar="JSON",
                           help="Episode config file (see README for the schema).")
     simulate.add_argument("--seed", type=int, default=None, metavar="N",
                           help="Base seed; overrides the file's base_seed (default 0).")
-    simulate.add_argument("--out-dir", required=True, metavar="DIR",
+    simulate.add_argument("--out-dir", required=True, type=_path, metavar="DIR",
                           help="Directory for synthetic logs and report.json.")
 
     table = sub.add_parser("table", help="Print the six-row reference estimation table.")
@@ -244,10 +244,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> Output:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> Output:
-    parse_drive_log, extract_metrics = _lazy("parse_drive_log", "extract_metrics")
-    data = Path(args.log).read_bytes()
+    from .drivelog import extract_metrics, parse_drive_log
     with located(args.log):
-        log = parse_drive_log(data, sample_rate=args.sample_rate)
+        log = parse_drive_log(Path(args.log).read_bytes(), sample_rate=args.sample_rate)
     metrics = extract_metrics(log, args.pre_window, args.post_window, args.threshold)
     payload = {
         "log": str(args.log),
@@ -265,7 +264,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Output:
-    run_batch, drive_log_to_csv = _lazy("run_batch", "drive_log_to_csv")
+    module = sys.modules[__name__]
+    run_batch, drive_log_to_csv = module.run_batch, module.drive_log_to_csv
     configs, file_seed = fileio.load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
     report = run_batch(configs, base_seed)

@@ -544,18 +544,14 @@ def count_calls(monkeypatch, module, names):
 
 
 def test_handlers_call_the_replaceable_cli_attributes(tmp_path, monkeypatch, capsys):
-    """The traced bench times the simulate, render, parse and extract layers by
-    replacing these ``tortb.cli`` attributes; the handlers must call them."""
+    """The traced bench times the simulate and render layers by replacing these
+    ``tortb.cli`` attributes; the handler must call them."""
     config = tmp_path / "episodes.json"
     write_episode_config(config)
     calls = count_calls(monkeypatch, tortb.cli, ["run_batch", "drive_log_to_csv"])
     argv = ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]
     assert run_cli(argv, capsys)[0] == 0
     assert calls == {"run_batch": 1, "drive_log_to_csv": 2}
-
-    calls = count_calls(monkeypatch, tortb.cli, ["parse_drive_log", "extract_metrics"])
-    assert run_cli(["analyze", "--log", str(make_log_csv(tmp_path))], capsys)[0] == 0
-    assert calls == {"parse_drive_log": 1, "extract_metrics": 1}
 
 
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
@@ -1004,19 +1000,19 @@ def test_table_text_output(capsys):
 # ValueError, as a fault in tortb or numpy would, and runs that handler.
 FAULT_SCRIPT = """
 import contextlib, io, json, sys
-import tortb.cli
+import tortb.cli, tortb.drivelog
 anchors, config, log, out = sys.argv[1:]
 results = []
-for callee, argv in (
-    ("estimate_tortb", ["estimate", "--scenario", "S1", "--srt", "0.3", "--experience", "20",
-                        "--ndrt", "handsfree", "--ordinal", "1"]),
-    ("calibrate_sequence", ["calibrate", "--anchors", anchors, "--out", out]),
-    ("extract_metrics", ["analyze", "--log", log]),
-    ("run_batch", ["simulate", "--config", config, "--out-dir", out]),
+for module, callee, argv in (
+    (tortb.cli, "estimate_tortb", ["estimate", "--scenario", "S1", "--srt", "0.3",
+                                   "--experience", "20", "--ndrt", "handsfree", "--ordinal", "1"]),
+    (tortb.cli, "calibrate_sequence", ["calibrate", "--anchors", anchors, "--out", out]),
+    (tortb.drivelog, "extract_metrics", ["analyze", "--log", log]),
+    (tortb.cli, "run_batch", ["simulate", "--config", config, "--out-dir", out]),
 ):
     def boom(*args, **kwargs):
         raise ValueError("boom")
-    setattr(tortb.cli, callee, boom)
+    setattr(module, callee, boom)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = tortb.cli.main(argv)
@@ -1040,6 +1036,28 @@ def test_a_bare_value_error_is_an_internal_error_and_exits_1(tmp_path):
     assert [callee for callee, _, _ in results] == [
         "estimate_tortb", "calibrate_sequence", "extract_metrics", "run_batch"]
     assert all(rest == [1, "internal error: boom\n"] for _, *rest in results), results
+
+
+NUL_PATH_CASES = {
+    "--log": ["analyze", "--log", "a\0b"],
+    "--anchors": ["calibrate", "--anchors", "a\0b", "--out", "solved.json"],
+    "--coeffs": ROW1_FLAGS + ["--coeffs", "a\0b"],
+    "--out": ["calibrate", "--anchors", "anchors.json", "--out", "a\0b"],
+    "--config": ["simulate", "--config", "a\0b", "--out-dir", "out"],
+    "--out-dir": ["simulate", "--config", "episodes.json", "--out-dir", "a\0b"],
+}
+
+
+@pytest.mark.parametrize("flag", NUL_PATH_CASES)
+def test_a_path_holding_a_nul_byte_is_a_usage_error(flag, tmp_path, monkeypatch, capsys):
+    """The OS refuses such a path with a bare ValueError; argparse refuses it first."""
+    monkeypatch.chdir(tmp_path)
+    write_anchors(tmp_path / "anchors.json")
+    write_episode_config(tmp_path / "episodes.json")
+    code, out, err = run_cli(NUL_PATH_CASES[flag], capsys)
+    assert (code, out) == (2, "")
+    assert f"error: argument {flag}: path holds a NUL byte: 'a\\x00b'\n" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["anchors.json", "episodes.json"]
 
 
 def test_version_flag(capsys):

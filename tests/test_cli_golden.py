@@ -1,20 +1,26 @@
 """Byte-level golden outputs of the CLI.
 
-Each case runs one subcommand on fixed inputs and compares the sha256 of
-what it prints or writes against a digest recorded from a known-good
-build.  Any change to a number, a key, the key order or the whitespace of
-a valid output fails here, so refactors that must keep outputs
-byte-identical are checked by this file.
+Each case runs one subcommand on fixed inputs and compares what it prints
+or writes, byte for byte, with a file under ``tests/golden/``.  Any change
+to a number, a key, the key order or the whitespace of a valid output
+fails here with a unified diff, so refactors that must keep outputs
+byte-identical are checked by this file.  ``tests/golden/SHA256SUMS``
+pins the digest of every golden file as well, so a re-record has to be
+declared in both places.
 """
 
+import difflib
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from tortb.cli import main
 from tortb.drivelog import DriveLog, drive_log_to_csv
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ANCHORS = {
     "anchors": [
@@ -101,31 +107,6 @@ def render_golden_log() -> DriveLog:
                     steering=channels[2], brake=channels[3], tor_time=t[20])
 
 
-RENDER_DIGEST = "67868f20e278f71ab361ed29bfb486ec04245d09ba9772f4c5cf5aee9a6eb0fc"
-
-STDOUT_DIGESTS = {
-    "analyze_json": "bdc76581af4c6df765c9faafc5b0e1ea43593d6a3fae1483342397f1a00d19a0",
-    "table": "79a6015138ca32d9abe622d5e74370b9c3e2edb98887af8d806d5dc8ce8e113a",
-    "table_json": "2fbee3b5e572efb90b5e931fcdfac686d9bba916abda354deaa779f963ac5496",
-    "estimate_preset_json": "70958367314e55486a0a7a1d742272c538829eec65b888e73dbe5efd095620e5",
-    "estimate_explicit_raw_json": "22273f059b927c8f9f6eb166f6f98de51059899583e52248f9c8db2ad881e222",
-    "calibrate_json": "6cd51fe1994e61a81097dca65be74c321c14e634445652372decfcda790d9575",
-    "analyze": "506ceed74227e54f0c6c8ac3ebc1d3fae1484160762a368f590484945b1e1472",
-    "estimate_srt_warning": "913c645fce756e2ce1c40fb15cbaaa98c64371b774c8f70f985f547893182b96",
-    "calibrate": "018bc53f561d3a1d6a257675c97c35d3f25e403afdc134d8241dbf20113d124d",
-    "simulate": "36f33766184266140f77b44d99d0c530cbd30d88e180fa1075e3d9ce3808ff07",
-    "estimate_explicit": "07f3158e1c99ae312deaa4151ecb45a013fda0a94c213b5bd910fed858906eec",
-}
-
-# The three episodes end late, success and collision, in that order.
-FILE_DIGESTS = {
-    "solved.json": "40db88ecd4fd4ec20a62fe68dc78f969eef562b3d5f14e400427585d33b47e9d",
-    "simulate/episode_000.csv": "2f7eef7ee182a81eff012b32419bf08a9cba2119320438a3faabe5d05a3a6874",
-    "simulate/episode_001.csv": "567c8284a3d375578da4f8cf5a77dcd55f80ef33a6bbc36aa515947de059889e",
-    "simulate/episode_002.csv": "849100e9fcf01269ac25c213e80e6f3fb0bde939f157275b70a8929b4404ed4b",
-    "simulate/report.json": "76580655a2cdd0473865ddf49fe55d7cc7f913e914c21225bca8f355746709f6",
-}
-
 STDOUT_CASES = {
     "analyze_json": ["analyze", "--log", "drive.csv", "--json"],
     "table": ["table"],
@@ -160,14 +141,7 @@ STDOUT_CASES = {
 }
 
 # The --help text of tortb and of each subcommand, wrapped at 80 columns.
-HELP_DIGESTS = {
-    "tortb": "737c5d0f6bd56c97a49ce50075835bdb84e028031388aad2495ceefe30107454",
-    "estimate": "a535cd5965aed6cb622bd08be3c3730936112fbb9eae45d0aa9f5acccc677490",
-    "calibrate": "8690fa6da256fd2520359176a22519c6edf5f972fc388d3e1925512316763027",
-    "analyze": "875410cdf7e62e43958f5808dcc4606dc279a7d2fe4b8dd3f2968369b4853933",
-    "simulate": "cefb5e636fe012a32506436d736ab6e6d5717cf514fb4155eee33d3a8002263c",
-    "table": "998fdb39a9800f8c51da98b59460ac054097a31c0338c52d95f7919b6ff933fa",
-}
+HELP_CASES = ("analyze", "calibrate", "estimate", "simulate", "table", "tortb")
 
 # Rejections: the exact stderr bytes, with nothing on stdout and exit 2.
 STDERR_CASES = {
@@ -188,8 +162,20 @@ STDERR_CASES = {
 }
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _escaped_lines(data: bytes) -> list[str]:
+    """``data`` split at LF only, each line escaped so a CR or a bad byte shows."""
+    text = data.decode("utf-8", "backslashreplace")
+    return [line.encode("unicode_escape").decode("ascii") + "\n" for line in text.split("\n")]
+
+
+def assert_golden(name: str, actual: bytes) -> None:
+    """Fail with a unified diff unless ``actual`` is the bytes of ``tests/golden/<name>``."""
+    expected = (GOLDEN / name).read_bytes()
+    if actual != expected:
+        diff = difflib.unified_diff(_escaped_lines(expected), _escaped_lines(actual),
+                                    f"tests/golden/{name}", f"{name} as written now")
+        pytest.fail(f"output differs from tests/golden/{name}:\n{''.join(diff)}",
+                    pytrace=False)
 
 
 @pytest.fixture
@@ -203,20 +189,19 @@ def workdir(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_CASES))
-def test_stdout_digest(name, workdir, capsys):
+def test_stdout_golden(name, workdir, capsys):
     assert main(STDOUT_CASES[name]) == 0
-    out = capsys.readouterr().out
-    assert sha256(out.encode("utf-8")) == STDOUT_DIGESTS[name]
+    assert_golden(f"stdout/{name}.txt", capsys.readouterr().out.encode("utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(HELP_DIGESTS))
-def test_help_digest(name, monkeypatch, capsys):
+@pytest.mark.parametrize("name", HELP_CASES)
+def test_help_golden(name, monkeypatch, capsys):
     # argparse wraps help text to the terminal width, which it reads from COLUMNS.
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as info:
         main(["--help"] if name == "tortb" else [name, "--help"])
     assert info.value.code == 0
-    assert sha256(capsys.readouterr().out.encode("utf-8")) == HELP_DIGESTS[name]
+    assert_golden(f"help/{name}.txt", capsys.readouterr().out.encode("utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(STDERR_CASES))
@@ -228,16 +213,30 @@ def test_stderr_bytes(name, workdir, capsys):
     assert capsys.readouterr() == ("", expected)
 
 
-def test_written_file_digests(workdir, capsys):
+def test_written_files(workdir, capsys):
     assert main(STDOUT_CASES["calibrate_json"]) == 0
-    assert main(["simulate", "--config", "episodes.json", "--out-dir", "simulate"]) == 0
+    assert main(STDOUT_CASES["simulate"]) == 0
     capsys.readouterr()
-    written = {"solved.json": sha256((workdir / "solved.json").read_bytes())}
-    for path in sorted((workdir / "simulate").iterdir()):
-        written[f"simulate/{path.name}"] = sha256(path.read_bytes())
-    assert written == FILE_DIGESTS
+    # The three episodes end late, success and collision, in that order.
+    names = sorted(path.name for path in (workdir / "simulate").iterdir())
+    assert names == sorted(path.name for path in (GOLDEN / "simulate").iterdir())
+    for name in ["solved.json"] + [f"simulate/{name}" for name in names]:
+        assert_golden(name, (workdir / name).read_bytes())
 
 
-def test_render_digest():
-    text = drive_log_to_csv(render_golden_log())
-    assert sha256(text.encode("utf-8")) == RENDER_DIGEST
+def test_render_golden():
+    assert_golden("render.csv", drive_log_to_csv(render_golden_log()).encode("utf-8"))
+
+
+def test_golden_files_match_sha256sums():
+    """Every golden file, and no other, is listed in SHA256SUMS with its digest."""
+    listed = {}
+    for line in (GOLDEN / "SHA256SUMS").read_text(encoding="ascii").splitlines():
+        digest, name = line.split("  ", 1)
+        listed[name] = digest
+    found = {
+        path.relative_to(GOLDEN).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(GOLDEN.rglob("*"))
+        if path.is_file() and path.name not in ("SHA256SUMS", ".gitattributes")
+    }
+    assert found == listed

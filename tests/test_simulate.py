@@ -20,9 +20,11 @@ from tortb import (
     NdrtClass,
     ScenarioSpec,
     TakeoverContext,
+    WindowOutOfRange,
     detect_tot,
     drive_log_to_csv,
     estimate_tortb,
+    extract_metrics,
     mix_seed,
     parse_drive_log,
     response_onset,
@@ -147,6 +149,19 @@ def test_synthesized_log_round_trips():
             assert abs(tot - onset) <= 0.05 + 1e-9
             parsed = parse_drive_log(drive_log_to_csv(outcome.log))
             assert parsed.tor_time == outcome.log.tor_time
+
+
+@pytest.mark.xfail(strict=True, raises=WindowOutOfRange,
+                   reason="a log ends LOG_TAIL_S after the maneuver or deadline, which can "
+                   "fall inside the default post window (ROADMAP.md item 3)")
+def test_synthesized_log_holds_the_default_analysis_windows():
+    cfg = base_config(driver=DriverProfile(srt=0.2, experience_km_per_week=80),
+                      scenario=SCENARIO_PRESETS["S2"])
+    outcome = run_episode(cfg)
+    assert outcome.required_time == pytest.approx(2.15)
+    # Raises: window [0, 10] s must be ordered and lie inside the log [0, 8.2] s.
+    metrics = extract_metrics(outcome.log)
+    assert abs(metrics.tot - response_onset(cfg)) <= 0.05 + 1e-9
 
 
 def test_synthesized_log_shape():
