@@ -58,6 +58,12 @@ class EmptyBatch(TortbError):
     """Batch simulation requested with no episode configs."""
 
 
+def check_type(name: str, value: Any, types: type | tuple[type, ...], what: str) -> None:
+    """Raise ``SchemaError`` unless ``value`` is an instance of ``types`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SchemaError(f"{name} must be {what}, got {value!r}")
+
+
 def check_range(
     name: str, value: float, lo: float, hi: float = sys.float_info.max, *, above: bool = False
 ) -> None:
@@ -69,10 +75,8 @@ def check_range(
     numpy's, which is not a ``numbers.Real``.  A plain float or int skips
     that check, which costs several times the rest of this function.
     """
-    if type(value) not in (float, int) and (
-        isinstance(value, bool) or not isinstance(value, Real)
-    ):
-        raise SchemaError(f"{name} must be a number, got {value!r}")
+    if type(value) not in (float, int):
+        check_type(name, value, Real, "a number")
     if (lo < value if above else lo <= value) and value <= hi:
         return
     op, bracket = (">", "(") if above else (">=", "[")
@@ -82,17 +86,14 @@ def check_range(
 
 def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max) -> None:
     """Raise ``SchemaError`` unless ``value`` is an int, not a bool, within ``[lo, hi]``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    check_type(name, value, int, "an integer")
     check_range(name, value, lo, hi)
 
 
 def check_types(obj: Any, **types: type) -> None:
     """Raise ``SchemaError`` unless each named field of ``obj`` is an instance of its type."""
     for name, cls in types.items():
-        value = getattr(obj, name)
-        if not isinstance(value, cls):
-            raise SchemaError(f"{name} must be a {cls.__name__}, got {value!r}")
+        check_type(name, getattr(obj, name), cls, f"a {cls.__name__}")
 
 
 def shown(value: Any) -> str:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .calibration import AnchorCase, UnknownCoefficient
-from .errors import SchemaError, located
+from .errors import SchemaError, check_type, located
 from .model import (
     SCENARIO_PRESETS,
     CoefficientSet,
@@ -53,8 +53,7 @@ def _get(data: dict[str, Any], key: str, where: str) -> Any:
 
 def _typed(data: Any, key: str, where: str, types: Any, what: str) -> Any:
     value = _get(data, key, where)
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise SchemaError(f"{where}: {key} must be {what}, got {value!r}")
+    check_type(f"{where}: {key}", value, types, what)
     return value
 
 

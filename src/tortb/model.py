@@ -37,6 +37,7 @@ from .errors import (
     SpeedAboveModelRange,
     check_count,
     check_range,
+    check_type,
     check_types,
 )
 
@@ -121,8 +122,7 @@ def _validate_bands(
     name: str, bands: tuple[tuple[float, float], ...], *, values_decrease: bool
 ) -> tuple[tuple[float, float], ...]:
     """Check a band table, each entry a number before it becomes a float; return the floats."""
-    if not isinstance(bands, (tuple, list)):
-        raise SchemaError(f"{name} must be a tuple of (upper, value) pairs, got {bands!r}")
+    check_type(name, bands, (tuple, list), "a tuple of (upper, value) pairs")
     if not bands:
         raise SchemaError(f"{name} must contain at least one band")
     for i, band in enumerate(bands):

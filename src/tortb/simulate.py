@@ -28,7 +28,8 @@ import numpy as np
 
 from .drivelog import _T_EPS, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
 from .drivelog import DriveLog, SummaryStats, describe
-from .errors import EmptyBatch, SchemaError, check_count, check_range, check_types, located
+from .errors import (EmptyBatch, SchemaError, check_count, check_range, check_type,
+                     check_types, located)
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -136,10 +137,8 @@ class EpisodeConfig:
             check_range("deadline", self.deadline, 0)
             if self.budget_driver is not None:
                 raise SchemaError("deadline and budget_driver exclude each other, got both")
-        if self.budget_driver is not None and not isinstance(self.budget_driver, DriverProfile):
-            raise SchemaError(
-                f"budget_driver must be a DriverProfile or None, got {self.budget_driver!r}"
-            )
+        check_type("budget_driver", self.budget_driver, (DriverProfile, type(None)),
+                   "a DriverProfile or None")
         # A half-width beyond MAX_LOG_S is longer than any log an episode may
         # write, and near 1e308 the uniform draw's range would overflow.
         check_range("response_noise", self.response_noise, 0, MAX_LOG_S)
@@ -289,7 +288,7 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
     if not configs:
         raise EmptyBatch("no episode configs")
     # Any integer: mix_seed reduces it modulo 2**64.
-    check_count("base_seed", base_seed, -np.inf, np.inf)
+    check_type("base_seed", base_seed, int, "an integer")
     outcomes = []
     for i, cfg in enumerate(configs):
         with located(f"episodes[{i}]"):
