@@ -273,18 +273,19 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     out_dir.mkdir(parents=True, exist_ok=True)
     # report.json is written last, so an out-dir without one holds an unfinished run.
     (out_dir / "report.json").unlink(missing_ok=True)
+    # One name pattern for the logs this run writes and the stale ones it removes.
+    log_name = "episode_{:03d}.csv".format
     episodes = []
     for i, outcome in enumerate(report.outcomes):
-        log_name = f"episode_{i:03d}.csv"
-        fileio.write_file(out_dir / log_name, drive_log_to_csv(outcome.log))
+        fileio.write_file(out_dir / log_name(i), drive_log_to_csv(outcome.log))
         episodes.append({
             "index": i, "seed": outcome.seed, "required_s": outcome.required_time,
             "deadline_s": outcome.deadline, "margin_s": outcome.margin,
-            "classification": outcome.classification.value, "log_csv": log_name,
+            "classification": outcome.classification.value, "log_csv": log_name(i),
         })
     # Logs of a larger earlier run would otherwise sit beside this report.
     i = len(episodes)
-    while (stale := out_dir / f"episode_{i:03d}.csv").is_file():
+    while (stale := out_dir / log_name(i)).is_file():
         stale.unlink()
         i += 1
     payload = {

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import (
     SchemaError,
     WindowOutOfRange,
     check_range,
+    check_type,
     located,
     shown,
 )
@@ -106,6 +108,9 @@ class DriveLog:
                 f"timestamps deviate from the {self.sample_rate:g} Hz period by "
                 "more than 1e-6 s"
             )
+        # The log readers and the simulator pass a plain float, which skips the type rule.
+        if type(self.tor_time) is not float:
+            check_type("tor_time", self.tor_time, Real, "a number")
         # Python floats compare exactly with an int too large for a float.
         t0, t1 = float(arrays["t"][0]), float(arrays["t"][-1])
         if not t0 - _T_EPS <= self.tor_time <= t1 + _T_EPS:
@@ -388,9 +393,15 @@ def describe(values: Iterable[float]) -> SummaryStats:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise EmptyGroup("cannot describe an empty collection")
+    # Finite values near the float limit can still overflow the sum or the squares.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(np.mean(arr)), float(np.std(arr))
+    for name, stat in (("mean", mean), ("std", std)):
+        if not math.isfinite(stat):
+            raise SchemaError(f"{name} of {arr.size} values is not finite, got {stat}")
     return SummaryStats(
-        mean=float(np.mean(arr)),
-        std=float(np.std(arr)),
+        mean=mean,
+        std=std,
         min=float(np.min(arr)),
         max=float(np.max(arr)),
         n=int(arr.size),
@@ -423,6 +434,7 @@ def summarize(
         fields: dict[str, SummaryStats | None] = {}
         for field in METRIC_FIELDS:
             present = [getattr(m, field) for m in members if getattr(m, field) is not None]
-            fields[field] = describe(present) if present else None
+            with located(field):
+                fields[field] = describe(present) if present else None
         out[key] = fields
     return out

@@ -27,6 +27,7 @@ immutable values and is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
@@ -56,6 +57,7 @@ def round_coefficient(value: float) -> float:
     310 digits of the largest float at one decimal; the default 28 would
     raise ``InvalidOperation`` from about 1e27 up.
     """
+    check_range("value", value, -sys.float_info.max)
     return float(
         Decimal(repr(value)).quantize(
             Decimal("0.1"), rounding=ROUND_HALF_UP, context=Context(prec=310)
@@ -104,6 +106,7 @@ class ScenarioSpec:
         check_count("noj", self.noj, 0)
         check_range("ego_speed", self.ego_speed, 0)
         check_range("hazard_speed", self.hazard_speed, 0)
+        check_type("label", self.label, str, "a string")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,15 @@ import pytest
 
 from tortb.calibration import AnchorCase, UnknownCoefficient, calibrate_sequence, derive_oc
 from tortb.cli import main
-from tortb.drivelog import DriveLog, avg_lateral_displacement, detect_tot, max_acceleration
+from tortb.drivelog import (
+    DriveLog,
+    TakeoverMetrics,
+    avg_lateral_displacement,
+    describe,
+    detect_tot,
+    max_acceleration,
+    summarize,
+)
 from tortb.errors import (
     NegativeRelativeSpeed,
     SchemaError,
@@ -33,6 +41,7 @@ from tortb.model import (
     ScenarioSpec,
     TakeoverContext,
     estimate_tortb,
+    round_coefficient,
 )
 from tortb.simulate import EpisodeConfig, run_batch
 
@@ -74,6 +83,8 @@ REJECTIONS = [
      SchemaError, "noa must be an integer, got 1.5"),
     ("noj_bool", lambda: ScenarioSpec(noa=1, noj=True, ego_speed=80.0),
      SchemaError, "noj must be an integer, got True"),
+    ("label_int", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, label=5),
+     SchemaError, "label must be a string, got 5"),
     ("noa_file_float",
      lambda: scenario_from_dict({"noa": 1.5, "noj": 0, "ego_speed_km_per_hr": 80}),
      SchemaError, "scenario: noa must be an integer, got 1.5"),
@@ -103,6 +114,12 @@ REJECTIONS = [
      SchemaError, "ndrtc_handheld must be finite and >= 0, got -1.0"),
     ("oc_repeat", lambda: replace(DEFAULT_COEFFICIENTS, oc_repeat=math.nan),
      SchemaError, "oc_repeat must be finite and >= 0, got nan"),
+    ("round_coefficient_inf", lambda: round_coefficient(math.inf),
+     SchemaError, "value must be finite and >= -1.7976931348623157e+308, got inf"),
+    ("round_coefficient_nan", lambda: round_coefficient(math.nan),
+     SchemaError, "value must be finite and >= -1.7976931348623157e+308, got nan"),
+    ("round_coefficient_bool", lambda: round_coefficient(True),
+     SchemaError, "value must be a number, got True"),
     ("rsc_bands", lambda: replace(DEFAULT_COEFFICIENTS, rsc_bands=((50.0, 0.25), (80.0, math.nan))),
      SchemaError, "rsc_bands values[1] must be finite and >= 0, got nan"),
     ("dec_bands", lambda: replace(DEFAULT_COEFFICIENTS, dec_bands=((30.0, -2.0),)),
@@ -224,6 +241,13 @@ REJECTIONS = [
     ("tor_time_over_str_limit",
      lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=10**5000),
      SchemaError, "tor_time must lie within the log extent [0, 20] s, got an int of 16610 bits"),
+    ("tor_time_str", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time="0"),
+     SchemaError, "tor_time must be a number, got '0'"),
+    ("tor_time_none", lambda: DriveLog(T, ZEROS, ZEROS, ZEROS, ZEROS, tor_time=None),
+     SchemaError, "tor_time must be a number, got None"),
+    ("tor_time_bool",
+     lambda: DriveLog(np.arange(3.0), *[np.zeros(3)] * 4, tor_time=True, sample_rate=1.0),
+     SchemaError, "tor_time must be a number, got True"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
      SchemaError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
@@ -238,6 +262,13 @@ REJECTIONS = [
      WindowOutOfRange, "window [10, 9] s must be ordered and lie inside the log [0, 20] s"),
     ("takeover_after_log", lambda: max_acceleration(LOG, 21.0),
      WindowOutOfRange, "window [10, 21] s must be ordered and lie inside the log [0, 20] s"),
+    ("describe_mean_overflow", lambda: describe([1e308, 1e308]),
+     SchemaError, "mean of 2 values is not finite, got inf"),
+    ("describe_std_overflow", lambda: describe([1e200, 3e200]),
+     SchemaError, "std of 2 values is not finite, got inf"),
+    ("summarize_overflow",
+     lambda: summarize([TakeoverMetrics(1.0, 0.5, max_acc, 11.0) for max_acc in (1e200, 3e200)]),
+     SchemaError, "max_acc: std of 2 values is not finite, got inf"),
     ("ndrt", lambda: context_from_dict({**CTX_DOC, "ndrt": "HANDSFREE"}),
      SchemaError, "ctx: ndrt must be one of ['handsfree', 'handheld'], got 'HANDSFREE'"),
     ("unknown_lower", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "c_nox"}),

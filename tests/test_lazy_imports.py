@@ -19,8 +19,8 @@ ANCHORS = {"anchors": [{
     "unknown": "c_noa",
 }]}
 
-# Runs each numpy-free subcommand in one process, then reports whether numpy
-# was ever imported.
+# Runs each numpy-free subcommand in one process, lists the package's names,
+# then reports whether numpy was ever imported.
 SCRIPT = """
 import contextlib, io, sys
 import tortb, tortb.cli
@@ -38,6 +38,7 @@ for argv in (
         except SystemExit as exc:
             code = exc.code
     assert code == 0, argv
+assert set(tortb.__all__) <= set(dir(tortb))
 print("numpy" in sys.modules)
 """
 
