@@ -39,9 +39,11 @@ from .model import (
     estimate_tortb,
 )
 
-# The numpy-backed names `simulate` calls.  Each is bound here from the package
-# on first access (PEP 562), so the other subcommands start without numpy.  The
-# handler looks them up on this module, so a replaced one (as the traced bench's) is called.
+# numpy-backed names the traced bench replaces on this module.  Each is bound
+# here from the package on first access (PEP 562), so the other subcommands
+# start without numpy.  `simulate` looks `run_batch` up here, so a replaced one
+# is called.  It renders logs through `simulate.log_texts`, not
+# `drive_log_to_csv`; that name stays only because the bench still replaces it.
 _LAZY = ("drive_log_to_csv", "run_batch")
 
 
@@ -264,8 +266,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Output:
-    module = sys.modules[__name__]
-    run_batch, drive_log_to_csv = module.run_batch, module.drive_log_to_csv
+    from .simulate import log_texts
+    run_batch = sys.modules[__name__].run_batch
     configs, file_seed = fileio.load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
     report = run_batch(configs, base_seed)
@@ -276,8 +278,8 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     # One name pattern for the logs this run writes and the stale ones it removes.
     log_name = "episode_{:03d}.csv".format
     episodes = []
-    for i, outcome in enumerate(report.outcomes):
-        fileio.write_file(out_dir / log_name(i), drive_log_to_csv(outcome.log))
+    for i, (outcome, text) in enumerate(zip(report.outcomes, log_texts(report.outcomes))):
+        fileio.write_file(out_dir / log_name(i), text)
         episodes.append({
             "index": i, "seed": outcome.seed, "required_s": outcome.required_time,
             "deadline_s": outcome.deadline, "margin_s": outcome.margin,

@@ -1,5 +1,6 @@
 """Exception types, and the input checks that raise them, shared across the package."""
 
+import re
 import sys
 from contextlib import contextmanager
 from numbers import Real
@@ -31,7 +32,15 @@ class DependencyOrderError(TortbError):
 
 
 class SchemaError(TortbError, ValueError):
-    """An input breaks a rule: a range, a type, a key or a line.  Also a ``ValueError``."""
+    """An input breaks a rule: a range, a type, a key or a line.  Also a ``ValueError``.
+
+    ``field`` names the input that broke a type or range rule, as the check
+    was given it; it is None for the other rules.
+    """
+
+    def __init__(self, message: str = "", field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class NonUniformSampling(TortbError):
@@ -61,7 +70,7 @@ class EmptyBatch(TortbError):
 def check_type(name: str, value: Any, types: type | tuple[type, ...], what: str) -> None:
     """Raise ``SchemaError`` unless ``value`` is an instance of ``types`` and not a bool."""
     if isinstance(value, bool) or not isinstance(value, types):
-        raise SchemaError(f"{name} must be {what}, got {value!r}")
+        raise SchemaError(f"{name} must be {what}, got {value!r}", field=name)
 
 
 def check_range(
@@ -81,7 +90,7 @@ def check_range(
         return
     op, bracket = (">", "(") if above else (">=", "[")
     bound = f"finite and {op} {lo}" if hi == sys.float_info.max else f"within {bracket}{lo}, {hi}]"
-    raise SchemaError(f"{name} must be {bound}, got {shown(value)}")
+    raise SchemaError(f"{name} must be {bound}, got {shown(value)}", field=name)
 
 
 def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max) -> None:
@@ -93,7 +102,15 @@ def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max
 def check_types(obj: Any, **types: type) -> None:
     """Raise ``SchemaError`` unless each named field of ``obj`` is an instance of its type."""
     for name, cls in types.items():
-        check_type(name, getattr(obj, name), cls, f"a {cls.__name__}")
+        check_type(name, getattr(obj, name), cls, f"{_article(cls.__name__)} {cls.__name__}")
+
+
+def _article(noun: str) -> str:
+    """"an" before a vowel sound, else "a".  A first word with no vowel after
+    its first letter is an initialism read letter by letter, as in "an NdrtClass"."""
+    word = re.match(r".[^A-Z]*", noun).group()
+    spelled = not any(c in "aeiou" for c in word[1:])
+    return "an" if noun[0] in ("AEFHILMNORSX" if spelled else "AEIOU") else "a"
 
 
 def shown(value: Any) -> str:
@@ -106,8 +123,11 @@ def shown(value: Any) -> str:
 
 @contextmanager
 def located(where: str) -> Iterator[None]:
-    """Re-raise a ``TortbError`` from the block, of the same type, as ``where: message``."""
+    """Re-raise a ``TortbError`` from the block, of the same type and
+    attributes (a ``SchemaError``'s ``field``), as ``where: message``."""
     try:
         yield
     except TortbError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
+        relocated = type(exc)(f"{where}: {exc}")
+        vars(relocated).update(vars(exc))
+        raise relocated from None

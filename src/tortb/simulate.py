@@ -21,13 +21,16 @@ An episode's noise is the first draw of numpy's
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
-from .drivelog import _T_EPS, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
-from .drivelog import DriveLog, SummaryStats, describe
+from .drivelog import _T_EPS, CSV_HEADER, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
+from .drivelog import DriveLog, SummaryStats, _grid, _reprs, describe
 from .errors import (EmptyBatch, SchemaError, check_count, check_range, check_type,
                      check_types, located)
 from .model import (
@@ -45,6 +48,12 @@ LOG_TAIL_S = 1.0  # padding after the last event of interest
 LANE_CHANGE_AMPLITUDE_M = 3.5  # one lane width
 ACCEL_PULSE_PEAK = 1.0  # [m/s^2], half-sine during the maneuver
 STEERING_STEP = 0.2  # fraction of full range at response onset
+# Every log starts at t = 0 on the sample grid, with the TOR at one fixed row.
+_TOR_ROW = round(LOG_LEAD_IN_S * SAMPLE_RATE_HZ)
+_TOR_TIME = _TOR_ROW / SAMPLE_RATE_HZ
+#: Rows of drive log that :func:`log_texts` builds and renders at once; a
+#: longer log is rendered alone.
+CHUNK_ROWS = 1 << 14
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -172,7 +181,8 @@ class EpisodeOutcome:
         Every access allocates and validates a new log with the same
         values; keep the result when it is needed more than once.
         """
-        return _synthesize_log(self.config, self.required_time, self.deadline)
+        extent = _log_extent(self.config, self.required_time, self.deadline)
+        return DriveLog(*_channels([extent]), tor_time=_TOR_TIME, sample_rate=SAMPLE_RATE_HZ)
 
 
 def response_onset(cfg: EpisodeConfig) -> float:
@@ -191,8 +201,9 @@ def _classify(margin: float, maneuver_duration: float) -> Classification:
 
 def _log_extent(
     cfg: EpisodeConfig, required: float, deadline: float
-) -> tuple[float, float, float]:
-    """Response onset, maneuver start and log horizon [s after the TOR].
+) -> tuple[int, float, float, float]:
+    """Rows, response onset, maneuver start [s after the TOR] and maneuver
+    duration of the episode's log.
 
     Raises ``SchemaError`` when the log would span more than ``MAX_LOG_S``,
     before anything is allocated.
@@ -207,37 +218,27 @@ def _log_extent(
             f"{MAX_LOG_S:g} s limit (deadline {deadline:g} s, required time "
             f"{required:g} s, maneuver {cfg.maneuver_duration:g} s)"
         )
-    return onset, maneuver_start, horizon
+    rows = math.ceil((LOG_LEAD_IN_S + horizon) / (1.0 / SAMPLE_RATE_HZ)) + 1
+    return rows, onset, maneuver_start, cfg.maneuver_duration
 
 
-def _synthesize_log(cfg: EpisodeConfig, required: float, deadline: float) -> DriveLog:
-    dt = 1.0 / SAMPLE_RATE_HZ
-    onset, maneuver_start, horizon = _log_extent(cfg, required, deadline)
-    n = int(np.ceil((LOG_LEAD_IN_S + horizon) / dt)) + 1
-    t = np.arange(n, dtype=float) / SAMPLE_RATE_HZ
-    tor_index = int(round(LOG_LEAD_IN_S * SAMPLE_RATE_HZ))
-    tor_time = float(t[tor_index])
-    rel = t - tor_time
-
+def _channels(extents: Sequence[tuple[int, float, float, float]]) -> tuple[np.ndarray, ...]:
+    """The t, lateral, acceleration, steering and brake channels of the logs
+    of the given extents, laid end to end in one array each."""
+    rows, onset, start, duration = zip(*extents)
+    first_row = np.repeat(np.cumsum(rows) - rows, rows)
+    onset, start, duration = (np.repeat(col, rows) for col in (onset, start, duration))
+    t = (np.arange(first_row.size) - first_row) / SAMPLE_RATE_HZ
+    rel = t - _TOR_TIME
     # The slack absorbs timestamp rounding so the step lands on the first
     # sample at or after the onset.
     steering = np.where(rel >= onset - _T_EPS, STEERING_STEP, 0.0)
     # A subnormal maneuver duration overflows the ramp to +-inf, clipped to a step.
     with np.errstate(over="ignore"):
-        u = np.clip((rel - maneuver_start) / cfg.maneuver_duration, 0.0, 1.0)
+        u = np.clip((rel - start) / duration, 0.0, 1.0)
     lateral = LANE_CHANGE_AMPLITUDE_M * u * u * (3.0 - 2.0 * u)
     acceleration = ACCEL_PULSE_PEAK * np.sin(np.pi * u)
-    brake = np.zeros(n)
-
-    return DriveLog(
-        t=t,
-        lateral_displacement=lateral,
-        acceleration=acceleration,
-        steering=steering,
-        brake=brake,
-        tor_time=tor_time,
-        sample_rate=SAMPLE_RATE_HZ,
-    )
+    return t, lateral, acceleration, steering, np.zeros(t.size)
 
 
 def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
@@ -303,3 +304,63 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
         n_collision=counts[Classification.COLLISION],
         margin_stats=describe(o.margin for o in outcomes),
     )
+
+
+def log_texts(outcomes: Iterable[EpisodeOutcome]) -> Iterator[str]:
+    """Each outcome's drive log as CSV text, in order.
+
+    Each text equals ``drive_log_to_csv(outcome.log)`` byte for byte, but
+    no ``DriveLog`` is made.  Logs are built and rendered a chunk at a time:
+    as many whole logs as fit in ``CHUNK_ROWS`` rows, or one longer log on
+    its own, so memory does not grow with the number of outcomes.
+    """
+    chunk: list[tuple[int, float, float, float]] = []
+    size = 0
+    for outcome in outcomes:
+        extent = _log_extent(outcome.config, outcome.required_time, outcome.deadline)
+        if chunk and size + extent[0] > CHUNK_ROWS:
+            yield from _render_chunk(chunk)
+            chunk, size = [], 0
+        chunk.append(extent)
+        size += extent[0]
+    if chunk:
+        yield from _render_chunk(chunk)
+
+
+def _render_chunk(extents: list[tuple[int, float, float, float]]) -> Iterator[str]:
+    """The CSV text of the log of each extent.
+
+    The rows of a run that repeats every value column and the flag differ
+    only in their timestamp, so a run is written as the timestamps' grid
+    texts joined by one shared suffix.  The values at run starts are
+    rendered through one pool of distinct bit patterns, keyed by bits as
+    ``drive_log_to_csv`` keys them.
+    """
+    rows = [extent[0] for extent in extents]
+    starts = np.cumsum(rows) - rows
+    _, *values = _channels(extents)
+    bits = np.stack(values).view(np.uint64)
+    size = bits.shape[1]
+    flag = np.zeros(size, dtype=bool)
+    flag[starts + _TOR_ROW] = True
+    new_run = np.empty(size, dtype=bool)
+    new_run[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0) | (flag[1:] != flag[:-1])
+    new_run[starts] = True  # so no run crosses into the next log
+    run_at = np.flatnonzero(new_run)
+    # Each run's suffix: the text of its values and flag after the timestamp.
+    pool, inverse = np.unique(bits[:, run_at].ravel(), return_inverse=True)
+    texts = _reprs(pool.view(np.float64))[inverse].reshape(len(values), -1)
+    flag_text = np.where(flag[run_at], "1\n", "0\n").tolist()
+    suffixes = list(map(",".join, zip(repeat(""), *texts.tolist(), flag_text)))
+    # Each log's first run, and each run's rows counted from the start of its log.
+    first_run = np.searchsorted(run_at, starts).tolist() + [run_at.size]
+    offset = np.repeat(starts, np.diff(first_run))
+    run_first = (run_at - offset).tolist()
+    run_end = (np.append(run_at[1:], size) - offset).tolist()
+    grid_text = _grid(max(rows))[1][: max(rows)].tolist()
+    header = ",".join(CSV_HEADER) + "\n"
+    for lo, hi in zip(first_run, first_run[1:]):
+        yield header + "".join([
+            suffix.join(grid_text[a:b]) + suffix
+            for a, b, suffix in zip(run_first[lo:hi], run_end[lo:hi], suffixes[lo:hi])
+        ])

@@ -4,6 +4,7 @@ import hashlib
 import re
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from tortb import (
     run_episode,
 )
 from tortb import simulate
-from tortb.simulate import LOG_LEAD_IN_S, LOG_TAIL_S, MAX_LOG_S
+from tortb.simulate import LOG_LEAD_IN_S, LOG_TAIL_S, MAX_LOG_S, log_texts
 
 BOUND = DriverProfile(srt=0.3, experience_km_per_week=20)
 FIRST_HANDS_FREE = TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1)
@@ -249,6 +250,80 @@ def test_log_is_remade_identically_on_each_access(fields, n, digest):
     assert first.t.size == n and first.tor_time == second.tor_time == 5.0
     assert _log_digest(first) == _log_digest(second) == digest
     assert outcome.seed == fields["seed"]
+
+
+DRIVERS = st.builds(DriverProfile, srt=st.floats(0.0, 1.0),
+                    experience_km_per_week=st.floats(0.0, 500.0))
+SUBNORMAL_DURATION = 2.2250738585e-313  # overflows the maneuver ramp to a step
+
+
+@st.composite
+def episode_configs(draw):
+    deadline = draw(st.sampled_from(["own", "explicit", "budget_driver"]))
+    return base_config(
+        driver=draw(DRIVERS),
+        scenario=draw(st.sampled_from(sorted(SCENARIO_PRESETS.values(), key=str))),
+        ctx=TakeoverContext(ndrt_class=draw(st.sampled_from(NdrtClass)),
+                            ordinal=draw(st.integers(1, 4))),
+        deadline=draw(st.floats(0.0, 60.0)) if deadline == "explicit" else None,
+        budget_driver=draw(DRIVERS) if deadline == "budget_driver" else None,
+        response_noise=draw(st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 3.0)),
+        maneuver_duration=draw(st.sampled_from([5e-324, SUBNORMAL_DURATION, 1e-300])
+                               | st.floats(0.01, 10.0)),
+    )
+
+
+def assert_log_texts_render_each_log(configs, base_seed=0):
+    """log_texts gives ``drive_log_to_csv(outcome.log)`` for every outcome.
+    Returns the row count of each log."""
+    outcomes = run_batch(configs, base_seed).outcomes
+    logs = [o.log for o in outcomes]
+    assert list(log_texts(outcomes)) == [drive_log_to_csv(log) for log in logs]
+    return [log.t.size for log in logs]
+
+
+@given(configs=st.lists(episode_configs(), min_size=1, max_size=6),
+       base_seed=st.integers(-2**64, 2**64),
+       budget=st.sampled_from([simulate.CHUNK_ROWS, 1]) | st.integers(100, 2000))
+def test_log_texts_are_the_rendered_logs(configs, base_seed, budget):
+    """Whatever the chunk budget, so that chunks split the logs anywhere."""
+    with mock.patch.object(simulate, "CHUNK_ROWS", budget):
+        assert_log_texts_render_each_log(configs, base_seed)
+
+
+LONGEST = MAX_LOG_S - LOG_LEAD_IN_S - LOG_TAIL_S
+BUDGET = simulate.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("configs,premise", [
+    ([base_config(response_noise=0.5)], lambda rows: len(rows) == 1),
+    # About 2100 rows each, so the run crosses the chunk budget twice.
+    ([base_config(deadline=100.0 + i, response_noise=0.5) for i in range(20)],
+     lambda rows: sum(rows) > 2 * BUDGET),
+    ([base_config(), base_config(deadline=1000.0), base_config(response_noise=1.0)],
+     lambda rows: rows[1] > BUDGET > rows[0] + rows[2]),
+    ([base_config(deadline=LONGEST)], lambda rows: rows == [int(MAX_LOG_S * 20) + 1]),
+    ([base_config(maneuver_duration=SUBNORMAL_DURATION), base_config(maneuver_duration=5e-324)],
+     lambda rows: len(rows) == 2),
+], ids=["one_episode", "crosses_the_budget_twice", "one_log_above_the_budget",
+        "longest_log", "subnormal_maneuver"])
+def test_log_texts_at_the_chunk_edges(configs, premise):
+    assert premise(assert_log_texts_render_each_log(configs))
+
+
+def test_log_texts_fill_each_chunk_up_to_the_row_budget(monkeypatch):
+    """A chunk holds whole logs of at most CHUNK_ROWS rows, or one longer log,
+    and takes the next log whenever it still fits."""
+    chunks = []
+    build = simulate._channels
+    monkeypatch.setattr(simulate, "_channels",
+                        lambda extents: chunks.append([e[0] for e in extents]) or build(extents))
+    configs = [base_config(deadline=100.0 + i) for i in range(20)]
+    configs[7:7] = [base_config(deadline=1000.0)]
+    list(log_texts(run_batch(configs, 0).outcomes))
+    assert sum(map(len, chunks)) == len(configs) and len(chunks) > 2
+    assert all(sum(rows) <= BUDGET or len(rows) == 1 for rows in chunks)
+    assert all(sum(rows) + later[0] > BUDGET for rows, later in zip(chunks, chunks[1:]))
 
 
 @pytest.mark.parametrize(
