@@ -42,8 +42,8 @@ from .model import (
 # numpy-backed names the traced bench replaces on this module.  Each is bound
 # here from the package on first access (PEP 562), so the other subcommands
 # start without numpy.  `simulate` looks `run_batch` up here, so a replaced one
-# is called.  It renders logs through `simulate.log_texts`, not
-# `drive_log_to_csv`; that name stays only because the bench still replaces it.
+# is called.  It renders logs through `simulate.log_texts` and never calls
+# `drive_log_to_csv`, which stays here only for `bench/child.py` to patch.
 _LAZY = ("drive_log_to_csv", "run_batch")
 
 
@@ -363,11 +363,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, lines = _HANDLERS[args.command](args)
-        # simulate has no --json; its payload is the report file it wrote.
-        if getattr(args, "json", False):
-            sys.stdout.write(fileio.json_text(payload))
+        json_out = getattr(args, "json", False)  # simulate has none: it writes report.json
+        text = fileio.json_text(payload) if json_out else "\n".join(lines) + "\n"
+        # A path's bytes that are not UTF-8 arrive as lone surrogates (PEP 383) and go
+        # back out as given; a text-only stream, such as io.StringIO, takes them as is.
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
         else:
-            print("\n".join(lines))
+            sys.stdout.flush()
+            buffer.write(text.encode(sys.stdout.encoding, "surrogateescape"))
+            sys.stdout.flush()
     except (TortbError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,15 +51,6 @@ CSV_HEADER = (*_CHANNELS, "tor_flag")
 # 0.05 s at 20 Hz, so 1e-9 can never move a boundary across a sample).
 _T_EPS = 1e-9
 
-MAX_LOG_S = 3600.0  # longest log an episode may synthesize, lead-in included
-
-# Bits and repr text of the timestamps k / SAMPLE_RATE_HZ, k = 0 .. size-1,
-# shared by every render.  Grown on demand to the longest log rendered so
-# far, up to one entry per sample of a MAX_LOG_S log.  The correctly rounded
-# k / 10 equals 2k / 20, so 10 Hz logs hit it too.
-_GRID_CAP = int(MAX_LOG_S * SAMPLE_RATE_HZ) + 1
-_time_grid = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=object))
-
 
 @dataclass(frozen=True)
 class DriveLog:
@@ -225,53 +216,13 @@ def drive_log_to_csv(log: DriveLog) -> str:
     """Render a log back to the CSV schema.
 
     Floats are written as their shortest repr, so the text parses back to
-    bit-identical arrays; fields are unquoted and lines end in LF.  A
-    timestamp whose bits equal those of ``k / SAMPLE_RATE_HZ`` takes its
-    text from a grid table shared across logs.  Every other distinct bit
-    pattern across the five channels is rendered once per log and its text
-    reused wherever it occurs.  Texts are keyed by bits, never by value:
-    ``-0.0 == 0.0`` would write one as the other.
+    bit-identical arrays, ``-0.0`` included; fields are unquoted and lines
+    end in LF.
     """
-    t = log.t
-    # A timestamp near the float limit overflows to inf, which is off the grid.
-    with np.errstate(over="ignore"):
-        k = np.rint(t * SAMPLE_RATE_HZ)
-    inside = (0 <= k) & (k < _GRID_CAP)
-    k = np.where(inside, k, 0).astype(np.intp)
-    grid_bits, grid_text = _grid(int(k.max()) + 1)
-    off = ~inside | (grid_bits[k] != t.view(np.uint64))
-    pool = [getattr(log, field) for field in _CHANNELS.values()]
-    pool[0] = t[off]
-    bits, inverse = np.unique(np.concatenate(pool).view(np.uint64), return_inverse=True)
-    texts = _reprs(bits.view(np.float64))[inverse]
-    tcol = grid_text[k]
-    tcol[off] = texts[: pool[0].size]
-    cols = texts[pool[0].size :].reshape(len(pool) - 1, t.size).tolist()
-    flags = ["0"] * t.size
+    flags = ["0"] * log.t.size
     flags[log.tor_index] = "1"
-    body = "\n".join(map(",".join, zip(tcol.tolist(), *cols, flags)))
-    return ",".join(CSV_HEADER) + "\n" + body + "\n"
-
-
-def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time grid table, first grown to at least ``size`` entries.
-
-    ``size`` is at most ``_GRID_CAP``, and entries already built are kept.
-    """
-    global _time_grid
-    grid_bits, grid_text = _time_grid
-    if grid_bits.size < size:
-        times = np.arange(grid_bits.size, size) / SAMPLE_RATE_HZ
-        _time_grid = grid_bits, grid_text = (
-            np.concatenate([grid_bits, times.view(np.uint64)]),
-            np.concatenate([grid_text, _reprs(times)]),
-        )
-    return grid_bits, grid_text
-
-
-def _reprs(values: np.ndarray) -> np.ndarray:
-    """The shortest repr of each float, as an object array of str."""
-    return np.array(list(map(repr, values.tolist())), dtype=object)
+    columns = [map(repr, getattr(log, name).tolist()) for name in _CHANNELS.values()]
+    return "".join(",".join(row) + "\n" for row in (CSV_HEADER, *zip(*columns, flags)))
 
 
 def detect_tot(log: DriveLog, threshold: float = TOT_THRESHOLD) -> float | None:

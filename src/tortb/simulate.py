@@ -29,8 +29,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .drivelog import _T_EPS, CSV_HEADER, MAX_LOG_S, PRE_WINDOW_S, SAMPLE_RATE_HZ
-from .drivelog import DriveLog, SummaryStats, _grid, _reprs, describe
+from .drivelog import _T_EPS, CSV_HEADER, PRE_WINDOW_S, SAMPLE_RATE_HZ
+from .drivelog import DriveLog, SummaryStats, describe
 from .errors import (EmptyBatch, SchemaError, check_count, check_range, check_type,
                      check_types, located)
 from .model import (
@@ -48,9 +48,14 @@ LOG_TAIL_S = 1.0  # padding after the last event of interest
 LANE_CHANGE_AMPLITUDE_M = 3.5  # one lane width
 ACCEL_PULSE_PEAK = 1.0  # [m/s^2], half-sine during the maneuver
 STEERING_STEP = 0.2  # fraction of full range at response onset
+MAX_LOG_S = 3600.0  # longest log an episode may synthesize, lead-in included
 # Every log starts at t = 0 on the sample grid, with the TOR at one fixed row.
 _TOR_ROW = round(LOG_LEAD_IN_S * SAMPLE_RATE_HZ)
 _TOR_TIME = _TOR_ROW / SAMPLE_RATE_HZ
+# repr of k / SAMPLE_RATE_HZ, k = 0, 1, ..., up to the longest log rendered so
+# far.  It grows by binding a new list, never in place, so a concurrent render
+# may see it short but never half built.
+_time_texts: list[str] = []
 #: Rows of drive log that :func:`log_texts` builds and renders at once; a
 #: longer log is rendered alone.
 CHUNK_ROWS = 1 << 14
@@ -333,9 +338,10 @@ def _render_chunk(extents: list[tuple[int, float, float, float]]) -> Iterator[st
     The rows of a run that repeats every value column and the flag differ
     only in their timestamp, so a run is written as the timestamps' grid
     texts joined by one shared suffix.  The values at run starts are
-    rendered through one pool of distinct bit patterns, keyed by bits as
-    ``drive_log_to_csv`` keys them.
+    rendered through one pool of distinct bit patterns: keyed by bits, not
+    by value, since ``-0.0 == 0.0`` would write one as the other.
     """
+    global _time_texts
     rows = [extent[0] for extent in extents]
     starts = np.cumsum(rows) - rows
     _, *values = _channels(extents)
@@ -349,7 +355,8 @@ def _render_chunk(extents: list[tuple[int, float, float, float]]) -> Iterator[st
     run_at = np.flatnonzero(new_run)
     # Each run's suffix: the text of its values and flag after the timestamp.
     pool, inverse = np.unique(bits[:, run_at].ravel(), return_inverse=True)
-    texts = _reprs(pool.view(np.float64))[inverse].reshape(len(values), -1)
+    pool_texts = np.array(list(map(repr, pool.view(np.float64).tolist())), dtype=object)
+    texts = pool_texts[inverse].reshape(len(values), -1)
     flag_text = np.where(flag[run_at], "1\n", "0\n").tolist()
     suffixes = list(map(",".join, zip(repeat(""), *texts.tolist(), flag_text)))
     # Each log's first run, and each run's rows counted from the start of its log.
@@ -357,7 +364,10 @@ def _render_chunk(extents: list[tuple[int, float, float, float]]) -> Iterator[st
     offset = np.repeat(starts, np.diff(first_run))
     run_first = (run_at - offset).tolist()
     run_end = (np.append(run_at[1:], size) - offset).tolist()
-    grid_text = _grid(max(rows))[1][: max(rows)].tolist()
+    grid_text = _time_texts
+    if len(grid_text) < max(rows):
+        grid_text = _time_texts = grid_text + [
+            repr(k / SAMPLE_RATE_HZ) for k in range(len(grid_text), max(rows))]
     header = ",".join(CSV_HEADER) + "\n"
     for lo, hi in zip(first_run, first_run[1:]):
         yield header + "".join([

@@ -1062,6 +1062,30 @@ def test_a_path_holding_a_nul_byte_is_a_usage_error(flag, tmp_path, monkeypatch,
     assert sorted(os.listdir(tmp_path)) == ["anchors.json", "episodes.json"]
 
 
+NON_UTF8_PATH_CASES = {
+    "--out": ([b"calibrate", b"--anchors", b"anchors.json", b"--out", b"\xff.json"],
+              b"coefficient file written: \xff.json\n"),
+    "--out-dir": ([b"simulate", b"--config", b"episodes.json", b"--out-dir", b"d\xff"],
+                  b"report written: d\xff/report.json\n"),
+}
+
+
+@pytest.mark.parametrize("flag", NON_UTF8_PATH_CASES)
+def test_a_path_that_is_not_utf8_is_printed_as_its_bytes(flag, tmp_path):
+    """A strict UTF-8 stdout, as Python has under a locale such as
+    en_US.UTF-8, prints the path's bytes as given, as ``ls`` does."""
+    write_anchors(tmp_path / "anchors.json")
+    write_episode_config(tmp_path / "episodes.json")
+    argv, last_line = NON_UTF8_PATH_CASES[flag]
+    env = {**os.environ, "PYTHONPATH": str(Path(tortb.__file__).parents[1]),
+           "PYTHONUTF8": "1", "PYTHONIOENCODING": "utf-8:strict"}
+    done = subprocess.run([sys.executable, "-m", "tortb.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, check=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.endswith(last_line)
+    assert os.path.exists(tmp_path / os.fsdecode(argv[-1]))
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(["--version"], capsys)
     assert code == 0

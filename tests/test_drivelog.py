@@ -2,11 +2,7 @@
 
 import csv
 import io
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,6 +31,7 @@ from tortb import (
 )
 from tortb import drivelog
 from tortb.drivelog import CSV_HEADER
+from tortb.simulate import MAX_LOG_S
 
 RATE = 20.0
 CHANNELS = ("t", "lateral_displacement", "acceleration", "steering", "brake")
@@ -423,22 +420,24 @@ RENDER_EDGES = st.sampled_from([
 RENDER_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | RENDER_EDGES
 
 
-GRID_CAP = drivelog._GRID_CAP
+# Samples in the longest log the simulator writes, all on the 20 Hz grid.
+GRID_CAP = int(MAX_LOG_S * RATE) + 1
 
 
 def _timestamps(draw, rate):
-    """Timestamps that miss the shared time grid, hit it, or lie on either
-    side of its ends, at the drawn rate."""
+    """Timestamps at the drawn rate: off the grid ``k / 20`` that simulated
+    logs use, on it near either end of the longest simulated log, or one
+    extreme value."""
     n = draw(st.integers(1, 30))
     kind = draw(st.sampled_from(["offset", "grid", "lone"]))
     if kind == "offset":
         start = draw(st.integers(-400, 400).map(lambda k: k / rate) | st.floats(-1e4, 1e4))
         return start + np.arange(n) / rate
     if kind == "lone":
-        # 1e308 * RATE overflows in the grid lookup.
+        # A signed zero, the smallest subnormal and a value near the float limit.
         return np.array([draw(st.sampled_from([-0.0, 5e-324, 1e308]))])
-    # (k0 + i) / rate lies on the grid, which ends where k0 / rate reaches
-    # the cap; at 50 Hz only every fifth sample lies on it.
+    # (k0 + i) / rate lies on the grid near t = 0 or near GRID_CAP / 20, the
+    # longest log's end; at 50 Hz only every fifth sample lies on it.
     at_cap = int(GRID_CAP * rate / RATE)
     k0 = draw(st.integers(-400, 400) | st.integers(at_cap - 40, at_cap + 40))
     t = (k0 + np.arange(n)) / rate
@@ -494,28 +493,6 @@ def test_render_matches_reference_row_loop_and_round_trips(log):
     for name in CHANNELS:
         assert getattr(parsed, name).tobytes() == getattr(log, name).tobytes()
     assert parsed.tor_time == log.t[log.tor_index]
-
-
-def test_time_grid_grows_to_the_longest_log_and_stops_at_the_cap():
-    zeros = np.zeros(GRID_CAP + 10)
-    longest = DriveLog(t=np.arange(GRID_CAP + 10) / RATE, lateral_displacement=zeros,
-                       acceleration=zeros, steering=zeros, brake=zeros, tor_time=0.0)
-    for log in (longest, make_log(n=5, tor_index=2), _lone((GRID_CAP + 5) / RATE)):
-        assert drive_log_to_csv(log) == _reference_render(log)
-        grid_bits, grid_text = drivelog._time_grid
-        assert grid_bits.size == grid_text.size == GRID_CAP
-    assert GRID_CAP == int(drivelog.MAX_LOG_S * RATE) + 1
-    assert grid_bits.tobytes() == (np.arange(GRID_CAP) / RATE).tobytes()
-
-
-def test_importing_the_package_builds_no_time_grid():
-    env = {**os.environ, "PYTHONPATH": str(Path(drivelog.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import tortb, tortb.cli, tortb.drivelog; print(tortb.drivelog._time_grid[0].size)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert done.stdout == "0\n"
 
 
 def test_csv_round_trip():

@@ -1,9 +1,14 @@
 """Tests for the deterministic episode simulator."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -324,6 +329,54 @@ def test_log_texts_fill_each_chunk_up_to_the_row_budget(monkeypatch):
     assert sum(map(len, chunks)) == len(configs) and len(chunks) > 2
     assert all(sum(rows) <= BUDGET or len(rows) == 1 for rows in chunks)
     assert all(sum(rows) + later[0] > BUDGET for rows, later in zip(chunks, chunks[1:]))
+
+
+def test_time_texts_grow_to_the_longest_log_and_stop_there():
+    full = [repr(k / 20) for k in range(int(MAX_LOG_S * 20) + 1)]
+    list(log_texts(run_batch([base_config(deadline=LONGEST)], 0).outcomes))
+    table = simulate._time_texts
+    assert table == full
+    list(log_texts(run_batch([base_config(response_noise=0.5)], 0).outcomes))
+    assert simulate._time_texts is table and table == full
+
+
+def test_importing_the_package_builds_no_time_texts():
+    env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import tortb, tortb.cli, tortb.simulate; print(len(tortb.simulate._time_texts))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "0\n"
+
+
+def test_concurrent_renders_each_get_their_own_logs(monkeypatch):
+    """Threads that grow the shared timestamp table at once still write each
+    log's bytes: the table is rebound whole, never extended in place."""
+    outcomes = run_batch([base_config(deadline=d) for d in (5.0, 60.0, 250.0, 900.0)], 0).outcomes
+    expected = [drive_log_to_csv(outcome.log) for outcome in outcomes]
+    rotations = [i % len(outcomes) for i in range(8)]
+
+    def render(slot):
+        i = rotations[slot]
+        results[slot] = list(log_texts(outcomes[i:] + outcomes[:i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(simulate, "_time_texts", [])
+            results = [None] * len(rotations)
+            threads = [threading.Thread(target=render, args=(slot,))
+                       for slot in range(len(rotations))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected[i:] + expected[:i] for i in rotations]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize(
