@@ -51,16 +51,18 @@ from .model import (
 
 __version__ = "0.1.0"
 
-# Each public name of the numpy-backed submodules, with its submodule.  A
-# submodule is imported on the first use of one of its names (PEP 562), so
-# estimating and calibrating load no numpy.
+# Each public name of the submodules not imported up front, with its
+# submodule.  A submodule is imported on the first use of one of its names
+# (PEP 562), so estimating and calibrating load no simulator, and only the
+# drive-log names load numpy.
 _LAZY = {
     **dict.fromkeys(
-        ("DriveLog", "SummaryStats", "TakeoverMetrics", "avg_lateral_displacement",
-         "describe", "detect_tot", "drive_log_to_csv", "extract_metrics",
-         "max_acceleration", "parse_drive_log", "summarize"),
+        ("DriveLog", "TakeoverMetrics", "avg_lateral_displacement", "detect_tot",
+         "drive_log_to_csv", "extract_metrics", "max_acceleration", "parse_drive_log",
+         "summarize"),
         "drivelog",
     ),
+    **dict.fromkeys(("SummaryStats", "describe"), "stats"),
     **dict.fromkeys(
         ("BatchReport", "Classification", "EpisodeConfig", "EpisodeOutcome", "mix_seed",
          "response_onset", "run_batch", "run_episode"),

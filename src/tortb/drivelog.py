@@ -21,13 +21,14 @@ scope; they cannot be extracted from a vehicle log.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
-from .defaults import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
+from .defaults import (_T_EPS, CSV_HEADER, POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ,
+                       TOT_THRESHOLD)
 from .errors import (
     EmptyGroup,
     MissingTorMarker,
@@ -40,16 +41,12 @@ from .errors import (
     located,
     shown,
 )
+from .stats import SummaryStats, describe
 
 #: The CSV's value columns in file order, each with the DriveLog field it
 #: fills; a tor_flag column follows them.
-_CHANNELS = {"t": "t", "lat_disp": "lateral_displacement", "acc": "acceleration",
-             "steering": "steering", "brake": "brake"}
-CSV_HEADER = (*_CHANNELS, "tor_flag")
-
-# Slack for float comparisons on sample timestamps (the sample period is
-# 0.05 s at 20 Hz, so 1e-9 can never move a boundary across a sample).
-_T_EPS = 1e-9
+_CHANNELS = dict(zip(CSV_HEADER, ("t", "lateral_displacement", "acceleration", "steering",
+                                  "brake")))
 
 
 @dataclass(frozen=True)
@@ -327,36 +324,6 @@ def extract_metrics(
         takeover_time_abs=takeover_abs,
     )
 
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Population descriptive statistics."""
-
-    mean: float
-    std: float  # population standard deviation
-    min: float
-    max: float
-    n: int
-
-
-def describe(values: Iterable[float]) -> SummaryStats:
-    """Population mean/std/min/max over a non-empty collection."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise EmptyGroup("cannot describe an empty collection")
-    # Finite values near the float limit can still overflow the sum or the squares.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = float(np.mean(arr)), float(np.std(arr))
-    for name, stat in (("mean", mean), ("std", std)):
-        if not math.isfinite(stat):
-            raise SchemaError(f"{name} of {arr.size} values is not finite, got {stat}")
-    return SummaryStats(
-        mean=mean,
-        std=std,
-        min=float(np.min(arr)),
-        max=float(np.max(arr)),
-        n=int(arr.size),
-    )
 
 #: TakeoverMetrics fields summarize() aggregates.
 METRIC_FIELDS = ("tot", "avg_ld", "max_acc")

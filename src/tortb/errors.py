@@ -67,9 +67,18 @@ class EmptyBatch(TortbError):
     """Batch simulation requested with no episode configs."""
 
 
-def check_type(name: str, value: Any, types: type | tuple[type, ...], what: str) -> None:
-    """Raise ``SchemaError`` unless ``value`` is an instance of ``types`` and not a bool."""
+def check_type(
+    name: str, value: Any, types: type | tuple[type, ...], what: str | None = None
+) -> None:
+    """Raise ``SchemaError`` unless ``value`` is an instance of ``types`` and not a bool.
+
+    ``what`` names the expected type in the message.  Without it, ``types``
+    must be one class, and the message names it with its article, a phrase
+    built only when the check fails.
+    """
     if isinstance(value, bool) or not isinstance(value, types):
+        if what is None:
+            what = f"{_article(types.__name__)} {types.__name__}"
         raise SchemaError(f"{name} must be {what}, got {value!r}", field=name)
 
 
@@ -102,7 +111,7 @@ def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max
 def check_types(obj: Any, **types: type) -> None:
     """Raise ``SchemaError`` unless each named field of ``obj`` is an instance of its type."""
     for name, cls in types.items():
-        check_type(name, getattr(obj, name), cls, f"{_article(cls.__name__)} {cls.__name__}")
+        check_type(name, getattr(obj, name), cls)
 
 
 def _article(noun: str) -> str:

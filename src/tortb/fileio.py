@@ -323,7 +323,7 @@ _EPISODE = {
 def episode_config_from_dict(
     data: dict[str, Any], where: str = "episode"
 ) -> EpisodeConfig:
-    from .simulate import EpisodeConfig  # numpy, only for the commands that simulate
+    from .simulate import EpisodeConfig  # the simulator, only for the commands that simulate
 
     return _from_dict(data, _EPISODE, EpisodeConfig, where)
 

@@ -16,21 +16,20 @@ at band edges.  Episodes are independent: each owns a generator seeded per
 a fixed mixing rule, so batch results do not depend on execution order.
 An episode's noise is the first draw of numpy's
 ``default_rng(seed).uniform``, computed here bit for bit without loading
-``numpy.random``, so every seed gives the same episodes either way.
+``numpy.random``, so every seed gives the same episodes either way.  Logs
+are computed with ``math`` alone, so simulating imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .drivelog import _T_EPS, CSV_HEADER, PRE_WINDOW_S, SAMPLE_RATE_HZ
-from .drivelog import DriveLog, SummaryStats, describe
+from .defaults import _T_EPS, CSV_HEADER, PRE_WINDOW_S, SAMPLE_RATE_HZ
 from .errors import (EmptyBatch, SchemaError, check_count, check_range, check_type,
                      check_types, located)
 from .model import (
@@ -42,6 +41,10 @@ from .model import (
     estimate_tortb,
     ndrtc_lookup,
 )
+from .stats import SummaryStats, describe
+
+if TYPE_CHECKING:
+    from .drivelog import DriveLog
 
 LOG_LEAD_IN_S = PRE_WINDOW_S  # automation phase kept before the TOR
 LOG_TAIL_S = 1.0  # padding after the last event of interest
@@ -56,9 +59,6 @@ _TOR_TIME = _TOR_ROW / SAMPLE_RATE_HZ
 # far.  It grows by binding a new list, never in place, so a concurrent render
 # may see it short but never half built.
 _time_texts: list[str] = []
-#: Rows of drive log that :func:`log_texts` builds and renders at once; a
-#: longer log is rendered alone.
-CHUNK_ROWS = 1 << 14
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -186,8 +186,11 @@ class EpisodeOutcome:
         Every access allocates and validates a new log with the same
         values; keep the result when it is needed more than once.
         """
-        extent = _log_extent(self.config, self.required_time, self.deadline)
-        return DriveLog(*_channels([extent]), tor_time=_TOR_TIME, sample_rate=SAMPLE_RATE_HZ)
+        from .drivelog import DriveLog
+
+        rows, *shape = _log_extent(self.config, self.required_time, self.deadline)
+        columns = zip(*_rows(range(rows), *shape))
+        return DriveLog(*columns, tor_time=_TOR_TIME, sample_rate=SAMPLE_RATE_HZ)
 
 
 def response_onset(cfg: EpisodeConfig) -> float:
@@ -227,23 +230,27 @@ def _log_extent(
     return rows, onset, maneuver_start, cfg.maneuver_duration
 
 
-def _channels(extents: Sequence[tuple[int, float, float, float]]) -> tuple[np.ndarray, ...]:
-    """The t, lateral, acceleration, steering and brake channels of the logs
-    of the given extents, laid end to end in one array each."""
-    rows, onset, start, duration = zip(*extents)
-    first_row = np.repeat(np.cumsum(rows) - rows, rows)
-    onset, start, duration = (np.repeat(col, rows) for col in (onset, start, duration))
-    t = (np.arange(first_row.size) - first_row) / SAMPLE_RATE_HZ
-    rel = t - _TOR_TIME
-    # The slack absorbs timestamp rounding so the step lands on the first
-    # sample at or after the onset.
-    steering = np.where(rel >= onset - _T_EPS, STEERING_STEP, 0.0)
-    # A subnormal maneuver duration overflows the ramp to +-inf, clipped to a step.
-    with np.errstate(over="ignore"):
-        u = np.clip((rel - start) / duration, 0.0, 1.0)
-    lateral = LANE_CHANGE_AMPLITUDE_M * u * u * (3.0 - 2.0 * u)
-    acceleration = ACCEL_PULSE_PEAK * np.sin(np.pi * u)
-    return t, lateral, acceleration, steering, np.zeros(t.size)
+def _rows(ks: Iterable[int], onset: float, start: float,
+          duration: float) -> Iterator[tuple[float, float, float, float, float]]:
+    """Rows ``ks`` of a log: t, lateral displacement, acceleration, steering
+    and brake, for a response at ``onset`` and a maneuver from ``start`` to
+    ``start + duration`` [s after the TOR]."""
+    for k in ks:
+        t = k / SAMPLE_RATE_HZ
+        rel = t - _TOR_TIME
+        # A subnormal maneuver duration overflows the ramp to +-inf, clipped
+        # to a step.  Clipped as np.clip clips: a ramp of -0.0 stays -0.0.
+        ramp = (rel - start) / duration
+        u = 0.0 if ramp < 0.0 else 1.0 if ramp > 1.0 else ramp
+        yield (
+            t,
+            LANE_CHANGE_AMPLITUDE_M * u * u * (3.0 - 2.0 * u),
+            ACCEL_PULSE_PEAK * math.sin(math.pi * u),
+            # The slack absorbs timestamp rounding so the step lands on the
+            # first sample at or after the onset.
+            STEERING_STEP if rel >= onset - _T_EPS else 0.0,
+            0.0,
+        )
 
 
 def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
@@ -315,62 +322,60 @@ def log_texts(outcomes: Iterable[EpisodeOutcome]) -> Iterator[str]:
     """Each outcome's drive log as CSV text, in order.
 
     Each text equals ``drive_log_to_csv(outcome.log)`` byte for byte, but
-    no ``DriveLog`` is made.  Logs are built and rendered a chunk at a time:
-    as many whole logs as fit in ``CHUNK_ROWS`` rows, or one longer log on
-    its own, so memory does not grow with the number of outcomes.
+    no ``DriveLog`` is made and numpy is not imported.  One log is rendered
+    at a time, so memory does not grow with the number of outcomes.
     """
-    chunk: list[tuple[int, float, float, float]] = []
-    size = 0
     for outcome in outcomes:
-        extent = _log_extent(outcome.config, outcome.required_time, outcome.deadline)
-        if chunk and size + extent[0] > CHUNK_ROWS:
-            yield from _render_chunk(chunk)
-            chunk, size = [], 0
-        chunk.append(extent)
-        size += extent[0]
-    if chunk:
-        yield from _render_chunk(chunk)
+        yield _log_text(*_log_extent(outcome.config, outcome.required_time, outcome.deadline))
 
 
-def _render_chunk(extents: list[tuple[int, float, float, float]]) -> Iterator[str]:
-    """The CSV text of the log of each extent.
+def _log_text(rows: int, onset: float, start: float, duration: float) -> str:
+    """The CSV text of a log of the given extent.
 
     The rows of a run that repeats every value column and the flag differ
     only in their timestamp, so a run is written as the timestamps' grid
-    texts joined by one shared suffix.  The values at run starts are
-    rendered through one pool of distinct bit patterns: keyed by bits, not
-    by value, since ``-0.0 == 0.0`` would write one as the other.
+    texts joined by one shared suffix.  :func:`_rows` is evaluated only at
+    run starts and on the maneuver's rows.  Elsewhere a row's values change
+    only where steering steps, the ramp rises above 0 and the ramp reaches
+    1.  Each of those tests is monotone in the row, as IEEE subtraction and
+    division by a positive number are, so bisection finds the first row
+    that passes it.  Below 0 the ramp clips to 0.0; it can be -0.0 only on
+    the TOR row, where ``rel`` is 0.0, which is a run of its own.
     """
     global _time_texts
-    rows = [extent[0] for extent in extents]
-    starts = np.cumsum(rows) - rows
-    _, *values = _channels(extents)
-    bits = np.stack(values).view(np.uint64)
-    size = bits.shape[1]
-    flag = np.zeros(size, dtype=bool)
-    flag[starts + _TOR_ROW] = True
-    new_run = np.empty(size, dtype=bool)
-    new_run[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0) | (flag[1:] != flag[:-1])
-    new_run[starts] = True  # so no run crosses into the next log
-    run_at = np.flatnonzero(new_run)
-    # Each run's suffix: the text of its values and flag after the timestamp.
-    pool, inverse = np.unique(bits[:, run_at].ravel(), return_inverse=True)
-    pool_texts = np.array(list(map(repr, pool.view(np.float64).tolist())), dtype=object)
-    texts = pool_texts[inverse].reshape(len(values), -1)
-    flag_text = np.where(flag[run_at], "1\n", "0\n").tolist()
-    suffixes = list(map(",".join, zip(repeat(""), *texts.tolist(), flag_text)))
-    # Each log's first run, and each run's rows counted from the start of its log.
-    first_run = np.searchsorted(run_at, starts).tolist() + [run_at.size]
-    offset = np.repeat(starts, np.diff(first_run))
-    run_first = (run_at - offset).tolist()
-    run_end = (np.append(run_at[1:], size) - offset).tolist()
     grid_text = _time_texts
-    if len(grid_text) < max(rows):
+    if len(grid_text) < rows:
         grid_text = _time_texts = grid_text + [
-            repr(k / SAMPLE_RATE_HZ) for k in range(len(grid_text), max(rows))]
-    header = ",".join(CSV_HEADER) + "\n"
-    for lo, hi in zip(first_run, first_run[1:]):
-        yield header + "".join([
-            suffix.join(grid_text[a:b]) + suffix
-            for a, b, suffix in zip(run_first[lo:hi], run_end[lo:hi], suffixes[lo:hi])
-        ])
+            repr(k / SAMPLE_RATE_HZ) for k in range(len(grid_text), rows)]
+
+    # The tests of _rows.  Before the TOR row, rel < 0 <= start and every test fails.
+    def first(test: Callable[[int], bool], lo: int = _TOR_ROW) -> int:
+        return bisect_left(range(rows), True, lo, key=test)
+
+    step = first(lambda k: k / SAMPLE_RATE_HZ - _TOR_TIME >= onset - _T_EPS)
+    moving = first(lambda k: (k / SAMPLE_RATE_HZ - _TOR_TIME - start) / duration > 0.0)
+    still = first(lambda k: (k / SAMPLE_RATE_HZ - _TOR_TIME - start) / duration >= 1.0, moving)
+    bounds = sorted({0, _TOR_ROW, _TOR_ROW + 1, step, moving, still, rows})
+
+    texts = [",".join(CSV_HEADER) + "\n"]
+    for a, b in zip(bounds, bounds[1:]):
+        _, *values = next(_rows((a,), onset, start, duration))
+        flag = "1\n" if a == _TOR_ROW else "0\n"
+        if moving <= a < still:
+            tail = f",{values[2]!r},{values[3]!r},{flag}"
+            texts += [f"{grid_text[k]},{lateral!r},{acceleration!r}{tail}"
+                      for k, (_, lateral, acceleration, _, _)
+                      in zip(range(a, b), _rows(range(a, b), onset, start, duration))]
+        else:
+            run = ",".join(["", *map(repr, values), flag])
+            texts.append(run.join(grid_text[a:b]) + run)
+    return "".join(texts)
+
+
+def __getattr__(name: str) -> object:
+    # drivelog's DriveLog, imported with numpy on first use of the name.
+    if name == "DriveLog":
+        from .drivelog import DriveLog
+
+        return DriveLog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -547,7 +547,7 @@ def test_handlers_call_the_replaceable_cli_attributes(tmp_path, monkeypatch, cap
     """The traced bench times the simulate layer by replacing ``tortb.cli.run_batch``;
     the handler must call it.  The bench also replaces ``drive_log_to_csv``,
     which simulate does not call: it renders its logs through
-    ``simulate.log_texts``, a chunk of logs at a time."""
+    ``simulate.log_texts``, one log at a time."""
     config = tmp_path / "episodes.json"
     write_episode_config(config)
     calls = count_calls(monkeypatch, tortb.cli, ["run_batch", "drive_log_to_csv"])

@@ -17,6 +17,7 @@ from tortb.drivelog import (
     max_acceleration,
     summarize,
 )
+from tortb import errors
 from tortb.errors import (
     NegativeRelativeSpeed,
     SchemaError,
@@ -349,6 +350,17 @@ def test_check_range_above_excludes_the_lower_bound():
         check_range("x", 0.0, 0, above=True)
     with pytest.raises(ValueError, match=r"^x must be within \(0, 1\], got 0$"):
         check_range("x", 0, 0, 1, above=True)
+
+
+def test_check_types_builds_the_article_only_for_a_failed_check(monkeypatch):
+    calls = []
+    article = errors._article
+    monkeypatch.setattr(errors, "_article", lambda noun: calls.append(noun) or article(noun))
+    TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1)
+    assert calls == []
+    with pytest.raises(SchemaError, match=r"^ndrt_class must be an NdrtClass, got 'x'$"):
+        TakeoverContext(ndrt_class="x", ordinal=1)
+    assert calls == ["NdrtClass"]
 
 
 def test_located_prefixes_a_rejection_with_its_origin_and_keeps_its_type():

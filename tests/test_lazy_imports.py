@@ -8,6 +8,8 @@ from pathlib import Path
 
 import tortb
 import tortb.cli
+from golden_inputs import EPISODES as GOLDEN_EPISODES
+from golden_inputs import GOLDEN
 
 SRC = str(Path(tortb.__file__).parents[1])
 
@@ -51,19 +53,21 @@ EPISODES = {"base_seed": 7, "episodes": [{
 }]}
 
 # Runs simulate, then analyze on the log it wrote, in one process; then
-# reports what the run loaded, the BLAS thread setting and the thread count.
+# reports what each loaded, the BLAS thread setting and the thread count.
 NUMPY_SCRIPT = """
 import contextlib, io, json, os, sys
 import tortb, tortb.cli
 config, out = sys.argv[1:]
+loaded = {}
 for argv in (
     ["simulate", "--config", config, "--out-dir", out],
     ["analyze", "--log", os.path.join(out, "episode_000.csv"), "--json"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert tortb.cli.main(argv) == 0, argv
+    loaded[argv[0]] = "numpy" in sys.modules
 print(json.dumps({
-    "numpy": "numpy" in sys.modules,
+    "numpy": loaded,
     "numpy.random": "numpy.random" in sys.modules,
     "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None,
@@ -92,11 +96,43 @@ def test_estimate_table_calibrate_and_help_import_no_numpy(tmp_path):
     assert (tmp_path / "out.json").exists()
 
 
+# Runs the golden simulate case in the directory given, with numpy made
+# unimportable, then reports whether numpy was loaded all the same.
+WITHOUT_NUMPY = """
+import os, sys
+
+class HideNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, HideNumpy())
+os.chdir(sys.argv[1])
+import tortb.cli
+code = tortb.cli.main(["simulate", "--config", "episodes.json", "--out-dir", "simulate"])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_golden_simulate_case_runs_with_numpy_hidden(tmp_path):
+    (tmp_path / "episodes.json").write_text(json.dumps(GOLDEN_EPISODES), encoding="utf-8")
+    stdout = run_fresh(WITHOUT_NUMPY, str(tmp_path))
+    assert stdout == (GOLDEN / "stdout/simulate.txt").read_text(encoding="utf-8") + "False\n"
+    written = sorted(path.name for path in (tmp_path / "simulate").iterdir())
+    assert written == sorted(path.name for path in (GOLDEN / "simulate").iterdir())
+    for name in written:
+        expected = (GOLDEN / "simulate" / name).read_bytes()
+        assert (tmp_path / "simulate" / name).read_bytes() == expected, name
+
+
 def test_simulate_and_analyze_run_one_blas_thread_and_no_numpy_random(tmp_path):
     config = tmp_path / "episodes.json"
     config.write_text(json.dumps(EPISODES), encoding="utf-8")
     got = json.loads(run_fresh(NUMPY_SCRIPT, str(config), str(tmp_path / "out")))
-    assert got["numpy"] and not got["numpy.random"]
+    # simulate alone loads no numpy; analyze does, without numpy.random.
+    assert got["numpy"] == {"simulate": False, "analyze": True}
+    assert not got["numpy.random"]
     assert got["OPENBLAS_NUM_THREADS"] == "1"
     if sys.platform == "linux":
         assert got["threads"] == 1

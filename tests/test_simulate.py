@@ -9,7 +9,6 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,9 +239,12 @@ PINNED_LOGS = [
 ]
 
 
+CHANNELS = ("t", "lateral_displacement", "acceleration", "steering", "brake")
+
+
 def _log_digest(log):
     h = hashlib.sha256()
-    for name in ("t", "lateral_displacement", "acceleration", "steering", "brake"):
+    for name in CHANNELS:
         h.update(getattr(log, name).tobytes())
     return h.hexdigest()
 
@@ -287,48 +289,86 @@ def assert_log_texts_render_each_log(configs, base_seed=0):
     return [log.t.size for log in logs]
 
 
+def numpy_channels(rows, onset, start, duration):
+    """A log's five channels computed on numpy arrays, ``np.clip`` and
+    ``np.sin``: the reference for the exact value of every row."""
+    t = np.arange(rows) / 20.0
+    rel = t - 5.0
+    steering = np.where(rel >= onset - 1e-9, simulate.STEERING_STEP, 0.0)
+    with np.errstate(over="ignore"):
+        u = np.clip((rel - start) / duration, 0.0, 1.0)
+    lateral = simulate.LANE_CHANGE_AMPLITUDE_M * u * u * (3.0 - 2.0 * u)
+    acceleration = simulate.ACCEL_PULSE_PEAK * np.sin(np.pi * u)
+    return t, lateral, acceleration, steering, np.zeros(rows)
+
+
+# The maneuver starts at the onset, 5e-324 s after the TOR, so the ramp at
+# the TOR row is -5e-324 / 10, which rounds to -0.0: np.clip keeps it, and
+# the row's acceleration is sin(-0.0) == -0.0.
+NEGATIVE_ZERO_RAMP = base_config(driver=DriverProfile(srt=5e-324, experience_km_per_week=20),
+                                 maneuver_duration=10.0)
+
+
 @given(configs=st.lists(episode_configs(), min_size=1, max_size=6),
-       base_seed=st.integers(-2**64, 2**64),
-       budget=st.sampled_from([simulate.CHUNK_ROWS, 1]) | st.integers(100, 2000))
-def test_log_texts_are_the_rendered_logs(configs, base_seed, budget):
-    """Whatever the chunk budget, so that chunks split the logs anywhere."""
-    with mock.patch.object(simulate, "CHUNK_ROWS", budget):
-        assert_log_texts_render_each_log(configs, base_seed)
+       base_seed=st.integers(-2**64, 2**64))
+@example(configs=[NEGATIVE_ZERO_RAMP], base_seed=0)
+def test_logs_hold_the_values_numpy_computed(configs, base_seed):
+    for outcome in run_batch(configs, base_seed).outcomes:
+        extent = simulate._log_extent(outcome.config, outcome.required_time, outcome.deadline)
+        log = outcome.log
+        for name, expected in zip(CHANNELS, numpy_channels(*extent)):
+            assert getattr(log, name).tobytes() == expected.tobytes(), name
+
+
+def test_acceleration_keeps_the_sign_of_a_negative_zero_ramp():
+    text = next(log_texts(run_batch([NEGATIVE_ZERO_RAMP], 0).outcomes))
+    assert text.splitlines()[1 + 100] == "5.0,0.0,-0.0,0.2,0.0,1"
+
+
+@given(configs=st.lists(episode_configs(), min_size=1, max_size=6),
+       base_seed=st.integers(-2**64, 2**64))
+@example(configs=[NEGATIVE_ZERO_RAMP], base_seed=0)
+def test_log_texts_are_the_rendered_logs(configs, base_seed):
+    assert_log_texts_render_each_log(configs, base_seed)
 
 
 LONGEST = MAX_LOG_S - LOG_LEAD_IN_S - LOG_TAIL_S
-BUDGET = simulate.CHUNK_ROWS
+HANDS_FREE_AT_ONCE = DriverProfile(srt=0.0, experience_km_per_week=20)
 
 
 @pytest.mark.parametrize("configs,premise", [
     ([base_config(response_noise=0.5)], lambda rows: len(rows) == 1),
-    # About 2100 rows each, so the run crosses the chunk budget twice.
     ([base_config(deadline=100.0 + i, response_noise=0.5) for i in range(20)],
-     lambda rows: sum(rows) > 2 * BUDGET),
+     lambda rows: sum(rows) > 40000),
     ([base_config(), base_config(deadline=1000.0), base_config(response_noise=1.0)],
-     lambda rows: rows[1] > BUDGET > rows[0] + rows[2]),
+     lambda rows: rows[1] > 10 * (rows[0] + rows[2])),
     ([base_config(deadline=LONGEST)], lambda rows: rows == [int(MAX_LOG_S * 20) + 1]),
     ([base_config(maneuver_duration=SUBNORMAL_DURATION), base_config(maneuver_duration=5e-324)],
      lambda rows: len(rows) == 2),
-], ids=["one_episode", "crosses_the_budget_twice", "one_log_above_the_budget",
-        "longest_log", "subnormal_maneuver"])
-def test_log_texts_at_the_chunk_edges(configs, premise):
+    # Steering steps on the TOR row.  The first and last maneuvers start
+    # there; the second lasts one sample period.
+    ([base_config(driver=HANDS_FREE_AT_ONCE, maneuver_duration=10.0),
+      base_config(driver=HANDS_FREE_AT_ONCE, maneuver_duration=0.05), NEGATIVE_ZERO_RAMP],
+     lambda rows: len(rows) == 3),
+], ids=["one_episode", "many_logs", "long_log_between_short_ones", "longest_log",
+       "subnormal_maneuver", "maneuver_at_the_tor"])
+def test_log_texts_of_edge_logs(configs, premise):
     assert premise(assert_log_texts_render_each_log(configs))
 
 
-def test_log_texts_fill_each_chunk_up_to_the_row_budget(monkeypatch):
-    """A chunk holds whole logs of at most CHUNK_ROWS rows, or one longer log,
-    and takes the next log whenever it still fits."""
-    chunks = []
-    build = simulate._channels
-    monkeypatch.setattr(simulate, "_channels",
-                        lambda extents: chunks.append([e[0] for e in extents]) or build(extents))
-    configs = [base_config(deadline=100.0 + i) for i in range(20)]
-    configs[7:7] = [base_config(deadline=1000.0)]
-    list(log_texts(run_batch(configs, 0).outcomes))
-    assert sum(map(len, chunks)) == len(configs) and len(chunks) > 2
-    assert all(sum(rows) <= BUDGET or len(rows) == 1 for rows in chunks)
-    assert all(sum(rows) + later[0] > BUDGET for rows, later in zip(chunks, chunks[1:]))
+def test_log_texts_keep_memory_flat_over_many_outcomes():
+    """Only the log being rendered is held: the peak while 200 logs of
+    ~2100 rows are rendered is that of one, not of the 17 MB they add up to."""
+    outcomes = run_batch([base_config(deadline=100.0, response_noise=0.5)] * 200, 0).outcomes
+    one = len(next(log_texts(outcomes)))  # also grows the timestamp table first
+    tracemalloc.start()
+    try:
+        total = sum(len(text) for text in log_texts(outcomes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total > 200 * one * 0.9
+    assert peak < 4 * one, (peak, one)
 
 
 def test_time_texts_grow_to_the_longest_log_and_stop_there():
