@@ -53,8 +53,8 @@ __version__ = "0.1.0"
 
 # Each public name of the submodules not imported up front, with its
 # submodule.  A submodule is imported on the first use of one of its names
-# (PEP 562), so estimating and calibrating load no simulator, and only the
-# drive-log names load numpy.
+# (PEP 562), so estimating and calibrating load neither the drive-log module
+# nor the simulator.
 _LAZY = {
     **dict.fromkeys(
         ("DriveLog", "TakeoverMetrics", "avg_lateral_displacement", "detect_tot",

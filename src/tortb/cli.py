@@ -15,7 +15,6 @@ Every command is deterministic given its flags, files and seed.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -39,11 +38,11 @@ from .model import (
     estimate_tortb,
 )
 
-# Names the traced bench replaces on this module.  Each is bound here from the
-# package on first access (PEP 562), so no subcommand loads numpy or the
-# simulator up front.  `simulate` looks `run_batch` up here, so a replaced one
-# is called.  It renders logs through `simulate.log_texts` and never calls
-# `drive_log_to_csv`, which stays here only for `bench/child.py` to patch.
+# Names the traced bench replaces on this module, each bound here from the
+# package on first access (PEP 562) so no subcommand loads the drive-log module
+# or the simulator up front.  `simulate` looks `run_batch` up here, so a
+# replaced one is called; it renders logs through `simulate.log_texts`, and
+# `drive_log_to_csv` stays here only for `bench/child.py` to patch.
 _LAZY = ("drive_log_to_csv", "run_batch")
 
 
@@ -355,11 +354,6 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the only code here that writes output or sets the exit code."""
-    # tortb calls no BLAS routine, yet OpenBLAS starts a worker thread when
-    # numpy loads, which costs processor time.  numpy first loads in the
-    # analyze handler, after this line; a value the user set wins.
-    # Only the CLI sets it: a library import must leave a user's BLAS alone.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         payload, lines = _HANDLERS[args.command](args)

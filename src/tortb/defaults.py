@@ -1,8 +1,8 @@
-"""Drive-log defaults and the CSV layout, shared without importing numpy.
+"""Drive-log defaults and the CSV layout.
 
 :mod:`tortb.drivelog` uses them and re-exports them; the CLI reads them
 from here to build its flags, and :mod:`tortb.simulate` to write its logs,
-so parsing arguments and simulating import no numpy.
+so parsing arguments and simulating do not load the drive-log module.
 """
 
 # Analysis defaults: log sample rate, lateral-displacement windows before and

@@ -21,96 +21,94 @@ scope; they cannot be extracted from a vehicle log.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from numbers import Real
-
-import numpy as np
+from operator import sub
 
 from .defaults import (_T_EPS, CSV_HEADER, POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ,
                        TOT_THRESHOLD)
-from .errors import (
-    EmptyGroup,
-    MissingTorMarker,
-    MultipleTorMarkers,
-    NonUniformSampling,
-    SchemaError,
-    WindowOutOfRange,
-    check_range,
-    check_type,
-    located,
-    shown,
-)
-from .stats import SummaryStats, describe
+from .errors import (EmptyGroup, MissingTorMarker, MultipleTorMarkers, NonUniformSampling,
+                     SchemaError, WindowOutOfRange, check_range, check_type, located, shown)
+from .stats import SummaryStats, _mean, _number, describe
 
 #: The CSV's value columns in file order, each with the DriveLog field it
 #: fills; a tor_flag column follows them.
 _CHANNELS = dict(zip(CSV_HEADER, ("t", "lateral_displacement", "acceleration", "steering",
                                   "brake")))
+#: Fields per CSV row, the tor_flag included.
+_WIDTH = len(CSV_HEADER)
+
+
+class _Floats(tuple):
+    """A channel of floats from a log reader, which DriveLog need not convert again."""
 
 
 @dataclass(frozen=True)
 class DriveLog:
     """Validated fixed-rate drive trace.
 
-    Arrays are copied and frozen on construction; all values must be
-    finite, timestamps must strictly increase and stay within 1e-6 s of the
-    declared sample period, and the TOR instant must lie within the log
-    extent.
+    Each channel is converted to a tuple of floats on construction; all
+    values must be finite numbers, not str or bool, timestamps must strictly
+    increase and stay within 1e-6 s of the declared sample period, and the
+    TOR instant must lie within the log extent.
     """
 
-    t: np.ndarray  # [s]
-    lateral_displacement: np.ndarray  # [m], signed offset from lane center
-    acceleration: np.ndarray  # [m/s^2]
-    steering: np.ndarray  # normalized [0, 1] of full range
-    brake: np.ndarray  # normalized [0, 1]
+    t: tuple[float, ...]  # [s]
+    lateral_displacement: tuple[float, ...]  # [m], signed offset from lane center
+    acceleration: tuple[float, ...]  # [m/s^2]
+    steering: tuple[float, ...]  # normalized [0, 1] of full range
+    brake: tuple[float, ...]  # normalized [0, 1]
     tor_time: float  # [s]
     sample_rate: float = SAMPLE_RATE_HZ  # [Hz]
 
     def __post_init__(self) -> None:
-        arrays = {}
         for name in _CHANNELS.values():
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            arrays[name] = arr
-            object.__setattr__(self, name, arr)
-        n = arrays["t"].size
+            values = getattr(self, name)
+            if type(values) is not _Floats:
+                with located(f"channel {name}"):
+                    values = [v if type(v) is float else _number(v) for v in values]
+            object.__setattr__(self, name, tuple(values))
+        t = self.t
+        n = len(t)
         if n == 0:
             raise SchemaError("log must contain at least one sample")
-        for name, arr in arrays.items():
-            if arr.shape != (n,):
+        for name in _CHANNELS.values():
+            values = getattr(self, name)
+            if len(values) != n:
                 raise SchemaError(f"channel {name} must match the timestamp length")
-            if not np.isfinite(arr).all():
-                i = int(np.flatnonzero(~np.isfinite(arr))[0])
-                error = NonUniformSampling if name == "t" else SchemaError
-                raise error(f"channel {name} must be finite, got {arr[i]} at sample {i}")
+            # An inf or a NaN makes the sum non-finite; so can finite values that overflow it.
+            if not math.isfinite(sum(values)):
+                for i, value in enumerate(values):
+                    if not math.isfinite(value):
+                        error = NonUniformSampling if name == "t" else SchemaError
+                        raise error(f"channel {name} must be finite, got {value} at sample {i}")
         check_range("sample_rate", self.sample_rate, 0, above=True)
-        # Far-apart finite timestamps overflow to inf, rejected below as off-period.
-        with np.errstate(over="ignore"):
-            dt = np.diff(arrays["t"])
-        if not np.all(dt > 0):
-            raise NonUniformSampling("timestamps must strictly increase")
         period = 1.0 / self.sample_rate
-        if dt.size and float(np.max(np.abs(dt - period))) > 1e-6:
+        # Far-apart finite timestamps overflow to inf, rejected below as off-period.
+        dt = list(map(sub, t[1:], t)) or [period]  # a lone sample has no step
+        shortest, longest = min(dt), max(dt)
+        if not shortest > 0:
+            raise NonUniformSampling("timestamps must strictly increase")
+        # Subtraction is monotone, so these bound |dt - period| over every step.
+        if max(longest - period, period - shortest) > 1e-6:
             raise NonUniformSampling(
-                f"timestamps deviate from the {self.sample_rate:g} Hz period by "
-                "more than 1e-6 s"
-            )
+                f"timestamps deviate from the {self.sample_rate:g} Hz period by more than 1e-6 s")
         # The log readers and the simulator pass a plain float, which skips the type rule.
         if type(self.tor_time) is not float:
             check_type("tor_time", self.tor_time, Real, "a number")
         # Python floats compare exactly with an int too large for a float.
-        t0, t1 = float(arrays["t"][0]), float(arrays["t"][-1])
-        if not t0 - _T_EPS <= self.tor_time <= t1 + _T_EPS:
+        if not t[0] - _T_EPS <= self.tor_time <= t[-1] + _T_EPS:
             raise SchemaError(
-                f"tor_time must lie within the log extent [{t0:g}, {t1:g}] s, "
+                f"tor_time must lie within the log extent [{t[0]:g}, {t[-1]:g}] s, "
                 f"got {shown(self.tor_time)}"
             )
 
     @property
     def tor_index(self) -> int:
         """Index of the first sample at or after the TOR instant."""
-        return int(np.searchsorted(self.t, self.tor_time - _T_EPS))
+        return bisect_left(self.t, self.tor_time - _T_EPS)
 
 
 def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> DriveLog:
@@ -130,74 +128,84 @@ def parse_drive_log(data: bytes | str, sample_rate: float = SAMPLE_RATE_HZ) -> D
         raise SchemaError(f"not valid UTF-8 ({exc})") from None
     if not text:
         raise SchemaError("empty file; header row is mandatory")
-    lines = text.replace("\r\n", "\n").split("\n")
-    if tuple(h.strip() for h in lines[0].split(",")) != CSV_HEADER:
-        raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {lines[0]!r}")
-    if "\r" in lines[0][:-1]:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    header, _, body = text.partition("\n")
+    if tuple(h.strip() for h in header.split(",")) != CSV_HEADER:
+        raise SchemaError(f"header must be {','.join(CSV_HEADER)}, got {header!r}")
+    if "\r" in header[:-1]:
         raise SchemaError("line 1: CR before the end of the line")
-    values = _loadtxt_rows(lines[1:])
-    if values is None:
-        values = _read_lines(lines)
-    marked = np.flatnonzero(values[:, -1] == 1.0)
-    if marked.size == 0:
+    columns, flags = _bulk_rows(body) or _read_lines(body.split("\n"))
+    marked = flags.count("1")
+    if marked == 0:
         raise MissingTorMarker("no row carries tor_flag=1")
-    if marked.size > 1:
-        raise MultipleTorMarkers(f"{marked.size} rows carry tor_flag=1")
-    return DriveLog(
-        **dict(zip(_CHANNELS.values(), values.T)),
-        tor_time=float(values[marked[0], 0]),
-        sample_rate=sample_rate,
-    )
+    if marked > 1:
+        raise MultipleTorMarkers(f"{marked} rows carry tor_flag=1")
+    return DriveLog(*columns, tor_time=columns[0][flags.index("1")], sample_rate=sample_rate)
 
 
-def _loadtxt_rows(body: list[str]) -> np.ndarray | None:
-    """The data rows as ``np.loadtxt`` reads them, or None if it falls short.
+def _bulk_rows(body: str) -> tuple[list[_Floats], list[str]] | None:
+    """The value columns and flag texts of a plain body, or None to decline it.
 
-    None when the body has no data line or a line holding only a CR (which
-    loadtxt would warn on, or skip as blank), when loadtxt raises, and when
-    it returns a field count or a flag the schema forbids: a wrong field
-    count on every row alike gets through it.
+    Takes only ASCII bodies without ``_``, CR or blank lines, split at every
+    comma and row break at once.  A row break becomes a field of its own,
+    so rows of six fields put one at every seventh place; no value converts
+    from a row break and no flag is one, so no other field holds one.
+    Declines a body whose fields do not fall so, a flag that is not the
+    text ``0`` or ``1`` and a value ``float`` refuses, such as one padded
+    with a control character.  :func:`_read_lines` reads what it declines.
     """
-    if not any(body) or "\r" in body:
+    if (not body.isascii() or "_" in body or "\r" in body or "\n\n" in body
+            or body.startswith("\n")):
+        return None
+    fields = body.replace("\n", ",\n,").split(",")
+    if body.endswith("\n"):
+        del fields[-2:]  # the last row break and the empty field after it
+    stride = _WIDTH + 1  # a row's fields and the break after it
+    rows, extra = divmod(len(fields) + 1, stride)
+    if extra or fields[_WIDTH::stride].count("\n") != rows - 1:
+        return None
+    flags = fields[_WIDTH - 1::stride]
+    if flags.count("0") + flags.count("1") != rows:
         return None
     try:
-        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        columns = [_Floats(map(float, fields[k::stride])) for k in range(_WIDTH - 1)]
     except ValueError:
         return None
-    flags = values[:, -1]
-    if values.shape[1] != len(CSV_HEADER) or not np.all((flags == 0.0) | (flags == 1.0)):
-        return None
-    return values
+    return columns, flags
 
 
-def _read_lines(lines: list[str]) -> np.ndarray:
-    """The data rows, read one line at a time: the rule every body is held to.
+def _read_lines(lines: list[str]) -> tuple[list[_Floats], list[str]]:
+    """The value columns and flag texts of the body ``lines``, read one line
+    at a time: the rule every body is held to.
 
-    Reads every body that ``np.loadtxt`` does not cleanly accept.  Raises
-    the SchemaError of the first malformed line in file order, whatever the
+    Reads every body that :func:`_bulk_rows` declines.  Raises the
+    SchemaError of the first malformed line in file order, whatever the
     kind of fault, or ``no data rows`` when no line holds data.
     """
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         with located(f"line {lineno}"):
             fields = line.split(",")
-            if len(fields) != len(CSV_HEADER):
-                raise SchemaError(f"expected {len(CSV_HEADER)} fields")
+            if len(fields) != _WIDTH:
+                raise SchemaError(f"expected {_WIDTH} fields")
             values = [_field_value(field) for field in fields]
             if values[-1] not in (0.0, 1.0):
                 raise SchemaError("tor_flag must be 0 or 1")
             if "\r" in line[:-1]:
                 raise SchemaError("CR before the end of the line")
+        values[-1] = "1" if values[-1] else "0"
         rows.append(values)
     if not rows:
         raise SchemaError("no data rows")
-    return np.array(rows)
+    *columns, flags = zip(*rows)
+    return list(map(_Floats, columns)), list(flags)
 
 
 def _field_value(field: str) -> float:
-    """One field as ``np.loadtxt`` reads it: stripped, ASCII, no ``_``."""
+    """One field as ``float`` reads it once stripped: ASCII, no ``_``."""
     s = field.strip()
     if "_" in s:
         raise SchemaError(f"field {field!r} holds a '_' digit separator")
@@ -213,12 +221,12 @@ def drive_log_to_csv(log: DriveLog) -> str:
     """Render a log back to the CSV schema.
 
     Floats are written as their shortest repr, so the text parses back to
-    bit-identical arrays, ``-0.0`` included; fields are unquoted and lines
+    bit-identical columns, ``-0.0`` included; fields are unquoted and lines
     end in LF.
     """
-    flags = ["0"] * log.t.size
+    flags = ["0"] * len(log.t)
     flags[log.tor_index] = "1"
-    columns = [map(repr, getattr(log, name).tolist()) for name in _CHANNELS.values()]
+    columns = [map(repr, getattr(log, name)) for name in _CHANNELS.values()]
     return "".join(",".join(row) + "\n" for row in (CSV_HEADER, *zip(*columns, flags)))
 
 
@@ -233,60 +241,56 @@ def detect_tot(log: DriveLog, threshold: float = TOT_THRESHOLD) -> float | None:
     """
     check_range("threshold", threshold, 0, 1)
     i0 = log.tor_index
-    steering = log.steering[i0:]
-    brake = log.brake[i0:]
+    steering0, brake0 = log.steering[i0], log.brake[i0]
     # A difference beyond the float range overflows to inf, which counts as moved.
-    with np.errstate(over="ignore"):
-        moved = (np.abs(steering - steering[0]) >= threshold) | (
-            np.abs(brake - brake[0]) >= threshold
-        )
-    hits = np.flatnonzero(moved)
-    if hits.size == 0:
-        return None
-    return max(0.0, float(log.t[i0 + hits[0]] - log.tor_time))
+    for t, steering, brake in zip(log.t[i0:], log.steering[i0:], log.brake[i0:]):
+        if abs(steering - steering0) >= threshold or abs(brake - brake0) >= threshold:
+            return max(0.0, t - log.tor_time)
+    return None
 
 
 def _window(log: DriveLog, lo: float, hi: float) -> slice:
     """The samples in ``[lo, hi]`` [s], ends inclusive.
 
-    Raises :class:`WindowOutOfRange` unless ``lo <= hi`` and both ends lie
-    inside the log, each comparison within ``_T_EPS``; NaN fails them all.
+    Raises :class:`WindowOutOfRange` unless ``lo <= hi``, both ends lie
+    inside the log, each comparison within ``_T_EPS`` (NaN fails them all),
+    and a sample lies between them.
     """
     start, stop = lo - _T_EPS, hi + _T_EPS
-    if not (log.t[0] - _T_EPS <= lo and start <= hi and hi <= log.t[-1] + _T_EPS):
+    t = log.t
+    if not (t[0] - _T_EPS <= lo and start <= hi and hi <= t[-1] + _T_EPS):
         raise WindowOutOfRange(
             f"window [{lo:g}, {hi:g}] s must be ordered and lie inside the log "
-            f"[{log.t[0]:g}, {log.t[-1]:g}] s"
+            f"[{t[0]:g}, {t[-1]:g}] s"
         )
-    return slice(int(np.searchsorted(log.t, start)),
-                 int(np.searchsorted(log.t, stop, side="right")))
+    window = slice(bisect_left(t, start), bisect_right(t, stop))
+    if window.start == window.stop:
+        raise WindowOutOfRange(f"window [{lo:g}, {hi:g}] s holds no sample")
+    return window
 
 
-def avg_lateral_displacement(
-    log: DriveLog, pre_window: float, post_window: float
-) -> float:
+def avg_lateral_displacement(log: DriveLog, pre_window: float, post_window: float) -> float:
     """Mean absolute lane-center offset [m] over [TOR-pre, TOR+post].
 
-    Both window ends are inclusive and must lie inside the log extent.
+    Both window ends are inclusive and must lie inside the log extent.  The
+    mean is summed in the order :func:`tortb.stats.describe` sums in.
     """
     check_range("pre_window", pre_window, 0, above=True)
     check_range("post_window", post_window, 0, above=True)
-    lo = log.tor_time - pre_window
-    hi = log.tor_time + post_window
-    window = _window(log, lo, hi)
+    lo, hi = log.tor_time - pre_window, log.tor_time + post_window
+    avg = _mean(list(map(abs, log.lateral_displacement[_window(log, lo, hi)])))
     # Finite offsets near the float limit can still overflow the sum.
-    with np.errstate(over="ignore"):
-        avg = float(np.mean(np.abs(log.lateral_displacement[window])))
     if not math.isfinite(avg):
-        raise SchemaError(
-            f"mean absolute lateral displacement over [{lo:g}, {hi:g}] s overflows"
-        )
+        raise SchemaError(f"mean absolute lateral displacement over [{lo:g}, {hi:g}] s overflows")
     return avg
 
 
 def max_acceleration(log: DriveLog, takeover_time_abs: float) -> float:
-    """Maximum acceleration [m/s^2] over [TOR, takeover], ends inclusive."""
-    return float(np.max(log.acceleration[_window(log, log.tor_time, takeover_time_abs)]))
+    """Maximum acceleration [m/s^2] over [TOR, takeover], ends inclusive.
+
+    Of equal values the first is kept, so a window of ``0.0, -0.0`` gives ``0.0``.
+    """
+    return max(log.acceleration[_window(log, log.tor_time, takeover_time_abs)])
 
 
 @dataclass(frozen=True)
@@ -303,26 +307,15 @@ class TakeoverMetrics:
     takeover_time_abs: float | None  # [s]
 
 
-def extract_metrics(
-    log: DriveLog,
-    pre_window: float = PRE_WINDOW_S,
-    post_window: float = POST_WINDOW_S,
-    threshold: float = TOT_THRESHOLD,
-) -> TakeoverMetrics:
+def extract_metrics(log: DriveLog, pre_window: float = PRE_WINDOW_S,
+                    post_window: float = POST_WINDOW_S,
+                    threshold: float = TOT_THRESHOLD) -> TakeoverMetrics:
     """All measures for one log in a single pass."""
     tot = detect_tot(log, threshold)
-    if tot is None:
-        takeover_abs = None
-        max_acc = None
-    else:
-        takeover_abs = log.tor_time + tot
-        max_acc = max_acceleration(log, takeover_abs)
-    return TakeoverMetrics(
-        tot=tot,
-        avg_ld=avg_lateral_displacement(log, pre_window, post_window),
-        max_acc=max_acc,
-        takeover_time_abs=takeover_abs,
-    )
+    takeover_abs = None if tot is None else log.tor_time + tot
+    max_acc = None if takeover_abs is None else max_acceleration(log, takeover_abs)
+    avg_ld = avg_lateral_displacement(log, pre_window, post_window)
+    return TakeoverMetrics(tot=tot, avg_ld=avg_ld, max_acc=max_acc, takeover_time_abs=takeover_abs)
 
 
 #: TakeoverMetrics fields summarize() aggregates.

@@ -80,7 +80,7 @@ def mix_seed(base_seed: int, index: int) -> int:
 
 
 def _uniform(seed: int, low: float, high: float) -> float:
-    """``np.random.default_rng(seed).uniform(low, high)``, without ``numpy.random``.
+    """numpy's ``random.default_rng(seed).uniform(low, high)``, without numpy.
 
     ``SeedSequence(seed)`` hashes the seed's little-endian 32-bit words into
     a pool of four and mixes the pool; a seed below 2**64 has at most two
@@ -239,7 +239,7 @@ def _rows(ks: Iterable[int], onset: float, start: float,
         t = k / SAMPLE_RATE_HZ
         rel = t - _TOR_TIME
         # A subnormal maneuver duration overflows the ramp to +-inf, clipped
-        # to a step.  Clipped as np.clip clips: a ramp of -0.0 stays -0.0.
+        # to a step.  Clipped as numpy's clip clips: a ramp of -0.0 stays -0.0.
         ramp = (rel - start) / duration
         u = 0.0 if ramp < 0.0 else 1.0 if ramp > 1.0 else ramp
         yield (
@@ -321,9 +321,9 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
 def log_texts(outcomes: Iterable[EpisodeOutcome]) -> Iterator[str]:
     """Each outcome's drive log as CSV text, in order.
 
-    Each text equals ``drive_log_to_csv(outcome.log)`` byte for byte, but
-    no ``DriveLog`` is made and numpy is not imported.  One log is rendered
-    at a time, so memory does not grow with the number of outcomes.
+    Each text equals ``drive_log_to_csv(outcome.log)`` byte for byte, but no
+    ``DriveLog`` is made.  One log is rendered at a time, so memory does not
+    grow with the number of outcomes.
     """
     for outcome in outcomes:
         yield _log_text(*_log_extent(outcome.config, outcome.required_time, outcome.deadline))
@@ -373,7 +373,7 @@ def _log_text(rows: int, onset: float, start: float, duration: float) -> str:
 
 
 def __getattr__(name: str) -> object:
-    # drivelog's DriveLog, imported with numpy on first use of the name.
+    # drivelog's DriveLog, imported on first use of the name.
     if name == "DriveLog":
         from .drivelog import DriveLog
 

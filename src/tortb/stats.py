@@ -1,8 +1,8 @@
 """Population summary statistics, in numpy's float64 summation order.
 
-:func:`describe` gives ``np.mean`` and ``np.std`` bit for bit without
-importing numpy, so ``tortb simulate`` writes the ``report.json`` bytes it
-wrote when the statistics came from numpy.
+:func:`describe` gives numpy's ``mean`` and ``std`` bit for bit without
+importing numpy, and :func:`_mean` the mean lateral displacement of
+:mod:`tortb.drivelog`, so tortb writes the bytes it wrote when numpy did.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Real
 from operator import add
 
-from .errors import EmptyGroup, SchemaError
+from .errors import EmptyGroup, SchemaError, check_type, shown
 
 
 @dataclass(frozen=True)
@@ -48,18 +49,28 @@ def _pairwise_sum(values: list[float], lo: int, n: int) -> float:
 
 
 def _mean(values: list[float]) -> float:
+    """numpy's float64 ``mean`` of a non-empty list of floats, bit for bit."""
     # numpy starts the reduction from the identity 0.0, which turns a -0.0 sum into 0.0.
     return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
 
 
-def describe(values: Iterable[float]) -> SummaryStats:
-    """Population mean/std/min/max over a non-empty collection.
+def _number(value: object) -> float:
+    """``value`` as a float; a non-number, a bool or an int past the float range is refused."""
+    check_type("value", value, Real, "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"value must be finite, got {shown(value)}", field="value") from None
 
-    The mean and std equal numpy's ``np.mean`` and ``np.std`` of the values
+
+def describe(values: Iterable[float]) -> SummaryStats:
+    """Population mean/std/min/max over a non-empty collection of numbers.
+
+    The mean and std equal numpy's ``mean`` and ``std`` of the values
     as a float64 array, bit for bit.  ``min`` and ``max`` give the first of
     equal values, so ``0.0`` and ``-0.0`` keep the order they came in.
     """
-    arr = [float(value) for value in values]
+    arr = [value if type(value) is float else _number(value) for value in values]
     if not arr:
         raise EmptyGroup("cannot describe an empty collection")
     mean = _mean(arr)

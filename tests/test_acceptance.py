@@ -225,9 +225,9 @@ def _random_log(rng):
 
 
 def _scan_tot(log, threshold=0.05):
-    i0 = next(i for i in range(log.t.size) if log.t[i] >= log.tor_time - 1e-9)
+    i0 = next(i for i in range(len(log.t)) if log.t[i] >= log.tor_time - 1e-9)
     s0, b0 = log.steering[i0], log.brake[i0]
-    for i in range(i0, log.t.size):
+    for i in range(i0, len(log.t)):
         if abs(log.steering[i] - s0) >= threshold or abs(log.brake[i] - b0) >= threshold:
             return float(log.t[i] - log.tor_time)
     return None
@@ -244,17 +244,17 @@ def test_criterion_5_metric_oracles():
         lo, hi = log.tor_time - pre, log.tor_time + post
         inside = [
             abs(log.lateral_displacement[i])
-            for i in range(log.t.size)
+            for i in range(len(log.t))
             if lo - 1e-9 <= log.t[i] <= hi + 1e-9
         ]
         worst_ld = max(
             worst_ld,
             abs(avg_lateral_displacement(log, pre, post) - sum(inside) / len(inside)),
         )
-        end = float(log.t[int(rng.integers(log.tor_index, log.t.size))])
+        end = float(log.t[int(rng.integers(log.tor_index, len(log.t)))])
         brute = max(
             log.acceleration[i]
-            for i in range(log.t.size)
+            for i in range(len(log.t))
             if log.tor_time - 1e-9 <= log.t[i] <= end + 1e-9
         )
         worst_acc = max(worst_acc, abs(max_acceleration(log, end) - brute))

@@ -2,8 +2,8 @@
 
 import csv
 import io
+import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ def test_parse_wellformed_three_rows():
     )
     log = parse_drive_log(csv_text)
     assert log.tor_time == 0.05
-    assert log.t.size == 3
+    assert len(log.t) == 3
     assert log.lateral_displacement[2] == 0.3
 
 
@@ -174,7 +174,7 @@ ROW_1 = "t,lat_disp,acc,steering,brake,tor_flag\n0.0,0,0,0,0,1\n"
 ])
 def test_parse_outcome_of_each_token_class(text, outcome):
     try:
-        got = parse_drive_log(text).lateral_displacement.tolist()
+        got = list(parse_drive_log(text).lateral_displacement)
     except TortbError as exc:
         got = type(exc), str(exc)
     assert got == outcome
@@ -259,6 +259,9 @@ NOT_NUMERIC = (
 )
 FLAG_TEXT = {0: st.sampled_from(["0", " 0", "0.0", "-0", "\x1e0"]),
              1: st.sampled_from(["1", "1.0", " 1 ", "1e0", "1\x1f"])}
+# The form the bulk reader takes: bare values and the flag texts 0 and 1.
+PLAIN_VALUE_TEXT = FLOATS.map(repr) | st.sampled_from(["0", "-0", "1e308", "5e-324", "+2"])
+PLAIN_FLAG_TEXT = {0: st.just("0"), 1: st.just("1")}
 BAD_FLAGS = st.sampled_from(["2", "0.5", "-1", "nan", "inf", "1e-300", "1_0", "0_1", "١"])
 HEADERS = st.sampled_from([
     "t,lat_disp,acc,steering,brake,tor_flag",
@@ -273,40 +276,48 @@ HEADERS = st.sampled_from([
 
 
 @st.composite
-def drive_log_texts(draw):
+def drive_log_texts(draw, plain=False):
     """Drive-log CSV text, mostly well formed, with up to three faults.
 
     Fields may be padded with \x1c-\x1f, and a faulty token may be a "_"
     digit separator or a non-ASCII digit; the reference reads those
     through _declared_float.  Never holds a double quote or a CR outside a
     CRLF line end: csv.reader unquotes the one and ends a record at the
-    other, so the row-loop oracle cannot follow the parser there.
+    other, so the row-loop oracle cannot follow the parser there.  With
+    ``plain``, values are bare and flags are 0 or 1, as the bulk reader
+    takes them, so the faults are what stands between a text and it.
     """
+    value_text = PLAIN_VALUE_TEXT if plain else VALUE_TEXT
+    flag_text = PLAIN_FLAG_TEXT if plain else FLAG_TEXT
     n = draw(st.integers(1, 25))
     start = draw(st.integers(0, 400))
     tor = draw(st.integers(0, n - 1))
     rows = []
     for i in range(n):
-        values = [draw(VALUE_TEXT) for _ in range(4)]
-        rows.append([repr((start + i) / RATE), *values, draw(FLAG_TEXT[int(i == tor)])])
+        values = [draw(value_text) for _ in range(4)]
+        rows.append([repr((start + i) / RATE), *values, draw(flag_text[int(i == tor)])])
     header = "t,lat_disp,acc,steering,brake,tor_flag"
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
-        i = draw(st.integers(0, n - 1))
+        i = draw(st.integers(0, len(rows) - 1))
         row = rows[i]
-        fault = draw(st.sampled_from(["drop", "extra", "rewrap", "token", "not_finite",
+        fault = draw(st.sampled_from(["drop", "extra", "rewrap", "join", "token", "not_finite",
                                       "time", "flag", "no_tor", "two_tor", "header"]))
         if fault == "drop" and row:
             del row[draw(st.integers(0, len(row) - 1))]
         elif fault == "extra":
-            row.insert(draw(st.integers(0, len(row))), draw(VALUE_TEXT | NOT_NUMERIC))
-        elif fault == "rewrap" and row and i + 1 < n:
+            row.insert(draw(st.integers(0, len(row))), draw(value_text | NOT_NUMERIC))
+        elif fault == "rewrap" and row and i + 1 < len(rows):
             # A short line then a long one: the flat field sequence is intact.
             rows[i + 1].insert(0, row.pop())
+        elif fault == "join" and i + 1 < len(rows):
+            # Two rows on one line, a value where the row break was: the
+            # field count is that of two rows and their break.
+            row += [draw(value_text), *rows.pop(i + 1)]
         elif fault in ("token", "not_finite") and row:
             token = NOT_NUMERIC if fault == "token" else NOT_FINITE
             row[draw(st.integers(0, len(row) - 1))] = draw(token)
         elif fault == "time" and row:
-            row[0] = draw(VALUE_TEXT | NOT_FINITE)
+            row[0] = draw(value_text | NOT_FINITE)
         elif fault == "flag" and row:
             row[-1] = draw(BAD_FLAGS)
         elif fault == "no_tor":
@@ -318,21 +329,26 @@ def drive_log_texts(draw):
         elif fault == "header":
             header = draw(HEADERS)
     lines = [",".join(row) for row in rows]
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1]) if plain else st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", "", " "])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    end = draw(st.sampled_from([newline, "", newline * 2]))
+    end = draw(st.sampled_from([newline, ""] if plain else [newline, "", newline * 2]))
     text = newline.join([header, *lines]) + end
     return "" if draw(st.integers(0, 49)) == 0 else text
 
 
+def _bits(values):
+    """The float64 bit patterns of ``values``, so ``-0.0`` differs from ``0.0``."""
+    return np.array(values, dtype=float).tobytes()
+
+
 def _outcome(parse, text):
-    """Bit patterns of every parsed array and the TOR time, or the error."""
+    """Bit patterns of every parsed channel and the TOR time, or the error."""
     try:
         log = parse(text)
     except (TortbError, ValueError) as exc:
         return type(exc), str(exc)
-    return [getattr(log, name).tobytes() for name in CHANNELS] + [log.tor_time.hex()]
+    return [_bits(getattr(log, name)) for name in CHANNELS] + [log.tor_time.hex()]
 
 
 @settings(max_examples=400)
@@ -342,28 +358,83 @@ def test_parse_matches_reference_row_loop(text):
     assert got == _outcome(_reference_parse, text)
     if isinstance(got, tuple):
         assert issubclass(got[0], TortbError)
-    # The line walker alone reads every text as the loadtxt fast path does.
-    with mock.patch.object(drivelog.np, "loadtxt", side_effect=ValueError("stub")):
-        assert _outcome(parse_drive_log, text) == got
 
 
-def _loadtxt_raises(*args, **kwargs):
-    raise ValueError("stub")
+def _body(text):
+    """The text after the header line, line ends as the parser reads them."""
+    return text.replace("\r\n", "\n").partition("\n")[2]
 
 
-def _loadtxt_drops_last_column(*args, _real=np.loadtxt, **kwargs):
-    return _real(*args, **kwargs)[:, :-1]
+def _walked(body):
+    """The line walker's columns and flags as bits and texts, or its error."""
+    try:
+        columns, flags = drivelog._read_lines(body.split("\n"))
+    except TortbError as exc:
+        return type(exc), str(exc)
+    return [_bits(column) for column in columns], flags
 
 
-@pytest.mark.parametrize("loadtxt", [_loadtxt_raises, _loadtxt_drops_last_column])
-def test_parse_reads_the_lines_itself_when_loadtxt_falls_short(monkeypatch, loadtxt):
+def _bulk(body):
+    """The bulk reader's columns and flags as bits and texts, or None."""
+    rows = drivelog._bulk_rows(body)
+    if rows is None:
+        return None
+    columns, flags = rows
+    return [_bits(column) for column in columns], flags
+
+
+@settings(max_examples=400)
+@given(text=drive_log_texts() | drive_log_texts(plain=True))
+def test_bulk_rows_decline_or_match_the_line_walker(text):
+    body = _body(text)
+    got = _bulk(body)
+    assert got is None or got == _walked(body)
+
+
+PLAIN = "0.0,0.5,0,0,0,1\n0.05,-0.0,1e-3,0.2,0,0\n0.1,2,0,0,0,0\n"
+
+
+@pytest.mark.parametrize("body", [
+    PLAIN.replace("\n0.05", "\n\n0.05"),  # a blank line
+    "\n" + PLAIN,  # a blank first line
+    PLAIN + "\n",  # a blank last line
+    PLAIN.replace("\n", "\r\n"),  # before the parser reads CRLF as LF
+    PLAIN.replace("0.5", "1_0"),
+    PLAIN.replace("0.5", "١"),
+    PLAIN.replace("0.5", "\xa00.5"),
+    PLAIN.replace("0.5", "\x1c0.5"),
+    # Thirteen fields on one line: no row break where the second row would start.
+    "0.0,0.5,0,0,0,1,9,0.05,-0.0,1e-3,0.2,0,0\n",
+    # Seven fields then five: thirteen fields, a row break at the seventh place.
+    PLAIN.replace("0.0,0.5,0,0,0,1\n0.05,-0.0,1e-3,", "0.0,0.5,0,0,0,1,0.05\n-0.0,1e-3,"),
+    PLAIN.replace("0,1\n", "0,1.0\n"),
+    PLAIN.replace("0,1\n", "0, 1\n"),
+    PLAIN.replace("0,0\n0.1", "0,0.0\n0.1"),
+    PLAIN.replace(",2,", ",x,"),
+    PLAIN.replace(",2,", ",,"),
+    PLAIN.replace("0.1,2,0,0,0,0", "0.1,2,0,0,0,0,"),
+    "",
+])
+def test_bodies_outside_the_plain_form_reach_the_line_walker(body):
+    assert drivelog._bulk_rows(body) is None
+
+
+def test_plain_body_takes_the_bulk_reader():
+    got = _bulk(PLAIN)
+    assert got == _walked(PLAIN)
+    assert got[1] == ["1", "0", "0"]
+
+
+def test_parse_reads_a_body_the_bulk_reader_declines_with_the_walker(monkeypatch):
+    """A log read with the bulk reader switched off gives the same bits."""
     rng = np.random.default_rng(5)
     lat, acc, steering, brake = rng.normal(0.0, 0.5, (4, 41))
     text = drive_log_to_csv(make_log(n=41, tor_index=17, lat=lat, acc=acc,
                                      steering=steering, brake=brake))
+    assert drivelog._bulk_rows(_body(text)) is not None
     want = _outcome(parse_drive_log, text)
     assert isinstance(want, list)
-    monkeypatch.setattr(drivelog.np, "loadtxt", loadtxt)
+    monkeypatch.setattr(drivelog, "_bulk_rows", lambda body: None)
     assert _outcome(parse_drive_log, text) == want
 
 
@@ -397,7 +468,7 @@ def _reference_render(log):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     tor_index = log.tor_index
-    for i in range(log.t.size):
+    for i in range(len(log.t)):
         writer.writerow(
             [
                 str(float(log.t[i])),
@@ -491,8 +562,15 @@ def test_render_matches_reference_row_loop_and_round_trips(log):
     assert text == _reference_render(log)
     parsed = parse_drive_log(text, log.sample_rate)
     for name in CHANNELS:
-        assert getattr(parsed, name).tobytes() == getattr(log, name).tobytes()
+        assert _bits(getattr(parsed, name)) == _bits(getattr(log, name))
     assert parsed.tor_time == log.t[log.tor_index]
+
+
+@settings(max_examples=200)
+@given(log=drive_logs())
+def test_bulk_rows_read_every_rendered_log(log):
+    body = _body(drive_log_to_csv(log))
+    assert _bulk(body) == _walked(body)
 
 
 def test_csv_round_trip():
@@ -511,9 +589,16 @@ def test_csv_round_trip():
         assert np.array_equal(getattr(parsed, name), getattr(log, name))
 
 
-def test_log_arrays_are_frozen():
-    log = make_log(n=5, tor_index=2)
-    with pytest.raises(ValueError):
+def test_log_channels_are_tuples_of_floats():
+    log = DriveLog(t=np.arange(3) / RATE, lateral_displacement=[0, 1, 2],
+                   acceleration=(0.5, 1, np.float32(0.25)), steering=iter([0.0] * 3),
+                   brake=map(float, "123"), tor_time=0.05, sample_rate=RATE)
+    for name in CHANNELS:
+        assert type(getattr(log, name)) is tuple
+        assert {type(value) for value in getattr(log, name)} == {float}
+    assert log.lateral_displacement == (0.0, 1.0, 2.0)
+    assert log.acceleration == (0.5, 1.0, 0.25)
+    with pytest.raises(TypeError):
         log.steering[0] = 1.0
 
 
@@ -548,12 +633,12 @@ def test_log_validation():
 def scan_tot(log, threshold=0.05):
     """Linear-scan oracle, independent of the vectorized implementation."""
     i0 = None
-    for i in range(log.t.size):
+    for i in range(len(log.t)):
         if log.t[i] >= log.tor_time - 1e-9:
             i0 = i
             break
     s0, b0 = log.steering[i0], log.brake[i0]
-    for i in range(i0, log.t.size):
+    for i in range(i0, len(log.t)):
         if abs(log.steering[i] - s0) >= threshold or abs(log.brake[i] - b0) >= threshold:
             return float(log.t[i] - log.tor_time)
     return None
@@ -645,7 +730,7 @@ def brute_avg_ld(log, pre, post):
     lo, hi = log.tor_time - pre, log.tor_time + post
     values = [
         abs(log.lateral_displacement[i])
-        for i in range(log.t.size)
+        for i in range(len(log.t))
         if lo - 1e-9 <= log.t[i] <= hi + 1e-9
     ]
     return sum(values) / len(values)
@@ -830,3 +915,105 @@ def test_extract_metrics_with_response():
     assert metrics.tot == pytest.approx(1.0, abs=1e-9)
     assert metrics.takeover_time_abs == pytest.approx(log.tor_time + 1.0, abs=1e-9)
     assert metrics.max_acc == 0.0
+
+
+# ------------------------- metrics against numpy --------------------------
+
+
+def numpy_metrics(log, pre_window, post_window, threshold):
+    """extract_metrics as numpy arrays compute it: the oracle.  The TOR
+    index and windows by ``np.searchsorted``, the takeover by
+    ``np.flatnonzero``, the mean by ``np.mean`` and the maximum by
+    ``np.max``.  The name of the error when a window is refused or the mean
+    overflows."""
+    t, lat, acc, steering, brake = (np.array(getattr(log, name)) for name in CHANNELS)
+
+    def window(lo, hi):
+        if not (t[0] - 1e-9 <= lo and lo - 1e-9 <= hi and hi <= t[-1] + 1e-9):
+            raise WindowOutOfRange
+        span = slice(int(np.searchsorted(t, lo - 1e-9)),
+                     int(np.searchsorted(t, hi + 1e-9, side="right")))
+        if span.start == span.stop:  # np.mean warns and gives NaN; np.max raises
+            raise WindowOutOfRange
+        return span
+
+    i0 = int(np.searchsorted(t, log.tor_time - 1e-9))
+    with np.errstate(over="ignore"):
+        moved = ((np.abs(steering[i0:] - steering[i0]) >= threshold)
+                 | (np.abs(brake[i0:] - brake[i0]) >= threshold))
+    hits = np.flatnonzero(moved)
+    tot = takeover = max_acc = None
+    try:
+        if hits.size:
+            tot = max(0.0, float(t[i0 + hits[0]] - log.tor_time))
+            takeover = log.tor_time + tot
+            max_acc = float(np.max(acc[window(log.tor_time, takeover)]))
+        lo, hi = log.tor_time - pre_window, log.tor_time + post_window
+        with np.errstate(over="ignore"):
+            avg_ld = float(np.mean(np.abs(lat[window(lo, hi)])))
+    except WindowOutOfRange:
+        return "WindowOutOfRange"
+    if not math.isfinite(avg_ld):
+        return "SchemaError"
+    return TakeoverMetrics(tot=tot, avg_ld=avg_ld, max_acc=max_acc, takeover_time_abs=takeover)
+
+
+def _metric_bits(metrics):
+    """Each metric's hex, a zero maximum as 0.0: the sign of a zero
+    maximum is pinned on its own below."""
+    if isinstance(metrics, str):
+        return metrics
+    max_acc = metrics.max_acc
+    if max_acc == 0.0:
+        max_acc = 0.0
+    return tuple(None if v is None else v.hex() for v in
+                 (metrics.tot, metrics.avg_ld, max_acc, metrics.takeover_time_abs))
+
+
+@settings(max_examples=300)
+@given(log=drive_logs(), data=st.data(), threshold=st.floats(0.0, 1.0) | st.just(0.05))
+def test_extract_metrics_equal_numpys_bit_for_bit(log, data, threshold):
+    # Windows reach past the log's ends one time in eleven.
+    fraction = st.floats(0.0, 1.1)
+    pre = max(data.draw(fraction) * (log.tor_time - log.t[0]), 1e-4)
+    post = max(data.draw(fraction) * (log.t[-1] - log.tor_time), 1e-4)
+    try:
+        got = extract_metrics(log, pre, post, threshold)
+    except (WindowOutOfRange, SchemaError) as exc:
+        got = type(exc).__name__
+    assert _metric_bits(got) == _metric_bits(numpy_metrics(log, pre, post, threshold))
+
+
+def test_extract_metrics_equal_numpys_on_seeded_logs():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 2000))
+        tor_index = int(rng.integers(0, n))
+        log = make_log(n=n, tor_index=tor_index, lat=rng.normal(0, 2, n),
+                       acc=rng.normal(0, 1, n), steering=rng.uniform(0, 1, n),
+                       brake=rng.uniform(0, 0.06, n))
+        pre, post = rng.uniform(0.01, 60.0, 2)
+        threshold = float(rng.uniform(0.0, 0.5))
+        try:
+            got = extract_metrics(log, pre, post, threshold)
+        except WindowOutOfRange:
+            got = "WindowOutOfRange"
+        assert _metric_bits(got) == _metric_bits(numpy_metrics(log, pre, post, threshold))
+
+
+def test_max_acc_keeps_the_first_of_equal_zeros():
+    """Python's max keeps the first of equal values; np.max gave -0.0 on
+    both windows."""
+    for acc, sign in (([0.0, -0.0], 1.0), ([-0.0, 0.0], -1.0)):
+        log = make_log(n=4, tor_index=1, acc=[5.0, *acc, 5.0])
+        assert math.copysign(1.0, max_acceleration(log, log.t[2])) == sign
+
+
+def test_a_window_without_a_sample_is_refused():
+    """A window narrower than a period, between samples; numpy's mean gave NaN there."""
+    t = np.arange(5) / RATE
+    log = DriveLog(t, t, t, t, t, tor_time=0.075, sample_rate=RATE)
+    with pytest.raises(WindowOutOfRange, match=r"^window \[0.074, 0.076\] s holds no sample$"):
+        avg_lateral_displacement(log, 0.001, 0.001)
+    with pytest.raises(WindowOutOfRange, match="holds no sample"):
+        max_acceleration(log, 0.08)

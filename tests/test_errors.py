@@ -249,6 +249,12 @@ REJECTIONS = [
     ("tor_time_bool",
      lambda: DriveLog(np.arange(3.0), *[np.zeros(3)] * 4, tor_time=True, sample_rate=1.0),
      SchemaError, "tor_time must be a number, got True"),
+    ("channel_str", lambda: DriveLog(T, ["0.5"] * 401, ZEROS, ZEROS, ZEROS, tor_time=10.0),
+     SchemaError, "channel lateral_displacement: value must be a number, got '0.5'"),
+    ("channel_none", lambda: DriveLog(T, ZEROS, ZEROS, [None] * 401, ZEROS, tor_time=10.0),
+     SchemaError, "channel steering: value must be a number, got None"),
+    ("channel_nested", lambda: DriveLog(T[:, None], ZEROS, ZEROS, ZEROS, ZEROS, tor_time=10.0),
+     SchemaError, "channel t: value must be a number, got array([0.])"),
     ("threshold", lambda: detect_tot(LOG, math.nan),
      SchemaError, "threshold must be within [0, 1], got nan"),
     ("pre_window", lambda: avg_lateral_displacement(LOG, math.inf, 5.0),
@@ -270,6 +276,20 @@ REJECTIONS = [
     ("summarize_overflow",
      lambda: summarize([TakeoverMetrics(1.0, 0.5, max_acc, 11.0) for max_acc in (1e200, 3e200)]),
      SchemaError, "max_acc: std of 2 values is not finite, got inf"),
+    ("describe_str", lambda: describe(["1.5", "2.5"]),
+     SchemaError, "value must be a number, got '1.5'"),
+    ("describe_bool", lambda: describe([1.0, True]),
+     SchemaError, "value must be a number, got True"),
+    ("describe_numpy_bool", lambda: describe([np.float64(1.0), np.False_]),
+     SchemaError, f"value must be a number, got {np.False_!r}"),
+    ("describe_none", lambda: describe([None]),
+     SchemaError, "value must be a number, got None"),
+    ("describe_int_too_large_for_a_float", lambda: describe([1, 10**400]),
+     SchemaError, f"value must be finite, got {10**400}"),
+    ("summarize_str",
+     lambda: summarize([TakeoverMetrics(tot="1.0", avg_ld=0.5, max_acc=None,
+                                        takeover_time_abs=None)]),
+     SchemaError, "tot: value must be a number, got '1.0'"),
     ("ndrt", lambda: context_from_dict({**CTX_DOC, "ndrt": "HANDSFREE"}),
      SchemaError, "ctx: ndrt must be one of ['handsfree', 'handheld'], got 'HANDSFREE'"),
     ("unknown_lower", lambda: anchor_from_dict({**ANCHOR_DOC, "unknown": "c_nox"}),

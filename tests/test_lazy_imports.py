@@ -1,4 +1,4 @@
-"""The package and the CLI load numpy only for the names and subcommands that use it."""
+"""The package and the CLI run without numpy, and load each submodule on first use."""
 
 import json
 import os
@@ -8,8 +8,7 @@ from pathlib import Path
 
 import tortb
 import tortb.cli
-from golden_inputs import EPISODES as GOLDEN_EPISODES
-from golden_inputs import GOLDEN
+from golden_inputs import GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES
 
 SRC = str(Path(tortb.__file__).parents[1])
 
@@ -21,8 +20,9 @@ ANCHORS = {"anchors": [{
     "unknown": "c_noa",
 }]}
 
-# Runs each numpy-free subcommand in one process, lists the package's names,
-# then reports whether numpy was ever imported.
+# Runs each subcommand that reads no drive log in one process, lists the
+# package's names, then reports which of numpy and the drive-log and
+# simulator modules were ever imported.
 SCRIPT = """
 import contextlib, io, sys
 import tortb, tortb.cli
@@ -41,7 +41,7 @@ for argv in (
             code = exc.code
     assert code == 0, argv
 assert set(tortb.__all__) <= set(dir(tortb))
-print("numpy" in sys.modules)
+print([name for name in ("numpy", "tortb.drivelog", "tortb.simulate") if name in sys.modules])
 """
 
 
@@ -53,11 +53,12 @@ EPISODES = {"base_seed": 7, "episodes": [{
 }]}
 
 # Runs simulate, then analyze on the log it wrote, in one process; then
-# reports what each loaded, the BLAS thread setting and the thread count.
-NUMPY_SCRIPT = """
+# reports whether each loaded numpy and whether the environment changed.
+SIMULATE_ANALYZE_SCRIPT = """
 import contextlib, io, json, os, sys
 import tortb, tortb.cli
 config, out = sys.argv[1:]
+environ = dict(os.environ)
 loaded = {}
 for argv in (
     ["simulate", "--config", config, "--out-dir", out],
@@ -66,40 +67,39 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert tortb.cli.main(argv) == 0, argv
     loaded[argv[0]] = "numpy" in sys.modules
-print(json.dumps({
-    "numpy": loaded,
-    "numpy.random": "numpy.random" in sys.modules,
-    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-    "threads": len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None,
-}))
+print(json.dumps({"numpy": loaded, "environ": dict(os.environ) == environ}))
 """
 
 
 def run_fresh(code, *args, **env):
     """Stdout of ``python -c code args`` in a new interpreter that imports from
-    this tree, with ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``.
-
-    In-process ``cli.main`` calls elsewhere in the suite set that variable in
-    this process, so it is dropped from the copied environment.
-    """
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    this tree, with ``env`` added to the environment."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env={**base, "PYTHONPATH": SRC, **env},
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": SRC, **env},
         capture_output=True, text=True, check=True,
     ).stdout
 
 
 def test_estimate_table_calibrate_and_help_import_no_numpy(tmp_path):
+    """Nor the drive-log module or the simulator, which they do not use."""
     anchors = tmp_path / "anchors.json"
     anchors.write_text(json.dumps(ANCHORS), encoding="utf-8")
-    assert run_fresh(SCRIPT, str(anchors), str(tmp_path / "out.json")) == "False\n"
+    assert run_fresh(SCRIPT, str(anchors), str(tmp_path / "out.json")) == "[]\n"
     assert (tmp_path / "out.json").exists()
 
 
-# Runs the golden simulate case in the directory given, with numpy made
-# unimportable, then reports whether numpy was loaded all the same.
+def test_simulate_and_analyze_import_no_numpy_and_leave_the_environment_alone(tmp_path):
+    config = tmp_path / "episodes.json"
+    config.write_text(json.dumps(EPISODES), encoding="utf-8")
+    got = json.loads(run_fresh(SIMULATE_ANALYZE_SCRIPT, str(config), str(tmp_path / "out")))
+    assert got == {"numpy": {"simulate": False, "analyze": False}, "environ": True}
+
+
+# Runs every golden CLI case in the directory given, with numpy made
+# unimportable, and writes the rendered golden log there.  Prints each
+# case's exit code, stdout and stderr, then whether numpy was loaded all the same.
 WITHOUT_NUMPY = """
-import os, sys
+import contextlib, io, json, os, sys
 
 class HideNumpy:
     def find_spec(self, name, path=None, target=None):
@@ -107,53 +107,53 @@ class HideNumpy:
             raise ModuleNotFoundError(f"No module named {name!r}", name=name)
 
 sys.meta_path.insert(0, HideNumpy())
-os.chdir(sys.argv[1])
+tests, workdir = sys.argv[1:]
+sys.path.insert(0, tests)
+os.chdir(workdir)
+os.environ["COLUMNS"] = "80"
 import tortb.cli
-code = tortb.cli.main(["simulate", "--config", "episodes.json", "--out-dir", "simulate"])
-print("numpy" in sys.modules)
-sys.exit(code)
+from golden_inputs import (HELP_CASES, STDERR_CASES, STDOUT_CASES, help_argv,
+                           render_golden_log, write_inputs)
+
+write_inputs(".")
+cases = {
+    **{f"stdout/{name}": argv for name, argv in STDOUT_CASES.items()},
+    **{f"help/{name}": help_argv(name) for name in HELP_CASES},
+    **{f"stderr/{name}": argv for name, (argv, _) in STDERR_CASES.items()},
+}
+ran = {}
+for name, argv in cases.items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = tortb.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    ran[name] = [code, out.getvalue(), err.getvalue()]
+with open("render.csv", "w", encoding="utf-8", newline="") as f:
+    f.write(tortb.drive_log_to_csv(render_golden_log()))
+print(json.dumps({"cases": ran, "numpy": "numpy" in sys.modules}))
 """
 
 
-def test_golden_simulate_case_runs_with_numpy_hidden(tmp_path):
-    (tmp_path / "episodes.json").write_text(json.dumps(GOLDEN_EPISODES), encoding="utf-8")
-    stdout = run_fresh(WITHOUT_NUMPY, str(tmp_path))
-    assert stdout == (GOLDEN / "stdout/simulate.txt").read_text(encoding="utf-8") + "False\n"
-    written = sorted(path.name for path in (tmp_path / "simulate").iterdir())
-    assert written == sorted(path.name for path in (GOLDEN / "simulate").iterdir())
+def test_every_golden_case_runs_with_numpy_hidden(tmp_path):
+    got = json.loads(run_fresh(WITHOUT_NUMPY, str(Path(__file__).parent), str(tmp_path)))
+    assert got["numpy"] is False
+    cases = got["cases"]
+    assert len(cases) == len(STDOUT_CASES) + len(HELP_CASES) + len(STDERR_CASES)
+    for name, (code, out, err) in cases.items():
+        kind, _, case = name.partition("/")
+        if kind == "stderr":
+            assert (code, out, err) == (2, "", STDERR_CASES[case][1]), name
+        else:
+            assert (code, err) == (0, ""), name
+            assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name
+    written = ["render.csv", "solved.json",
+               *(f"simulate/{path.name}" for path in (GOLDEN / "simulate").iterdir())]
+    assert sorted(path.name for path in (tmp_path / "simulate").iterdir()) == sorted(
+        path.name for path in (GOLDEN / "simulate").iterdir())
     for name in written:
-        expected = (GOLDEN / "simulate" / name).read_bytes()
-        assert (tmp_path / "simulate" / name).read_bytes() == expected, name
-
-
-def test_simulate_and_analyze_run_one_blas_thread_and_no_numpy_random(tmp_path):
-    config = tmp_path / "episodes.json"
-    config.write_text(json.dumps(EPISODES), encoding="utf-8")
-    got = json.loads(run_fresh(NUMPY_SCRIPT, str(config), str(tmp_path / "out")))
-    # simulate alone loads no numpy; analyze does, without numpy.random.
-    assert got["numpy"] == {"simulate": False, "analyze": True}
-    assert not got["numpy.random"]
-    assert got["OPENBLAS_NUM_THREADS"] == "1"
-    if sys.platform == "linux":
-        assert got["threads"] == 1
-
-
-def test_cli_keeps_a_blas_thread_count_the_user_set(tmp_path):
-    config = tmp_path / "episodes.json"
-    config.write_text(json.dumps(EPISODES), encoding="utf-8")
-    got = json.loads(run_fresh(NUMPY_SCRIPT, str(config), str(tmp_path / "out"),
-                               OPENBLAS_NUM_THREADS="3"))
-    assert got["OPENBLAS_NUM_THREADS"] == "3"
-
-
-def test_library_leaves_the_environment_alone():
-    """Only ``cli.main`` sets ``OPENBLAS_NUM_THREADS``; importing the package
-    and loading a numpy-backed name must not."""
-    assert run_fresh(
-        "import os, tortb\n"
-        "tortb.parse_drive_log\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-    ) == "None\n"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_star_import_binds_every_public_name():

@@ -177,7 +177,7 @@ def test_synthesized_log_shape():
     assert float(np.max(log.lateral_displacement)) == pytest.approx(3.5, abs=1e-6)
     assert float(np.min(log.lateral_displacement)) == 0.0
     assert float(np.max(log.acceleration)) <= 1.0 + 1e-9
-    assert np.all(log.brake == 0.0)
+    assert set(log.brake) == {0.0}
 
 
 def test_config_validation():
@@ -245,7 +245,7 @@ CHANNELS = ("t", "lateral_displacement", "acceleration", "steering", "brake")
 def _log_digest(log):
     h = hashlib.sha256()
     for name in CHANNELS:
-        h.update(getattr(log, name).tobytes())
+        h.update(np.array(getattr(log, name)).tobytes())
     return h.hexdigest()
 
 
@@ -254,7 +254,7 @@ def test_log_is_remade_identically_on_each_access(fields, n, digest):
     outcome = run_episode(base_config(**fields))
     first, second = outcome.log, outcome.log
     assert first is not second
-    assert first.t.size == n and first.tor_time == second.tor_time == 5.0
+    assert len(first.t) == n and first.tor_time == second.tor_time == 5.0
     assert _log_digest(first) == _log_digest(second) == digest
     assert outcome.seed == fields["seed"]
 
@@ -286,7 +286,7 @@ def assert_log_texts_render_each_log(configs, base_seed=0):
     outcomes = run_batch(configs, base_seed).outcomes
     logs = [o.log for o in outcomes]
     assert list(log_texts(outcomes)) == [drive_log_to_csv(log) for log in logs]
-    return [log.t.size for log in logs]
+    return [len(log.t) for log in logs]
 
 
 def numpy_channels(rows, onset, start, duration):
@@ -317,7 +317,7 @@ def test_logs_hold_the_values_numpy_computed(configs, base_seed):
         extent = simulate._log_extent(outcome.config, outcome.required_time, outcome.deadline)
         log = outcome.log
         for name, expected in zip(CHANNELS, numpy_channels(*extent)):
-            assert getattr(log, name).tobytes() == expected.tobytes(), name
+            assert np.array(getattr(log, name)).tobytes() == expected.tobytes(), name
 
 
 def test_acceleration_keeps_the_sign_of_a_negative_zero_ramp():
