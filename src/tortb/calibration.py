@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
+from .defaults import Chaining
 from .errors import (
     DependencyOrderError,
     NegativeCoefficient,
@@ -48,13 +49,6 @@ class UnknownCoefficient(Enum):
     C_NOA = "c_noa"
     C_NOJ = "c_noj"
     OC = "oc"
-
-
-class Chaining(Enum):
-    """Which precision of a solved value feeds into later anchors."""
-
-    USE_RAW = "raw"
-    USE_ROUNDED = "rounded"
 
 
 @dataclass(frozen=True)

@@ -17,33 +17,27 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import tortb
 
-from . import __version__, fileio
-from .calibration import Chaining, calibrate_sequence
-from .defaults import POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, TOT_THRESHOLD
+from . import __version__
+from .defaults import (POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ, SCENARIO_NAMES,
+                       TOT_THRESHOLD, Chaining, NdrtClass, json_text)
 from .errors import SchemaError, TortbError, located
-from .model import (
-    DEFAULT_COEFFICIENTS,
-    RAW_COEFFICIENTS,
-    SCENARIO_PRESETS,
-    CoefficientSet,
-    DriverProfile,
-    NdrtClass,
-    ScenarioSpec,
-    TakeoverContext,
-    estimate_tortb,
-)
 
-# Names the traced bench replaces on this module, each bound here from the
-# package on first access (PEP 562) so no subcommand loads the drive-log module
-# or the simulator up front.  `simulate` looks `run_batch` up here, so a
-# replaced one is called; it renders logs through `simulate.log_texts`, and
-# `drive_log_to_csv` stays here only for `bench/child.py` to patch.
-_LAZY = ("drive_log_to_csv", "run_batch")
+if TYPE_CHECKING:
+    from .model import CoefficientSet
+
+# Names the traced bench and the tests replace on this module, each bound here
+# from the package on first access (PEP 562), so parsing arguments loads none
+# of the model, the calibration, the file readers, the drive-log module or the
+# simulator.  The handlers look each one up on this module, as `_cli.name`, so
+# a replaced one is called; `simulate` renders logs through `simulate.log_texts`,
+# and `drive_log_to_csv` stays here only for `bench/child.py` to patch.
+_LAZY = ("calibrate_sequence", "drive_log_to_csv", "estimate_tortb", "run_batch")
 
 
 def __getattr__(name: str) -> Any:
@@ -53,10 +47,12 @@ def __getattr__(name: str) -> Any:
     return value
 
 
-#: Inputs of the reference estimation table: (noa, noj, ego, hazard, ndrt, ordinal),
-#: all estimated for a driver with srt 0.2 s and experience 80 km/wk using the
+_cli = sys.modules[__name__]
+
+#: The reference estimation table's driver, (srt [s], experience [km/wk]), and
+#: its inputs, (noa, noj, ego, hazard, ndrt, ordinal), all estimated using the
 #: one-decimal rounded coefficient set.
-TABLE_DRIVER = DriverProfile(srt=0.2, experience_km_per_week=80.0)
+TABLE_DRIVER = (0.2, 80.0)
 TABLE_ROWS = (
     (1, 0, 80.0, 0.0, NdrtClass.HANDS_FREE, 1),
     (2, 0, 130.0, 0.0, NdrtClass.HANDS_FREE, 1),
@@ -68,22 +64,28 @@ TABLE_ROWS = (
 
 _SCENARIO_FLAGS = ("--noa", "--noj", "--ego-speed", "--hazard-speed")
 
-_NAMED_COEFFICIENTS = {
-    "default": DEFAULT_COEFFICIENTS,
-    "raw": RAW_COEFFICIENTS,
-    "rounded": DEFAULT_COEFFICIENTS.rounded(),
-}
+
+@cache
+def _rounded_coefficients() -> CoefficientSet:
+    """The published set at one-decimal precision, computed once per process."""
+    from .model import DEFAULT_COEFFICIENTS
+    return DEFAULT_COEFFICIENTS.rounded()
 
 
 def _load_coefficient_set(spec: str) -> CoefficientSet:
     """Named set ('default', 'raw', 'rounded') or a coefficient file path."""
-    if spec in _NAMED_COEFFICIENTS:
-        return _NAMED_COEFFICIENTS[spec]
-    return fileio.load_coefficients(spec)
+    from . import fileio, model
+    if spec == "rounded":
+        return _rounded_coefficients()
+    named = {"default": model.DEFAULT_COEFFICIENTS, "raw": model.RAW_COEFFICIENTS}
+    return named[spec] if spec in named else fileio.load_coefficients(spec)
 
 
 def _path(value: str) -> str:
-    """A path flag's value; the OS cannot take one holding a NUL byte."""
+    """A path flag's value; the OS cannot take one holding a NUL byte, and an
+    empty one names no file (``Path("")`` is the current directory)."""
+    if not value:
+        raise argparse.ArgumentTypeError("path is empty")
     if "\0" in value:
         raise argparse.ArgumentTypeError(f"path holds a NUL byte: {value!r}")
     return value
@@ -104,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="Driver visual stimulus response time [s].")
     estimate.add_argument("--experience", type=float, required=True, metavar="KM_WK",
                           help="Driver weekly driving distance [km/wk].")
-    estimate.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS),
+    estimate.add_argument("--scenario", choices=sorted(SCENARIO_NAMES),
                           help="Scenario preset; excludes the explicit scenario flags.")
     estimate.add_argument("--noa", type=int, metavar="N",
                           help="Interacting traffic agents (explicit scenario).")
@@ -175,6 +177,8 @@ Output = tuple[Any, list[str]]
 
 
 def _cmd_estimate(args: argparse.Namespace) -> Output:
+    from . import fileio
+    from .model import SCENARIO_PRESETS, DriverProfile, ScenarioSpec, TakeoverContext
     values = (args.noa, args.noj, args.ego_speed, args.hazard_speed)
     explicit = [flag for flag, value in zip(_SCENARIO_FLAGS, values) if value is not None]
     if args.scenario and explicit:
@@ -193,7 +197,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
     with located("--ordinal"):
         ctx = TakeoverContext(ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
-    est = estimate_tortb(driver, scenario, ctx, coeffs)
+    est = _cli.estimate_tortb(driver, scenario, ctx, coeffs)
     payload = {
         "inputs": {
             "driver": fileio.driver_to_dict(driver),
@@ -217,9 +221,10 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> Output:
+    from . import fileio
     anchors = fileio.load_anchors(args.anchors)
     seed = _load_coefficient_set(args.coeffs)
-    result, coeffs = calibrate_sequence(anchors, seed, Chaining(args.chaining))
+    result, coeffs = _cli.calibrate_sequence(anchors, seed, Chaining(args.chaining))
     fileio.dump_coefficients(coeffs, args.out)
     payload = {
         "chaining": args.chaining,
@@ -265,11 +270,11 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Output:
+    from . import fileio
     from .simulate import log_texts
-    run_batch = sys.modules[__name__].run_batch
     configs, file_seed = fileio.load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
-    report = run_batch(configs, base_seed)
+    report = _cli.run_batch(configs, base_seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # report.json is written last, so an out-dir without one holds an unfinished run.
@@ -298,7 +303,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
         "margin_s": {k: getattr(report.margin_stats, k) for k in ("mean", "std", "min", "max")},
         "episodes": episodes,
     }
-    fileio.write_file(out_dir / "report.json", fileio.json_text(payload))
+    fileio.write_file(out_dir / "report.json", json_text(payload))
     lines = [
         f"episodes: {len(episodes)}  success: {report.n_success}  "
         f"late: {report.n_late}  collision: {report.n_collision}",
@@ -309,12 +314,14 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
 
 def table_rows() -> list[dict[str, Any]]:
     """The reference table as computed rows (the `table` subcommand's data)."""
-    coeffs = _NAMED_COEFFICIENTS["rounded"]
+    from .model import DriverProfile, ScenarioSpec, TakeoverContext
+    coeffs, estimate = _rounded_coefficients(), _cli.estimate_tortb
+    driver = DriverProfile(*TABLE_DRIVER)
     rows = []
     for i, (noa, noj, ego, hazard, ndrt, ordinal) in enumerate(TABLE_ROWS, start=1):
         scenario = ScenarioSpec(noa=noa, noj=noj, ego_speed=ego, hazard_speed=hazard)
         ctx = TakeoverContext(ndrt_class=ndrt, ordinal=ordinal)
-        est = estimate_tortb(TABLE_DRIVER, scenario, ctx, coeffs)
+        est = estimate(driver, scenario, ctx, coeffs)
         rows.append({
             "row": i, "noa": noa, "noj": noj,
             "ego_km_hr": ego, "hazard_km_hr": hazard, "rs_km_hr": ego - hazard,
@@ -325,9 +332,12 @@ def table_rows() -> list[dict[str, Any]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> Output:
+    from . import fileio
+    from .model import DriverProfile
     rows = table_rows()
+    srt, experience = TABLE_DRIVER
     payload = {
-        "driver": fileio.driver_to_dict(TABLE_DRIVER),
+        "driver": fileio.driver_to_dict(DriverProfile(*TABLE_DRIVER)),
         "coefficient_set": "rounded",
         "rows": rows,
     }
@@ -335,8 +345,7 @@ def _cmd_table(args: argparse.Namespace) -> Output:
                ("rsc_s", ".2f"), ("ndrtc_s", ".2f"), ("oc_s", ".2f"), ("tortb_s", ".2f"))
     lines = [
         "Reference budget estimates "
-        f"(driver: srt {TABLE_DRIVER.srt:g} s, experience "
-        f"{TABLE_DRIVER.experience_km_per_week:g} km/wk; rounded coefficient set)",
+        f"(driver: srt {srt:g} s, experience {experience:g} km/wk; rounded coefficient set)",
         "  ".join(f"{key:>8}" for key, _ in columns),
     ]
     lines += ["  ".join(f"{row[key]:>8{spec}}" for key, spec in columns) for row in rows]
@@ -358,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, lines = _HANDLERS[args.command](args)
         json_out = getattr(args, "json", False)  # simulate has none: it writes report.json
-        text = fileio.json_text(payload) if json_out else "\n".join(lines) + "\n"
+        text = json_text(payload) if json_out else "\n".join(lines) + "\n"
         # A path's bytes that are not UTF-8 arrive as lone surrogates (PEP 383) and go
         # back out as given; a text-only stream, such as io.StringIO, takes them as is.
         buffer = getattr(sys.stdout, "buffer", None)

@@ -16,23 +16,16 @@ import inspect
 import json
 import os
 from collections import Counter
-from decimal import Decimal
 from functools import cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .calibration import AnchorCase, UnknownCoefficient
+from .defaults import NdrtClass, json_text
 from .errors import SchemaError, check_type, located
-from .model import (
-    SCENARIO_PRESETS,
-    CoefficientSet,
-    DriverProfile,
-    NdrtClass,
-    ScenarioSpec,
-    TakeoverContext,
-)
+from .model import SCENARIO_PRESETS, CoefficientSet, DriverProfile, ScenarioSpec, TakeoverContext
 
 if TYPE_CHECKING:
+    from .calibration import AnchorCase
     from .simulate import EpisodeConfig
 
 
@@ -227,6 +220,8 @@ def load_json(path: str | Path) -> Any:
             raise SchemaError(f"{path}: duplicate key '{twice}'")
         return record
 
+    from decimal import Decimal
+
     try:
         # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
         # reader, and that reader names the key they sit under.
@@ -237,11 +232,6 @@ def load_json(path: str | Path) -> Any:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise SchemaError(f"{path}: JSON nested too deeply to read") from None
-
-
-def json_text(payload: Any) -> str:
-    """The one JSON text layout: sorted keys, a 2-space indent and a final LF."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_file(path: str | Path, text: str) -> None:
@@ -274,8 +264,8 @@ def dump_coefficients(coeffs: CoefficientSet, path: str | Path) -> None:
     write_file(path, json_text(coefficients_to_dict(coeffs)))
 
 
+# An anchor's keys after its first, "unknown", which anchor_from_dict adds.
 _ANCHOR = {
-    "unknown": _Key("unknown", *_enum(UnknownCoefficient)),
     "scenario": _Key("scenario", _record(scenario_from_dict)),
     "driver": _Key("driver", _record(driver_from_dict)),
     "ctx": _Key("ctx", _record(context_from_dict)),
@@ -284,7 +274,10 @@ _ANCHOR = {
 
 
 def anchor_from_dict(data: dict[str, Any], where: str = "anchor") -> AnchorCase:
-    return _from_dict(data, _ANCHOR, AnchorCase, where)
+    from .calibration import AnchorCase, UnknownCoefficient  # only for the command that calibrates
+
+    table = {"unknown": _Key("unknown", *_enum(UnknownCoefficient)), **_ANCHOR}
+    return _from_dict(data, table, AnchorCase, where)
 
 
 def _anchors(anchors: list[AnchorCase]) -> list[AnchorCase]:

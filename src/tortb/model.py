@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from decimal import ROUND_HALF_UP, Context, Decimal
-from enum import Enum
 
+from .defaults import SCENARIO_NAMES, NdrtClass
 from .errors import (
     NegativeRelativeSpeed,
     SchemaError,
@@ -57,19 +56,13 @@ def round_coefficient(value: float) -> float:
     310 digits of the largest float at one decimal; the default 28 would
     raise ``InvalidOperation`` from about 1e27 up.
     """
+    from decimal import ROUND_HALF_UP, Context, Decimal
     check_range("value", value, -sys.float_info.max)
     return float(
         Decimal(repr(value)).quantize(
             Decimal("0.1"), rounding=ROUND_HALF_UP, context=Context(prec=310)
         )
     )
-
-
-class NdrtClass(Enum):
-    """How the non-driving-related task occupies the driver's hands."""
-
-    HANDS_FREE = "handsfree"
-    HAND_HELD = "handheld"
 
 
 @dataclass(frozen=True)
@@ -210,22 +203,22 @@ RAW_COEFFICIENTS = replace(
 
 #: Bundled scenario presets.  S2's single adjoining road models the exit
 #: ramp branch and is an extrapolated preset (never used for calibration).
-SCENARIO_PRESETS: dict[str, ScenarioSpec] = {
-    "S1": ScenarioSpec(
+SCENARIO_PRESETS: dict[str, ScenarioSpec] = dict(zip(SCENARIO_NAMES, (
+    ScenarioSpec(
         noa=2,
         noj=0,
         ego_speed=130.0,
         hazard_speed=0.0,
         label="stationary car ahead on the highway at 130 km/hr, one approaching vehicle",
     ),
-    "S2": ScenarioSpec(
+    ScenarioSpec(
         noa=0,
         noj=1,
         ego_speed=50.0,
         hazard_speed=0.0,
         label="take the highway exit at 50 km/hr (exit ramp counted as one adjoining road)",
     ),
-    "S3": ScenarioSpec(
+    ScenarioSpec(
         noa=2,
         noj=3,
         ego_speed=80.0,
@@ -233,7 +226,7 @@ SCENARIO_PRESETS: dict[str, ScenarioSpec] = {
         label="right turn at a four-way country-road intersection at 80 km/hr, "
         "bicyclist and pedestrian at the turn",
     ),
-}
+), strict=True))
 
 
 def ndrtc_lookup(

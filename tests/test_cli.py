@@ -1062,6 +1062,20 @@ def test_a_path_holding_a_nul_byte_is_a_usage_error(flag, tmp_path, monkeypatch,
     assert sorted(os.listdir(tmp_path)) == ["anchors.json", "episodes.json"]
 
 
+@pytest.mark.parametrize("flag", NUL_PATH_CASES)
+def test_an_empty_path_is_a_usage_error(flag, tmp_path, monkeypatch, capsys):
+    """An empty --out-dir would write its logs and report into the current
+    directory; argparse refuses every empty path flag first."""
+    monkeypatch.chdir(tmp_path)
+    write_anchors(tmp_path / "anchors.json")
+    write_episode_config(tmp_path / "episodes.json")
+    code, out, err = run_cli(["" if arg == "a\0b" else arg for arg in NUL_PATH_CASES[flag]],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert f"error: argument {flag}: path is empty\n" in err, err
+    assert sorted(os.listdir(tmp_path)) == ["anchors.json", "episodes.json"]
+
+
 NON_UTF8_PATH_CASES = {
     "--out": ([b"calibrate", b"--anchors", b"anchors.json", b"--out", b"\xff.json"],
               b"coefficient file written: \xff.json\n"),

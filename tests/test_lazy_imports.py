@@ -8,7 +8,7 @@ from pathlib import Path
 
 import tortb
 import tortb.cli
-from golden_inputs import GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES
+from golden_inputs import GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES, drive_log_text
 
 SRC = str(Path(tortb.__file__).parents[1])
 
@@ -93,6 +93,64 @@ def test_simulate_and_analyze_import_no_numpy_and_leave_the_environment_alone(tm
     config.write_text(json.dumps(EPISODES), encoding="utf-8")
     got = json.loads(run_fresh(SIMULATE_ANALYZE_SCRIPT, str(config), str(tmp_path / "out")))
     assert got == {"numpy": {"simulate": False, "analyze": False}, "environ": True}
+
+
+# Runs --help, analyze, estimate with the default coefficient set, then
+# simulate, in one process; after each, lists which of the modules that
+# command must not need are loaded.
+MODULE_SET_SCRIPT = """
+import contextlib, io, json, sys
+import tortb, tortb.cli
+log, config, out = sys.argv[1:]
+unused = {
+    "--help": ["tortb.model", "tortb.calibration", "tortb.fileio", "tortb.drivelog",
+               "tortb.simulate", "dataclasses", "decimal"],
+    "analyze": ["tortb.model", "tortb.calibration", "tortb.fileio", "decimal"],
+    "estimate": ["tortb.calibration"],
+    "simulate": ["tortb.calibration"],
+}
+loaded = {}
+for argv in (
+    ["--help"],
+    ["analyze", "--log", log, "--json"],
+    ["estimate", "--srt", "0.2", "--experience", "80", "--scenario", "S1",
+     "--ndrt", "handsfree", "--ordinal", "1", "--json"],
+    ["simulate", "--config", config, "--out-dir", out],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = tortb.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, argv
+    loaded[argv[0]] = [name for name in unused[argv[0]] if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """``import tortb, tortb.cli`` and ``--help`` load no model, calibration,
+    file reader, drive-log module or simulator; analyze loads none of the
+    first three; estimate and simulate load no calibration."""
+    log, config = tmp_path / "drive.csv", tmp_path / "episodes.json"
+    log.write_text(drive_log_text(), encoding="utf-8")
+    config.write_text(json.dumps(EPISODES), encoding="utf-8")
+    got = json.loads(run_fresh(MODULE_SET_SCRIPT, str(log), str(config), str(tmp_path / "out")))
+    assert got == {"--help": [], "analyze": [], "estimate": [], "simulate": []}
+
+
+def test_submodules_resolve_as_attributes_after_a_bare_import():
+    """Each is imported on its first access, and the enums the model and the
+    calibration re-export are the ones ``tortb.defaults`` defines."""
+    assert run_fresh(
+        "import tortb\n"
+        "print(sorted(tortb.model.SCENARIO_PRESETS),\n"
+        "      tortb.calibration.Chaining is tortb.defaults.Chaining is tortb.Chaining,\n"
+        "      tortb.model.NdrtClass is tortb.fileio.NdrtClass is tortb.NdrtClass,\n"
+        "      tortb.NdrtClass.__module__, tortb.Chaining.__module__,\n"
+        "      tortb.drivelog.DriveLog is tortb.DriveLog,\n"
+        "      tortb.simulate.run_batch is tortb.run_batch, tortb.cli.main.__module__)"
+    ) == "['S1', 'S2', 'S3'] True True tortb.defaults tortb.defaults True True tortb.cli\n"
 
 
 # Runs every golden CLI case in the directory given, with numpy made
