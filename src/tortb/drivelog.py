@@ -30,8 +30,9 @@ from operator import sub
 from .defaults import (_T_EPS, CSV_HEADER, POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_RATE_HZ,
                        TOT_THRESHOLD)
 from .errors import (EmptyGroup, MissingTorMarker, MultipleTorMarkers, NonUniformSampling,
-                     SchemaError, WindowOutOfRange, check_range, check_type, located, shown)
-from .stats import SummaryStats, _mean, _number, describe
+                     SchemaError, WindowOutOfRange, check_range, check_type, located, shown,
+                     to_float)
+from .stats import SummaryStats, _mean, describe
 
 #: The CSV's value columns in file order, each with the DriveLog field it
 #: fills; a tor_flag column follows them.
@@ -68,7 +69,7 @@ class DriveLog:
             values = getattr(self, name)
             if type(values) is not _Floats:
                 with located(f"channel {name}"):
-                    values = [v if type(v) is float else _number(v) for v in values]
+                    values = [v if type(v) is float else to_float("value", v) for v in values]
             object.__setattr__(self, name, tuple(values))
         t = self.t
         n = len(t)

@@ -108,6 +108,21 @@ def check_count(name: str, value: Any, lo: float, hi: float = sys.float_info.max
     check_range(name, value, lo, hi)
 
 
+def to_float(name: str, value: Any) -> float:
+    """``value`` as a float: a number, not a bool; an int past the float range is refused.
+
+    A plain float or int skips the type check, as in :func:`check_range`.
+    """
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        check_type(name, value, Real, "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{name} must be finite, got {shown(value)}", field=name) from None
+
+
 def check_types(obj: Any, **types: type) -> None:
     """Raise ``SchemaError`` unless each named field of ``obj`` is an instance of its type."""
     for name, cls in types.items():

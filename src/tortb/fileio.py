@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .defaults import NdrtClass, json_text
-from .errors import SchemaError, check_type, located
+from .errors import SchemaError, check_type, located, to_float
 from .model import SCENARIO_PRESETS, CoefficientSet, DriverProfile, ScenarioSpec, TakeoverContext
 
 if TYPE_CHECKING:
@@ -59,12 +59,8 @@ def _choice(data: Any, key: str, where: str, choices: list[str]) -> str:
 
 
 def _number(data: Any, key: str, where: str) -> float:
-    """An int or float (not a bool) under ``key``, as a float."""
-    value = _typed(data, key, where, (int, float), "a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"{where}: {key} is out of range") from None
+    """A number (not a bool) under ``key``, as a float."""
+    return to_float(f"{where}: {key}", _get(data, key, where))
 
 
 def _or_null(read: Callable[..., Any]) -> Callable[..., Any]:

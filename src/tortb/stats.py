@@ -11,10 +11,9 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from numbers import Real
 from operator import add
 
-from .errors import EmptyGroup, SchemaError, check_type, shown
+from .errors import EmptyGroup, SchemaError, to_float
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,6 @@ def _mean(values: list[float]) -> float:
     return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
 
 
-def _number(value: object) -> float:
-    """``value`` as a float; a non-number, a bool or an int past the float range is refused."""
-    check_type("value", value, Real, "a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"value must be finite, got {shown(value)}", field="value") from None
-
-
 def describe(values: Iterable[float]) -> SummaryStats:
     """Population mean/std/min/max over a non-empty collection of numbers.
 
@@ -70,7 +60,7 @@ def describe(values: Iterable[float]) -> SummaryStats:
     as a float64 array, bit for bit.  ``min`` and ``max`` give the first of
     equal values, so ``0.0`` and ``-0.0`` keep the order they came in.
     """
-    arr = [value if type(value) is float else _number(value) for value in values]
+    arr = [value if type(value) is float else to_float("value", value) for value in values]
     if not arr:
         raise EmptyGroup("cannot describe an empty collection")
     mean = _mean(arr)

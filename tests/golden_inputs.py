@@ -1,21 +1,25 @@
-"""The golden CLI cases and their inputs, in a module that imports no numpy.
+"""The golden CLI cases, their inputs, and the one checker of their outputs.
 
-``tests/test_cli_golden.py`` runs the cases in process;
-``tests/test_lazy_imports.py`` runs them in a fresh interpreter that cannot
-import numpy.  Run as a script, ``python tests/golden_inputs.py DIR``
-writes the inputs into ``DIR`` and the stderr each rejection must print
-into ``DIR/<name>.err``, and prints one case a line: its kind (``stdout``,
-``help`` or ``stderr``), its name, then the ``tortb`` arguments.  The
-outputs of the ``stdout`` and ``help`` cases are the files
-``tests/golden/<kind>/<name>.txt``.
+Imports no numpy.  :func:`golden_mismatches` runs every case through a
+runner, such as the in-process :func:`run_main`, and compares what it
+prints and writes, byte for byte, with the files under ``tests/golden/``.
+
+Run as a script, ``python tests/golden_inputs.py`` checks the ``tortb``
+command on ``PATH`` in a temporary directory, prints each mismatch, and
+exits 1 if there is any.
 """
 
+import contextlib
+import io
 import json
+import os
 import random
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-from tortb.drivelog import DriveLog
+from tortb.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +42,7 @@ ANCHORS = {
     ]
 }
 
+# The three episodes end late, success and collision, in that order.
 EPISODES = {
     "base_seed": 11,
     "episodes": [
@@ -91,8 +96,10 @@ SPECIAL_VALUES = (-0.0, 0.0, 1e-05, 1e16, 1.5e-07, 5e-324, 2.2250738585072014e-3
                   1e308, -1e308, 1.2345678901234568e17, 0.1 + 0.2, -2.5e-10)
 
 
-def render_golden_log() -> DriveLog:
-    """A 41-sample log of noisy floats and SPECIAL_VALUES, TOR at sample 20."""
+def render_golden_log():
+    """A 41-sample DriveLog of noisy floats and SPECIAL_VALUES, TOR at sample 20."""
+    from tortb.drivelog import DriveLog  # only here, so ``import golden_inputs`` loads no drivelog
+
     rng = random.Random(5150)
     n = 41
     channels = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(4)]
@@ -138,7 +145,8 @@ STDOUT_CASES = {
 }
 
 # The --help text of tortb and of each subcommand, wrapped at 80 columns.
-HELP_CASES = ("analyze", "calibrate", "estimate", "simulate", "table", "tortb")
+HELP_CASES = {**{name: [name, "--help"] for name in (
+    "analyze", "calibrate", "estimate", "simulate", "table")}, "tortb": ["--help"]}
 
 # Rejections: the exact stderr bytes, with nothing on stdout and exit 2.
 STDERR_CASES = {
@@ -170,18 +178,80 @@ def write_inputs(directory: Path) -> None:
     (directory / "no_tor.csv").write_text(NO_TOR_LOG, encoding="utf-8")
 
 
-def help_argv(name: str) -> list[str]:
-    """The arguments of the help case ``name``."""
-    return ["--help"] if name == "tortb" else [name, "--help"]
+def run_main(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout bytes and stderr bytes of ``tortb.cli.main(argv)``, ``--help``
+    included.  ``main`` writes through ``sys.stdout.buffer``, as in a real process."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n") for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.detach().getvalue(), err.detach().getvalue()
+
+
+def golden_mismatches(run, workdir: str | Path) -> list[str]:
+    """Every way the outputs of ``run`` differ from the golden files, one line each.
+
+    Writes the inputs into ``workdir`` and runs every case there with
+    ``COLUMNS=80`` through ``run``, which gives the exit code, stdout and
+    stderr of its arguments; the working directory and environment are
+    restored.  Compares each exit code and both streams, then
+    ``solved.json``, the files under ``simulate/`` and the rendered golden
+    log.  A golden file that no case compares is a mismatch too.
+    """
+    from tortb.drivelog import drive_log_to_csv
+
+    workdir = Path(workdir)
+    write_inputs(workdir)
+    cases = {**{f"stdout/{name}.txt": argv for name, argv in STDOUT_CASES.items()},
+             **{f"help/{name}.txt": argv for name, argv in HELP_CASES.items()},
+             **{name: argv for name, (argv, _) in STDERR_CASES.items()}}
+    cwd, environ = os.getcwd(), os.environ.copy()
+    os.chdir(workdir)
+    os.environ["COLUMNS"] = "80"
+    try:
+        ran = {name: run(argv) for name, argv in cases.items()}
+    finally:
+        os.chdir(cwd)
+        os.environ.clear()
+        os.environ.update(environ)
+
+    mismatches = []
+    written = {"render.csv": drive_log_to_csv(render_golden_log()).encode("utf-8")}
+    for name, (code, out, err) in ran.items():
+        if name in STDERR_CASES:
+            if (code, out, err) != (2, b"", STDERR_CASES[name][1].encode("utf-8")):
+                mismatches.append(f"STDERR_CASES[{name!r}]: exit {code}, {out=}, {err=}")
+        else:
+            written[name] = out
+            if (code, err) != (0, b""):
+                mismatches.append(f"tests/golden/{name}: exit {code}, {err=}")
+    for path in [workdir / "solved.json", *sorted((workdir / "simulate").glob("*"))]:
+        if path.is_file():
+            written[path.relative_to(workdir).as_posix()] = path.read_bytes()
+    golden = {path.relative_to(GOLDEN).as_posix(): path.read_bytes()
+              for path in GOLDEN.rglob("*") if path.is_file() and path.name != ".gitattributes"}
+    for name in sorted(golden.keys() | written.keys()):
+        if name not in written:
+            mismatches.append(f"tests/golden/{name}: no case writes it")
+        elif name not in golden:
+            mismatches.append(f"tests/golden/{name}: missing, though a case writes it")
+        elif written[name] != golden[name]:
+            line = os.path.commonprefix([written[name], golden[name]]).count(b"\n") + 1
+            mismatches.append(f"tests/golden/{name}: differs from line {line}")
+    return mismatches
+
+
+def _run_tortb(argv: list[str]) -> tuple[int, bytes, bytes]:
+    done = subprocess.run(["tortb", *argv], capture_output=True)
+    return done.returncode, done.stdout, done.stderr
 
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1])
-    write_inputs(out)
-    for name, argv in STDOUT_CASES.items():
-        print("stdout", name, *argv)
-    for name in HELP_CASES:
-        print("help", name, *help_argv(name))
-    for name, (argv, expected) in STDERR_CASES.items():
-        (out / f"{name}.err").write_text(expected, encoding="utf-8")
-        print("stderr", name, *argv)
+    with tempfile.TemporaryDirectory() as workdir:
+        found = golden_mismatches(_run_tortb, Path(workdir))
+    for line in found:
+        print(line)
+    print(f"{len(found)} mismatches")
+    sys.exit(1 if found else 0)

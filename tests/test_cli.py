@@ -1,8 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
-import contextlib
 import copy
-import io
 import json
 import os
 import subprocess
@@ -21,6 +19,8 @@ import tortb.cli
 from tortb import DEFAULT_COEFFICIENTS, estimate_tortb
 from tortb import fileio
 from tortb.cli import main
+
+from golden_inputs import run_main
 
 GOLDEN_TORTB = (4.1, 6.5, 6.55, 8.7, 1.75, 2.5)
 
@@ -830,17 +830,6 @@ def test_simulate_never_exits_1_and_reports_finite_json(episode):
             json.loads(report, parse_constant=_reject_constant)
 
 
-def _run_main(argv):
-    """Exit code and stdout of one CLI run, argparse's exits included."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, stdout.getvalue()
-
-
 # Flag values: valid ones, band edges, overflowing and non-finite numbers,
 # any float or integer, and short arbitrary text.
 FLAG_TEXT = (
@@ -877,7 +866,7 @@ def estimate_argvs(draw):
 @given(argv=estimate_argvs())
 @example(argv=OVERFLOW_FLAGS)
 def test_estimate_never_exits_1_and_prints_finite_json(argv):
-    code, out = _run_main(argv)
+    code, out, _ = run_main(argv)
     assert code in (0, 2)
     if code == 0:
         json.loads(out, parse_constant=_reject_constant)
@@ -910,8 +899,8 @@ def test_calibrate_never_exits_1_and_prints_finite_json(anchor, chaining):
         anchors = Path(tmp) / "anchors.json"
         anchors.write_text(json.dumps({"anchors": [anchor]}), encoding="utf-8")
         out_file = Path(tmp) / "solved.json"
-        code, out = _run_main(["calibrate", "--anchors", str(anchors), "--out", str(out_file),
-                               "--chaining", chaining, "--json"])
+        code, out, _ = run_main(["calibrate", "--anchors", str(anchors), "--out", str(out_file),
+                                  "--chaining", chaining, "--json"])
         assert code in (0, 2)
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)
@@ -969,7 +958,7 @@ def test_analyze_never_exits_1_and_prints_finite_json(text, flags):
         log.write_text(text, encoding="utf-8")
         # "--flag=value", so argparse reads a value such as "-1e+300" as a value.
         argv = ["analyze", "--log", str(log), *(f"{k}={v}" for k, v in flags.items())]
-        code, out = _run_main(argv + ["--json"])
+        code, out, _ = run_main(argv + ["--json"])
         assert code in (0, 2)
         if code == 0:
             json.loads(out, parse_constant=_reject_constant)

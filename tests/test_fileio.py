@@ -261,7 +261,8 @@ def test_unknown_key_is_refused_naming_the_record(loader, document, where, key, 
 
 
 # (loader, document, the whole message after the path): each fault of a
-# file's top level, and one document with two faults.
+# file's top level, one document with two faults, and the two refusals of
+# the float rule (a NaN reads as a Decimal), worded as describe words them.
 TOP_LEVEL = [
     *((loader, document, message) for loader in ("anchors", "episodes") for document, message in [
         ([1], "expected a JSON object, got [1]"),
@@ -274,6 +275,10 @@ TOP_LEVEL = [
     ("episodes", {**episode(), "base_seed": True}, "base_seed must be an integer, got True"),
     ("episodes", {**episode(), "base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
     ("episodes", {"episodes": [], "base_seed": True}, "episodes list is empty"),
+    ("anchors", anchor(driver={**DRIVER, "srt_s": 10**400}),
+     f"anchors[0].driver: srt_s must be finite, got {10**400}"),
+    ("anchors", anchor(driver={**DRIVER, "srt_s": NAN}),
+     "anchors[0].driver: srt_s must be a number, got Decimal('NaN')"),
 ]
 
 

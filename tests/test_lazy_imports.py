@@ -8,9 +8,10 @@ from pathlib import Path
 
 import tortb
 import tortb.cli
-from golden_inputs import GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES, drive_log_text
+from golden_inputs import drive_log_text
 
-SRC = str(Path(tortb.__file__).parents[1])
+# The fresh interpreters import tortb from this tree, and the runner from this directory.
+PYTHONPATH = os.pathsep.join([str(Path(tortb.__file__).parents[1]), str(Path(__file__).parent)])
 
 ANCHORS = {"anchors": [{
     "scenario": "S1",
@@ -24,8 +25,9 @@ ANCHORS = {"anchors": [{
 # package's names, then reports which of numpy and the drive-log and
 # simulator modules were ever imported.
 SCRIPT = """
-import contextlib, io, sys
+import sys
 import tortb, tortb.cli
+from golden_inputs import run_main
 anchors, out = sys.argv[1:]
 for argv in (
     ["estimate", "--srt", "0.2", "--experience", "80", "--scenario", "S1",
@@ -34,12 +36,7 @@ for argv in (
     ["calibrate", "--anchors", anchors, "--out", out],
     ["--help"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = tortb.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 0, argv
+    assert run_main(argv)[0] == 0, argv
 assert set(tortb.__all__) <= set(dir(tortb))
 print([name for name in ("numpy", "tortb.drivelog", "tortb.simulate") if name in sys.modules])
 """
@@ -55,8 +52,9 @@ EPISODES = {"base_seed": 7, "episodes": [{
 # Runs simulate, then analyze on the log it wrote, in one process; then
 # reports whether each loaded numpy and whether the environment changed.
 SIMULATE_ANALYZE_SCRIPT = """
-import contextlib, io, json, os, sys
+import json, os, sys
 import tortb, tortb.cli
+from golden_inputs import run_main
 config, out = sys.argv[1:]
 environ = dict(os.environ)
 loaded = {}
@@ -64,8 +62,7 @@ for argv in (
     ["simulate", "--config", config, "--out-dir", out],
     ["analyze", "--log", os.path.join(out, "episode_000.csv"), "--json"],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert tortb.cli.main(argv) == 0, argv
+    assert run_main(argv)[0] == 0, argv
     loaded[argv[0]] = "numpy" in sys.modules
 print(json.dumps({"numpy": loaded, "environ": dict(os.environ) == environ}))
 """
@@ -75,7 +72,7 @@ def run_fresh(code, *args, **env):
     """Stdout of ``python -c code args`` in a new interpreter that imports from
     this tree, with ``env`` added to the environment."""
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": SRC, **env},
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": PYTHONPATH, **env},
         capture_output=True, text=True, check=True,
     ).stdout
 
@@ -99,8 +96,9 @@ def test_simulate_and_analyze_import_no_numpy_and_leave_the_environment_alone(tm
 # simulate, in one process; after each, lists which of the modules that
 # command must not need are loaded.
 MODULE_SET_SCRIPT = """
-import contextlib, io, json, sys
+import json, sys
 import tortb, tortb.cli
+from golden_inputs import run_main
 log, config, out = sys.argv[1:]
 unused = {
     "--help": ["tortb.model", "tortb.calibration", "tortb.fileio", "tortb.drivelog",
@@ -117,12 +115,7 @@ for argv in (
      "--ndrt", "handsfree", "--ordinal", "1", "--json"],
     ["simulate", "--config", config, "--out-dir", out],
 ):
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = tortb.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code == 0, argv
+    assert run_main(argv)[0] == 0, argv
     loaded[argv[0]] = [name for name in unused[argv[0]] if name in sys.modules]
 print(json.dumps(loaded))
 """
@@ -153,65 +146,19 @@ def test_submodules_resolve_as_attributes_after_a_bare_import():
     ) == "['S1', 'S2', 'S3'] True True tortb.defaults tortb.defaults True True tortb.cli\n"
 
 
-# Runs every golden CLI case in the directory given, with numpy made
-# unimportable, and writes the rendered golden log there.  Prints each
-# case's exit code, stdout and stderr, then whether numpy was loaded all the same.
+# Runs every golden case through the in-process runner with numpy made
+# unimportable, then prints the mismatches and what sys.modules holds for numpy.
 WITHOUT_NUMPY = """
-import contextlib, io, json, os, sys
-
-class HideNumpy:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "numpy":
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-
-sys.meta_path.insert(0, HideNumpy())
-tests, workdir = sys.argv[1:]
-sys.path.insert(0, tests)
-os.chdir(workdir)
-os.environ["COLUMNS"] = "80"
-import tortb.cli
-from golden_inputs import (HELP_CASES, STDERR_CASES, STDOUT_CASES, help_argv,
-                           render_golden_log, write_inputs)
-
-write_inputs(".")
-cases = {
-    **{f"stdout/{name}": argv for name, argv in STDOUT_CASES.items()},
-    **{f"help/{name}": help_argv(name) for name in HELP_CASES},
-    **{f"stderr/{name}": argv for name, (argv, _) in STDERR_CASES.items()},
-}
-ran = {}
-for name, argv in cases.items():
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = tortb.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    ran[name] = [code, out.getvalue(), err.getvalue()]
-with open("render.csv", "w", encoding="utf-8", newline="") as f:
-    f.write(tortb.drive_log_to_csv(render_golden_log()))
-print(json.dumps({"cases": ran, "numpy": "numpy" in sys.modules}))
+import sys
+sys.modules["numpy"] = None  # every import of numpy or a submodule now fails
+from golden_inputs import golden_mismatches, run_main
+print(golden_mismatches(run_main, sys.argv[1]), sys.modules["numpy"])
 """
 
 
 def test_every_golden_case_runs_with_numpy_hidden(tmp_path):
-    got = json.loads(run_fresh(WITHOUT_NUMPY, str(Path(__file__).parent), str(tmp_path)))
-    assert got["numpy"] is False
-    cases = got["cases"]
-    assert len(cases) == len(STDOUT_CASES) + len(HELP_CASES) + len(STDERR_CASES)
-    for name, (code, out, err) in cases.items():
-        kind, _, case = name.partition("/")
-        if kind == "stderr":
-            assert (code, out, err) == (2, "", STDERR_CASES[case][1]), name
-        else:
-            assert (code, err) == (0, ""), name
-            assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name
-    written = ["render.csv", "solved.json",
-               *(f"simulate/{path.name}" for path in (GOLDEN / "simulate").iterdir())]
-    assert sorted(path.name for path in (tmp_path / "simulate").iterdir()) == sorted(
-        path.name for path in (GOLDEN / "simulate").iterdir())
-    for name in written:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    """Every golden file, and no other, matches what the CLI prints and writes."""
+    assert run_fresh(WITHOUT_NUMPY, str(tmp_path)) == "[] None\n"
 
 
 def test_star_import_binds_every_public_name():
