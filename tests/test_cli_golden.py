@@ -1,17 +1,20 @@
 """Byte-level golden outputs of the CLI, one test per case.
 
 Each case runs one subcommand on fixed inputs through ``run_main`` and
-compares what it prints, byte for byte, with a file under
-``tests/golden/``, with a unified diff on failure.  The written files and
-the rendered log are checked by ``golden_mismatches``, which
-``tests/test_lazy_imports.py`` runs with numpy hidden.
+compares what it prints or writes, byte for byte, with a file under
+``tests/golden/``, with a unified diff on failure.  ``golden_mismatches``
+checks the same files in one pass, and names any golden file no case
+compares; ``tests/test_lazy_imports.py`` runs it with numpy hidden.
 """
 
 import difflib
 
 import pytest
 
-from golden_inputs import GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES, run_main, write_inputs
+from tortb.drivelog import drive_log_to_csv
+
+from golden_inputs import (GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES, render_golden_log,
+                           run_main, write_inputs)
 
 
 def _escaped_lines(data: bytes) -> list[str]:
@@ -58,3 +61,16 @@ def test_help_golden(name, monkeypatch):
 def test_stderr_bytes(name, workdir):
     argv, expected = STDERR_CASES[name]
     assert run_main(argv) == (2, b"", expected.encode("utf-8"))
+
+
+def test_written_files(workdir):
+    for argv in (STDOUT_CASES["calibrate_json"], STDOUT_CASES["simulate"]):
+        assert run_main(argv)[0] == 0
+    names = sorted(path.name for path in (workdir / "simulate").iterdir())
+    assert names == sorted(path.name for path in (GOLDEN / "simulate").iterdir())
+    for name in ["solved.json"] + [f"simulate/{name}" for name in names]:
+        assert_golden(name, (workdir / name).read_bytes())
+
+
+def test_render_golden():
+    assert_golden("render.csv", drive_log_to_csv(render_golden_log()).encode("utf-8"))
