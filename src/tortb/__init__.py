@@ -66,8 +66,8 @@ __all__ = [
 
 
 # The submodules, each imported on its first access as an attribute.
-_SUBMODULES = ("calibration", "cli", "defaults", "drivelog", "fileio", "model", "simulate",
-               "stats")
+_SUBMODULES = ("calibration", "cli", "defaults", "drivelog", "fileio", "model", "records",
+               "simulate", "stats")
 
 
 def __getattr__(name: str) -> object:

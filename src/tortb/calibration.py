@@ -18,7 +18,6 @@ not a linear-residual solve, so it lives in :func:`derive_oc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -41,6 +40,7 @@ from .model import (
     estimate_tortb,
     round_coefficient,
 )
+from .records import record, replace
 
 
 class UnknownCoefficient(Enum):
@@ -51,7 +51,7 @@ class UnknownCoefficient(Enum):
     OC = "oc"
 
 
-@dataclass(frozen=True)
+@record
 class AnchorCase:
     """One scenario with a known suitable budget, pinning one unknown.
 
@@ -71,7 +71,7 @@ class AnchorCase:
         check_range("known_tortb", self.known_tortb, 0, above=True)
 
 
-@dataclass(frozen=True)
+@record
 class SolvedCoefficient:
     """Raw and rounded value for one unknown, plus the rounding residual.
 
@@ -85,7 +85,7 @@ class SolvedCoefficient:
     residual: float  # [s]
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationResult:
     """Solved coefficients keyed by unknown, in solve order."""
 

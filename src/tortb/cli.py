@@ -198,6 +198,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
         ctx = TakeoverContext(ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
     est = _cli.estimate_tortb(driver, scenario, ctx, coeffs)
+    components = est.components
     payload = {
         "inputs": {
             "driver": fileio.driver_to_dict(driver),
@@ -206,7 +207,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
             "coefficients": fileio.coefficients_to_dict(coeffs),
             "coefficient_set": args.coeffs,
         },
-        "components_s": est.components,
+        "components_s": components,
         "total_s": est.total,
         "warnings": list(est.warnings),
     }
@@ -214,7 +215,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
     if scenario.label:
         lines.append(f"scenario: {scenario.label}")
     lines.append(f"{'component':<10}  seconds")
-    lines += [f"{key:<10}  {seconds:7.3f}" for key, seconds in est.components.items()]
+    lines += [f"{key:<10}  {seconds:7.3f}" for key, seconds in components.items()]
     lines.append(f"{'total':<10}  {est.total:7.3f}")
     lines += [f"warning: {warning}" for warning in est.warnings]
     return payload, lines
@@ -325,8 +326,7 @@ def table_rows() -> list[dict[str, Any]]:
         rows.append({
             "row": i, "noa": noa, "noj": noj,
             "ego_km_hr": ego, "hazard_km_hr": hazard, "rs_km_hr": ego - hazard,
-            "rsc_s": est.components["rsc"], "ndrtc_s": est.components["ndrtc"],
-            "oc_s": est.components["oc"], "tortb_s": est.total,
+            "rsc_s": est.rsc, "ndrtc_s": est.ndrtc, "oc_s": est.oc, "tortb_s": est.total,
         })
     return rows
 

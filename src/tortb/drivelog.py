@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
 from numbers import Real
 from operator import sub
 
@@ -32,6 +31,7 @@ from .defaults import (_T_EPS, CSV_HEADER, POST_WINDOW_S, PRE_WINDOW_S, SAMPLE_R
 from .errors import (EmptyGroup, MissingTorMarker, MultipleTorMarkers, NonUniformSampling,
                      SchemaError, WindowOutOfRange, check_range, check_type, located, shown,
                      to_float)
+from .records import record
 from .stats import SummaryStats, _mean, describe
 
 #: The CSV's value columns in file order, each with the DriveLog field it
@@ -46,7 +46,7 @@ class _Floats(tuple):
     """A channel of floats from a log reader, which DriveLog need not convert again."""
 
 
-@dataclass(frozen=True)
+@record
 class DriveLog:
     """Validated fixed-rate drive trace.
 
@@ -294,7 +294,7 @@ def max_acceleration(log: DriveLog, takeover_time_abs: float) -> float:
     return max(log.acceleration[_window(log, log.tor_time, takeover_time_abs)])
 
 
-@dataclass(frozen=True)
+@record
 class TakeoverMetrics:
     """Per-takeover objective measures; None marks an absent value.
 

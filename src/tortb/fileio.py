@@ -7,12 +7,11 @@ so values cannot silently drift units.  Malformed input raises
 Each record's format is one table below, mapping each JSON key, in read
 order, to the field it fills.  That table alone drives the record's
 writer, its key check and its reader.  A key left out of a record takes
-the default of its field, which only the dataclass states.
+the default of its field, which only the record class states.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 from collections import Counter
@@ -95,10 +94,12 @@ def _list(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
 
 
 @cache
-def _optional(cls: Any) -> frozenset[str]:
-    """The fields ``cls`` can be built without: those with a default."""
-    parameters = inspect.signature(cls).parameters.values()
-    return frozenset(p.name for p in parameters if p.default is not p.empty)
+def _optional(build: Any) -> frozenset[str]:
+    """The fields ``build``, a record class or a plain function, can be built
+    without: its last parameters, as many as it has defaults."""
+    function = build.__init__ if isinstance(build, type) else build
+    code, defaults = function.__code__, function.__defaults__ or ()
+    return frozenset(code.co_varnames[code.co_argcount - len(defaults):code.co_argcount])
 
 
 def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
@@ -152,7 +153,7 @@ _DRIVER = {
     "srt_s": _Key("srt", _number),
     "experience_km_per_wk": _Key("experience_km_per_week", _number),
 }
-# noa, noj and ordinal are read as they are: their dataclass checks that each is an int.
+# noa, noj and ordinal are read as they are: their record checks that each is an int.
 _SCENARIO = {
     "noa": _Key("noa", _get),
     "noj": _Key("noj", _get),

@@ -17,10 +17,10 @@ takeover maneuver.  It is additive in second-valued terms:
 * ``oc``: learning-effect deduction from the second exposure on.
 
 The three middle terms form the scenario-specific time (SST).  Each term
-is computed once, in ``_budget_terms``, and returned by
-:func:`estimate_tortb` in its ``components``.  Addition is performed
-strictly left to right, so a given input always produces the same bit
-pattern.  Everything in this module is a pure function of
+is computed once, in ``_budget_terms``, and held as a field of the
+:class:`TortbEstimate` that :func:`estimate_tortb` returns.  Addition is
+performed strictly left to right, so a given input always produces the
+same bit pattern.  Everything in this module is a pure function of
 immutable values and is safe to call concurrently.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 
 from .defaults import SCENARIO_NAMES, NdrtClass
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
     check_type,
     check_types,
 )
+from .records import record, replace
 
 # Typical visual stimulus response range [s]; profiles outside it are
 # accepted but flagged in the estimate's warnings.
@@ -65,7 +65,7 @@ def round_coefficient(value: float) -> float:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DriverProfile:
     """Per-driver inputs feeding the SRT and DEC terms."""
 
@@ -77,7 +77,7 @@ class DriverProfile:
         check_range("experience_km_per_week", self.experience_km_per_week, 0)
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioSpec:
     """Static description of the takeover scenario at the decision point.
 
@@ -102,7 +102,7 @@ class ScenarioSpec:
         check_type("label", self.label, str, "a string")
 
 
-@dataclass(frozen=True)
+@record
 class TakeoverContext:
     """Driver-state inputs that are not part of the scenario geometry."""
 
@@ -135,7 +135,7 @@ def _validate_bands(
     return tuple(zip(uppers, values))
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientSet:
     """The model constants, all in seconds.
 
@@ -238,20 +238,33 @@ def ndrtc_lookup(
     return coeffs.ndrtc_handheld
 
 
-@dataclass(frozen=True)
+@record
 class TortbEstimate:
-    """A budget estimate with its full component breakdown.
+    """A budget estimate with its full component breakdown, all in seconds.
 
-    ``components`` carries the keys ``srt``, ``dec``, ``noa_term``,
-    ``noj_term``, ``rsc``, ``sst``, ``ndrtc`` and ``oc``, all in seconds.
-    Unless a warning says the total was clamped,
-    ``total == srt + dec + noa_term + noj_term + rsc + ndrtc - oc``
+    Each term of the budget is a field.  Unless a warning says the total was
+    clamped, ``total == srt + dec + noa_term + noj_term + rsc + ndrtc - oc``
     evaluated left to right.
     """
 
+    srt: float
+    dec: float
+    noa_term: float
+    noj_term: float
+    rsc: float
+    ndrtc: float
+    oc: float
     total: float
-    components: dict[str, float]
     warnings: tuple[str, ...] = ()
+
+    @property
+    def components(self) -> dict[str, float]:
+        """The terms and the SST, keyed ``srt``, ``dec``, ``noa_term``,
+        ``noj_term``, ``rsc``, ``sst``, ``ndrtc``, ``oc``; a new dict on each access."""
+        return {"srt": self.srt, "dec": self.dec, "noa_term": self.noa_term,
+                "noj_term": self.noj_term, "rsc": self.rsc,
+                "sst": self.noa_term + self.noj_term + self.rsc, "ndrtc": self.ndrtc,
+                "oc": self.oc}
 
 
 def _band(bands: tuple[tuple[float, float], ...], key: float) -> float | None:
@@ -267,8 +280,9 @@ def _budget_terms(
     scenario: ScenarioSpec,
     ctx: TakeoverContext,
     coeffs: CoefficientSet,
-) -> tuple[dict[str, float], float]:
-    """The budget's components and their unclamped sum.
+) -> tuple[tuple[float, float, float, float, float, float, float], float]:
+    """The terms ``srt``, ``dec``, ``noa_term``, ``noj_term``, ``rsc``, ``ndrtc``
+    and ``oc``, in that order, and their unclamped sum.
 
     Each term is computed here and nowhere else, from inputs their
     constructors have range-checked.  A hazard faster than the ego raises
@@ -297,23 +311,15 @@ def _budget_terms(
     oc = 0.0 if ctx.ordinal == 1 else coeffs.oc_repeat
     # Fixed left-to-right evaluation keeps the breakdown bit-reproducible.
     total = driver.srt + dec + noa_term + noj_term + rsc + ndrtc - oc
-    components = {
-        "srt": driver.srt,
-        "dec": dec,
-        "noa_term": noa_term,
-        "noj_term": noj_term,
-        "rsc": rsc,
-        "sst": noa_term + noj_term + rsc,
-        "ndrtc": ndrtc,
-        "oc": oc,
-    }
+    terms = driver.srt, dec, noa_term, noj_term, rsc, ndrtc, oc
     # A non-finite component makes the total non-finite too, so one check
     # of the total finds every overflow.
     if not math.isfinite(total):
+        components = TortbEstimate(*terms, total).components
         name = next((k for k, v in components.items() if not math.isfinite(v)), "total")
         value = components.get(name, total)
         raise SchemaError(f"budget term {name} overflows to {value}")
-    return components, total
+    return terms, total
 
 
 def estimate_tortb(
@@ -335,8 +341,8 @@ def estimate_tortb(
             f"srt {driver.srt:g} s is outside the typical visual stimulus "
             f"response range [{lo:g}, {hi:g}] s"
         )
-    components, total = _budget_terms(driver, scenario, ctx, coeffs)
+    terms, total = _budget_terms(driver, scenario, ctx, coeffs)
     if total < 0:
         warnings.append(f"negative budget {total:.6g} s clamped to 0")
         total = 0.0
-    return TortbEstimate(total=total, components=components, warnings=tuple(warnings))
+    return TortbEstimate(*terms, total, tuple(warnings))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -41,6 +40,7 @@ from .model import (
     estimate_tortb,
     ndrtc_lookup,
 )
+from .records import record, replace
 from .stats import SummaryStats, describe
 
 if TYPE_CHECKING:
@@ -130,7 +130,7 @@ class Classification(Enum):
     COLLISION = "collision"  # overran by at least one full maneuver duration
 
 
-@dataclass(frozen=True)
+@record
 class EpisodeConfig:
     """Everything one episode needs; immutable and fully seeded."""
 
@@ -160,7 +160,7 @@ class EpisodeConfig:
         check_count("seed", self.seed, 0, _MASK64)
 
 
-@dataclass(frozen=True)
+@record
 class EpisodeOutcome:
     """Result of one simulated takeover episode.
 
@@ -285,7 +285,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
     )
 
 
-@dataclass(frozen=True)
+@record
 class BatchReport:
     """Outcomes plus aggregate counts and the margin distribution."""
 

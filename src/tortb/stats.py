@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
 from .errors import EmptyGroup, SchemaError, to_float
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SummaryStats:
     """Population descriptive statistics."""
 

@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from tortb import (
 )
 from tortb.cli import table_rows
 from tortb.drivelog import DriveLog
+from tortb.records import replace
 
 GOLDEN_TORTB = (4.1, 6.5, 6.55, 8.7, 1.75, 2.5)
 

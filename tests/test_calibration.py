@@ -1,7 +1,5 @@
 """Tests for the sequential coefficient calibration."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from tortb import (
     estimate_tortb,
     solve_coefficient,
 )
+from tortb.records import replace
 
 #: Slowest/least-experienced calibration bound: srt rounds up to 0.3 s,
 #: experience in the top dec band (2 s).

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ import tortb.cli
 from tortb import DEFAULT_COEFFICIENTS, estimate_tortb
 from tortb import fileio
 from tortb.cli import main
+from tortb.records import replace
 
 from golden_inputs import run_main
 

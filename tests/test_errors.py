@@ -1,7 +1,6 @@
 """Every pinned input rejection: range rules, choices, log windows and empty lists."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from tortb.model import (
     estimate_tortb,
     round_coefficient,
 )
+from tortb.records import replace
 from tortb.simulate import EpisodeConfig, run_batch
 
 DRIVER = DriverProfile(srt=0.2, experience_km_per_week=80.0)

@@ -102,11 +102,13 @@ from golden_inputs import run_main
 log, config, out = sys.argv[1:]
 unused = {
     "--help": ["tortb.model", "tortb.calibration", "tortb.fileio", "tortb.drivelog",
-               "tortb.simulate", "dataclasses", "decimal"],
+               "tortb.simulate", "tortb.records", "decimal"],
     "analyze": ["tortb.model", "tortb.calibration", "tortb.fileio", "decimal"],
     "estimate": ["tortb.calibration"],
     "simulate": ["tortb.calibration"],
 }
+for names in unused.values():
+    names += ["dataclasses", "inspect"]
 loaded = {}
 for argv in (
     ["--help"],
@@ -123,8 +125,9 @@ print(json.dumps(loaded))
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """``import tortb, tortb.cli`` and ``--help`` load no model, calibration,
-    file reader, drive-log module or simulator; analyze loads none of the
-    first three; estimate and simulate load no calibration."""
+    file reader, drive-log module, simulator or record module; analyze loads
+    none of the first three; estimate and simulate load no calibration; and
+    no command loads ``dataclasses`` or ``inspect``."""
     log, config = tmp_path / "drive.csv", tmp_path / "episodes.json"
     log.write_text(drive_log_text(), encoding="utf-8")
     config.write_text(json.dumps(EPISODES), encoding="utf-8")

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from tortb import (
     run_episode,
 )
 from tortb import simulate
+from tortb.records import replace
 from tortb.simulate import LOG_LEAD_IN_S, LOG_TAIL_S, MAX_LOG_S, log_texts
 
 BOUND = DriverProfile(srt=0.3, experience_km_per_week=20)
