@@ -6,8 +6,6 @@ anchor scenarios, objective metric extraction from 20 Hz drive logs, and
 a deterministic takeover-episode simulator for round-trip validation.
 """
 
-from importlib import import_module as _import_module
-
 from .errors import (
     DependencyOrderError,
     EmptyBatch,
@@ -71,12 +69,15 @@ _SUBMODULES = ("calibration", "cli", "defaults", "drivelog", "fileio", "model", 
 
 
 def __getattr__(name: str) -> object:
+    module = _LAZY.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, which `python -X importtime` times and importlib.import_module
+    # bypasses; a nonempty fromlist makes it return the submodule.
+    value = __import__(f"{__name__}.{module}", fromlist=["*"])
     if name in _LAZY:
-        value = globals()[name] = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
-        return value
-    if name in _SUBMODULES:
-        return _import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = globals()[name] = getattr(value, name)
+    return value
 
 
 def __dir__() -> list[str]:

@@ -87,9 +87,14 @@ class SolvedCoefficient:
 
 @record
 class CalibrationResult:
-    """Solved coefficients keyed by unknown, in solve order."""
+    """Solved coefficients in solve order."""
 
-    solved: dict[UnknownCoefficient, SolvedCoefficient]
+    sequence: tuple[SolvedCoefficient, ...]
+
+    @property
+    def solved(self) -> dict[UnknownCoefficient, SolvedCoefficient]:
+        """Each solved coefficient keyed by its unknown, in a new dict on each access."""
+        return {coefficient.unknown: coefficient for coefficient in self.sequence}
 
 
 # Per unknown: the CoefficientSet field it names and its signed weight in an
@@ -149,7 +154,7 @@ def calibrate_sequence(
         raise SchemaError("each anchor must solve a distinct unknown")
     current = seed_coeffs
     rounded_chain = seed_coeffs
-    solved: dict[UnknownCoefficient, SolvedCoefficient] = {}
+    solved: list[SolvedCoefficient] = []
     for i, anchor in enumerate(anchors):
         with located(f"anchors[{i}]"):
             for later in unknowns[i + 1:]:
@@ -166,13 +171,9 @@ def calibrate_sequence(
             reconstruction = estimate_tortb(
                 anchor.driver, anchor.scenario, anchor.ctx, rounded_chain
             ).total
-            solved[anchor.unknown] = SolvedCoefficient(
-                unknown=anchor.unknown,
-                raw=raw,
-                rounded=rounded,
-                residual=anchor.known_tortb - reconstruction,
-            )
-    return CalibrationResult(solved=solved), current
+            solved.append(SolvedCoefficient(anchor.unknown, raw, rounded,
+                                            anchor.known_tortb - reconstruction))
+    return CalibrationResult(tuple(solved)), current
 
 
 def derive_oc(

@@ -31,13 +31,13 @@ from .errors import SchemaError, TortbError, located
 if TYPE_CHECKING:
     from .model import CoefficientSet
 
-# Names the traced bench and the tests replace on this module, each bound here
-# from the package on first access (PEP 562), so parsing arguments loads none
-# of the model, the calibration, the file readers, the drive-log module or the
+# Exactly the names the traced bench (`bench/child.py`) replaces on this
+# module, each bound here from the package on first access (PEP 562), so
+# parsing arguments loads none of the model, the drive-log module or the
 # simulator.  The handlers look each one up on this module, as `_cli.name`, so
 # a replaced one is called; `simulate` renders logs through `simulate.log_texts`,
-# and `drive_log_to_csv` stays here only for `bench/child.py` to patch.
-_LAZY = ("calibrate_sequence", "drive_log_to_csv", "estimate_tortb", "run_batch")
+# and `drive_log_to_csv` stays here only for the bench to patch.
+_LAZY = ("drive_log_to_csv", "estimate_tortb", "run_batch")
 
 
 def __getattr__(name: str) -> Any:
@@ -74,11 +74,12 @@ def _rounded_coefficients() -> CoefficientSet:
 
 def _load_coefficient_set(spec: str) -> CoefficientSet:
     """Named set ('default', 'raw', 'rounded') or a coefficient file path."""
-    from . import fileio, model
+    from .fileio import load_coefficients
+    from .model import DEFAULT_COEFFICIENTS, RAW_COEFFICIENTS
     if spec == "rounded":
         return _rounded_coefficients()
-    named = {"default": model.DEFAULT_COEFFICIENTS, "raw": model.RAW_COEFFICIENTS}
-    return named[spec] if spec in named else fileio.load_coefficients(spec)
+    named = {"default": DEFAULT_COEFFICIENTS, "raw": RAW_COEFFICIENTS}
+    return named[spec] if spec in named else load_coefficients(spec)
 
 
 def _path(value: str) -> str:
@@ -177,7 +178,7 @@ Output = tuple[Any, list[str]]
 
 
 def _cmd_estimate(args: argparse.Namespace) -> Output:
-    from . import fileio
+    from .fileio import coefficients_to_dict, context_to_dict, driver_to_dict, scenario_to_dict
     from .model import SCENARIO_PRESETS, DriverProfile, ScenarioSpec, TakeoverContext
     values = (args.noa, args.noj, args.ego_speed, args.hazard_speed)
     explicit = [flag for flag, value in zip(_SCENARIO_FLAGS, values) if value is not None]
@@ -201,10 +202,10 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
     components = est.components
     payload = {
         "inputs": {
-            "driver": fileio.driver_to_dict(driver),
-            "scenario": fileio.scenario_to_dict(scenario),
-            "ctx": fileio.context_to_dict(ctx),
-            "coefficients": fileio.coefficients_to_dict(coeffs),
+            "driver": driver_to_dict(driver),
+            "scenario": scenario_to_dict(scenario),
+            "ctx": context_to_dict(ctx),
+            "coefficients": coefficients_to_dict(coeffs),
             "coefficient_set": args.coeffs,
         },
         "components_s": components,
@@ -222,11 +223,12 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> Output:
-    from . import fileio
-    anchors = fileio.load_anchors(args.anchors)
+    from .calibration import calibrate_sequence
+    from .fileio import coefficients_to_dict, dump_coefficients, load_anchors
+    anchors = load_anchors(args.anchors)
     seed = _load_coefficient_set(args.coeffs)
-    result, coeffs = _cli.calibrate_sequence(anchors, seed, Chaining(args.chaining))
-    fileio.dump_coefficients(coeffs, args.out)
+    result, coeffs = calibrate_sequence(anchors, seed, Chaining(args.chaining))
+    dump_coefficients(coeffs, args.out)
     payload = {
         "chaining": args.chaining,
         "solved": {
@@ -237,7 +239,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> Output:
             }
             for solved in result.solved.values()
         },
-        "coefficients": fileio.coefficients_to_dict(coeffs),
+        "coefficients": coefficients_to_dict(coeffs),
         "out_file": str(args.out),
     }
     lines = [f"chaining: {args.chaining}"]
@@ -271,9 +273,9 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> Output:
-    from . import fileio
+    from .fileio import load_episode_configs, write_file
     from .simulate import log_texts
-    configs, file_seed = fileio.load_episode_configs(args.config)
+    configs, file_seed = load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
     report = _cli.run_batch(configs, base_seed)
     out_dir = Path(args.out_dir)
@@ -284,7 +286,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     log_name = "episode_{:03d}.csv".format
     episodes = []
     for i, (outcome, text) in enumerate(zip(report.outcomes, log_texts(report.outcomes))):
-        fileio.write_file(out_dir / log_name(i), text)
+        write_file(out_dir / log_name(i), text)
         episodes.append({
             "index": i, "seed": outcome.seed, "required_s": outcome.required_time,
             "deadline_s": outcome.deadline, "margin_s": outcome.margin,
@@ -304,7 +306,7 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
         "margin_s": {k: getattr(report.margin_stats, k) for k in ("mean", "std", "min", "max")},
         "episodes": episodes,
     }
-    fileio.write_file(out_dir / "report.json", json_text(payload))
+    write_file(out_dir / "report.json", json_text(payload))
     lines = [
         f"episodes: {len(episodes)}  success: {report.n_success}  "
         f"late: {report.n_late}  collision: {report.n_collision}",
@@ -332,12 +334,12 @@ def table_rows() -> list[dict[str, Any]]:
 
 
 def _cmd_table(args: argparse.Namespace) -> Output:
-    from . import fileio
+    from .fileio import driver_to_dict
     from .model import DriverProfile
     rows = table_rows()
     srt, experience = TABLE_DRIVER
     payload = {
-        "driver": fileio.driver_to_dict(DriverProfile(*TABLE_DRIVER)),
+        "driver": driver_to_dict(DriverProfile(*TABLE_DRIVER)),
         "coefficient_set": "rounded",
         "rows": rows,
     }

@@ -12,9 +12,9 @@ The kinematics are deliberately schematic.  The model operates on time
 components, and the simulator exists to consistency-test the budgeting and
 log-analysis paths, not to reproduce vehicle dynamics.  Noise is uniform
 (bounded support) rather than Gaussian so coverage statements hold exactly
-at band edges.  Episodes are independent: each owns a generator seeded per
-a fixed mixing rule, so batch results do not depend on execution order.
-An episode's noise is the first draw of numpy's
+at band edges.  An episode is its config and a seed.  A batch seeds each
+episode by a fixed mixing rule, so its results do not depend on execution
+order.  An episode's noise is the first draw of numpy's
 ``default_rng(seed).uniform``, computed here bit for bit without loading
 ``numpy.random``, so every seed gives the same episodes either way.  Logs
 are computed with ``math`` alone, so simulating imports no numpy.
@@ -40,7 +40,7 @@ from .model import (
     estimate_tortb,
     ndrtc_lookup,
 )
-from .records import record, replace
+from .records import record
 from .stats import SummaryStats, describe
 
 if TYPE_CHECKING:
@@ -132,7 +132,7 @@ class Classification(Enum):
 
 @record
 class EpisodeConfig:
-    """Everything one episode needs; immutable and fully seeded."""
+    """Everything one episode needs but its seed; immutable."""
 
     driver: DriverProfile
     scenario: ScenarioSpec
@@ -142,7 +142,6 @@ class EpisodeConfig:
     budget_driver: DriverProfile | None = None  # profile the deadline is budgeted for
     response_noise: float = 0.0  # [s] half-width of the uniform perturbation
     maneuver_duration: float = 2.0  # [s]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_types(self, driver=DriverProfile, scenario=ScenarioSpec, ctx=TakeoverContext,
@@ -157,27 +156,35 @@ class EpisodeConfig:
         # write, and near 1e308 the uniform draw's range would overflow.
         check_range("response_noise", self.response_noise, 0, MAX_LOG_S)
         check_range("maneuver_duration", self.maneuver_duration, 0, above=True)
-        check_count("seed", self.seed, 0, _MASK64)
 
 
 @record
 class EpisodeOutcome:
-    """Result of one simulated takeover episode.
+    """Result of one simulated takeover episode: its times, config and seed.
 
-    The drive log is not stored: the outcome keeps its seeded config, and
-    :attr:`log` synthesizes the log again on each access.  A batch of
-    outcomes therefore holds no log arrays, however many episodes it has.
+    The margin and classification are computed from them, and :attr:`log`
+    synthesizes the drive log again on each access, so a batch of outcomes
+    holds no log arrays, however many episodes it has.
     """
 
     required_time: float  # [s] driver's time to complete takeover and maneuver
     deadline: float  # [s]
-    classification: Classification
-    margin: float  # [s], deadline - required_time
-    config: EpisodeConfig  # seeded config the episode ran with
+    config: EpisodeConfig  # the config the episode ran with
+    seed: int  # the seed of its noise draw
 
     @property
-    def seed(self) -> int:
-        return self.config.seed
+    def margin(self) -> float:
+        """[s], deadline - required_time."""
+        return self.deadline - self.required_time
+
+    @property
+    def classification(self) -> Classification:
+        margin = self.margin
+        if margin >= 0:
+            return Classification.SUCCESS
+        if margin <= -self.config.maneuver_duration:
+            return Classification.COLLISION
+        return Classification.LATE
 
     @property
     def log(self) -> DriveLog:
@@ -197,14 +204,6 @@ def response_onset(cfg: EpisodeConfig) -> float:
     """Seconds from TOR to first steering input: stimulus response plus
     non-driving-task disengagement."""
     return cfg.driver.srt + ndrtc_lookup(cfg.ctx.ndrt_class, cfg.coeffs)
-
-
-def _classify(margin: float, maneuver_duration: float) -> Classification:
-    if margin >= 0:
-        return Classification.SUCCESS
-    if margin <= -maneuver_duration:
-        return Classification.COLLISION
-    return Classification.LATE
 
 
 def _log_extent(
@@ -253,21 +252,22 @@ def _rows(ks: Iterable[int], onset: float, start: float,
         )
 
 
-def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
-    """Run one deterministic episode; identical config gives identical output.
+def run_episode(cfg: EpisodeConfig, seed: int = 0) -> EpisodeOutcome:
+    """Run one deterministic episode; identical config and seed give identical output.
 
     The required time is the budget estimated with the driver's own
     parameters plus a uniform draw in [-response_noise, +response_noise],
     clamped at 0.  The draw is the first of numpy's
-    ``default_rng(cfg.seed).uniform``, so every seed gives the episode it
+    ``default_rng(seed).uniform``, so every seed gives the episode it
     gave when simulate drew through ``numpy.random``.  The deadline is
     ``cfg.deadline`` when set, else the budget estimated for
     ``budget_driver`` when set, else the driver's own budget, without the
     draw.  The log's extent is checked here, so an episode whose log would
     exceed ``MAX_LOG_S`` fails now rather than when its log is first read.
     """
+    check_count("seed", seed, 0, _MASK64)
     own_budget = estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
-    required = max(own_budget + _uniform(cfg.seed, -cfg.response_noise, cfg.response_noise), 0.0)
+    required = max(own_budget + _uniform(seed, -cfg.response_noise, cfg.response_noise), 0.0)
     if cfg.deadline is not None:
         deadline = float(cfg.deadline)
     elif cfg.budget_driver is None:
@@ -275,14 +275,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeOutcome:
     else:
         deadline = estimate_tortb(cfg.budget_driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
     _log_extent(cfg, required, deadline)
-    margin = deadline - required
-    return EpisodeOutcome(
-        required_time=required,
-        deadline=deadline,
-        classification=_classify(margin, cfg.maneuver_duration),
-        margin=margin,
-        config=cfg,
-    )
+    return EpisodeOutcome(required_time=required, deadline=deadline, config=cfg, seed=seed)
 
 
 @record
@@ -297,7 +290,8 @@ class BatchReport:
 
 
 def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
-    """Run every config with per-episode seeds derived via :func:`mix_seed`."""
+    """Run every config with per-episode seeds derived via :func:`mix_seed`;
+    each outcome holds its config itself, not a copy."""
     if not configs:
         raise EmptyBatch("no episode configs")
     # Any integer: mix_seed reduces it modulo 2**64.
@@ -305,7 +299,7 @@ def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
     outcomes = []
     for i, cfg in enumerate(configs):
         with located(f"episodes[{i}]"):
-            outcomes.append(run_episode(replace(cfg, seed=mix_seed(base_seed, i))))
+            outcomes.append(run_episode(cfg, mix_seed(base_seed, i)))
     counts = {cls: 0 for cls in Classification}
     for outcome in outcomes:
         counts[outcome.classification] += 1

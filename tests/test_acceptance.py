@@ -312,7 +312,6 @@ def test_criterion_6_simulator_coverage():
                                     ),
                                     budget_driver=BOUND,
                                     response_noise=0.0,
-                                    seed=0,
                                 )
                                 outcome = run_episode(cfg)
                                 episodes += 1
@@ -337,9 +336,8 @@ def test_criterion_7_log_round_trip():
                             ctx=TakeoverContext(ndrt_class=ndrt, ordinal=ordinal),
                             budget_driver=BOUND,
                             response_noise=noise,
-                            seed=seed,
                         )
-                        outcome = run_episode(cfg)
+                        outcome = run_episode(cfg, seed)
                         tot = detect_tot(outcome.log)
                         assert tot is not None
                         worst = max(worst, abs(tot - response_onset(cfg)))

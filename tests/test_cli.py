@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -991,13 +993,13 @@ def test_table_text_output(capsys):
 # ValueError, as a fault in tortb or numpy would, and runs that handler.
 FAULT_SCRIPT = """
 import contextlib, io, json, sys
-import tortb.cli, tortb.drivelog
+import tortb.calibration, tortb.cli, tortb.drivelog
 anchors, config, log, out = sys.argv[1:]
 results = []
 for module, callee, argv in (
     (tortb.cli, "estimate_tortb", ["estimate", "--scenario", "S1", "--srt", "0.3",
                                    "--experience", "20", "--ndrt", "handsfree", "--ordinal", "1"]),
-    (tortb.cli, "calibrate_sequence", ["calibrate", "--anchors", anchors, "--out", out]),
+    (tortb.calibration, "calibrate_sequence", ["calibrate", "--anchors", anchors, "--out", out]),
     (tortb.drivelog, "extract_metrics", ["analyze", "--log", log]),
     (tortb.cli, "run_batch", ["simulate", "--config", config, "--out-dir", out]),
 ):
@@ -1092,3 +1094,23 @@ def test_a_path_that_is_not_utf8_is_printed_as_its_bytes(flag, tmp_path):
 def test_version_flag(capsys):
     code, out, _ = run_cli(["--version"], capsys)
     assert code == 0
+
+
+def test_a_text_only_stdout_gets_the_text_as_is():
+    """A stdout without ``.buffer``, such as ``io.StringIO``, is written as text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["table"]) == 0
+    golden = Path(__file__).parent / "golden" / "stdout" / "table.txt"
+    assert out.getvalue() == golden.read_bytes().decode("utf-8")
+
+
+def test_the_rounded_set_gives_the_reference_table_row(capsys):
+    code, out, _ = run_cli(ROW1_FLAGS + ["--coeffs", "rounded", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    code, table, _ = run_cli(["table", "--json"], capsys)
+    assert code == 0
+    assert payload["total_s"] == json.loads(table)["rows"][0]["tortb_s"] == GOLDEN_TORTB[0]
+    assert payload["inputs"]["coefficients"]["ndrtc_handheld_s"] == 2.7
+    assert payload["inputs"]["coefficient_set"] == "rounded"

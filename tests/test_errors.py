@@ -44,7 +44,7 @@ from tortb.model import (
     round_coefficient,
 )
 from tortb.records import replace
-from tortb.simulate import EpisodeConfig, run_batch
+from tortb.simulate import EpisodeConfig, run_batch, run_episode
 
 DRIVER = DriverProfile(srt=0.2, experience_km_per_week=80.0)
 SCENARIO = SCENARIO_PRESETS["S1"]
@@ -194,13 +194,13 @@ REJECTIONS = [
      SchemaError, "response_noise must be within [0, 3600.0], got 1e+308"),
     ("maneuver_duration", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, maneuver_duration=0.0),
      SchemaError, "maneuver_duration must be finite and > 0, got 0.0"),
-    ("seed", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=-1),
+    ("seed", lambda: run_episode(EpisodeConfig(DRIVER, SCENARIO, CTX), -1),
      SchemaError, "seed must be within [0, 18446744073709551615], got -1"),
-    ("seed_float", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=1.5),
+    ("seed_float", lambda: run_episode(EpisodeConfig(DRIVER, SCENARIO, CTX), 1.5),
      SchemaError, "seed must be an integer, got 1.5"),
-    ("seed_bool", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=True),
+    ("seed_bool", lambda: run_episode(EpisodeConfig(DRIVER, SCENARIO, CTX), True),
      SchemaError, "seed must be an integer, got True"),
-    ("seed_float_below_2_64", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, seed=1e19),
+    ("seed_float_below_2_64", lambda: run_episode(EpisodeConfig(DRIVER, SCENARIO, CTX), 1e19),
      SchemaError, "seed must be an integer, got 1e+19"),
     ("base_seed_float", lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX)], 1.5),
      SchemaError, "base_seed must be an integer, got 1.5"),

@@ -135,6 +135,50 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert got == {"--help": [], "analyze": [], "estimate": [], "simulate": []}
 
 
+# Runs one subcommand, or with no arguments reads every public name of the
+# package, then lists the package's modules it loaded.
+IMPORTTIME_SCRIPT = """
+import json, sys
+import tortb, tortb.cli
+from golden_inputs import run_main
+if sys.argv[1:]:
+    assert run_main(sys.argv[1:])[0] == 0, sys.argv
+for name in [] if sys.argv[1:] else tortb.__all__:
+    getattr(tortb, name)
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "tortb")))
+"""
+
+
+def test_python_x_importtime_lists_every_module_a_command_loads(tmp_path):
+    """So does reading each public name of the package.  ``importlib.import_module``,
+    and ``from . import x`` through the package's ``__getattr__``, would load a
+    module without an ``-X importtime`` line."""
+    anchors, log, config = tmp_path / "anchors.json", tmp_path / "drive.csv", tmp_path / "c.json"
+    anchors.write_text(json.dumps(ANCHORS), encoding="utf-8")
+    log.write_text(drive_log_text(), encoding="utf-8")
+    config.write_text(json.dumps(EPISODES), encoding="utf-8")
+    for argv in (
+        ["estimate", "--srt", "0.2", "--experience", "80", "--scenario", "S1",
+         "--ndrt", "handsfree", "--ordinal", "1", "--json"],
+        ["calibrate", "--anchors", str(anchors), "--out", str(tmp_path / "out.json")],
+        ["analyze", "--log", str(log), "--json"],
+        ["simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")],
+        ["table", "--json"],
+        [],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", IMPORTTIME_SCRIPT, *argv],
+            env={**os.environ, "PYTHONPATH": PYTHONPATH}, capture_output=True, text=True,
+            check=True,
+        )
+        # Each line ends "| <indent><module name>".
+        timed = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                 if line.startswith("import time:")}
+        loaded = json.loads(done.stdout)
+        assert len(loaded) > 3, loaded
+        assert [name for name in loaded if name not in timed] == [], argv[:1]
+
+
 def test_submodules_resolve_as_attributes_after_a_bare_import():
     """Each is imported on its first access, and the enums the model and the
     calibration re-export are the ones ``tortb.defaults`` defines."""

@@ -56,17 +56,16 @@ RECORDS = {
     AnchorCase: (AnchorCase(SCENARIO, DRIVER, CTX, 7.0, UnknownCoefficient.C_NOA),
                  ("scenario", "driver", "ctx", "known_tortb", "unknown"), {"known_tortb": 8.0}),
     SolvedCoefficient: (SOLVED, ("unknown", "raw", "rounded", "residual"), {"residual": 0.0}),
-    CalibrationResult: (CalibrationResult({UnknownCoefficient.C_NOA: SOLVED}), ("solved",),
-                        {"solved": {}}),
+    CalibrationResult: (CalibrationResult((SOLVED,)), ("sequence",), {"sequence": ()}),
     DriveLog: (DriveLog((0.0, 0.05), CHANNEL, CHANNEL, CHANNEL, CHANNEL, tor_time=0.0),
                ("t", "lateral_displacement", "acceleration", "steering", "brake", "tor_time",
                 "sample_rate"), {"tor_time": 0.05}),
     TakeoverMetrics: (TakeoverMetrics(0.5, 0.25, None, 5.5),
                       ("tot", "avg_ld", "max_acc", "takeover_time_abs"), {"tot": None}),
     EpisodeConfig: (CONFIG, ("driver", "scenario", "ctx", "coeffs", "deadline", "budget_driver",
-                             "response_noise", "maneuver_duration", "seed"), {"seed": 1}),
-    EpisodeOutcome: (run_episode(CONFIG), ("required_time", "deadline", "classification",
-                                           "margin", "config"), {"margin": 1.0}),
+                             "response_noise", "maneuver_duration"), {"response_noise": 0.25}),
+    EpisodeOutcome: (run_episode(CONFIG), ("required_time", "deadline", "config", "seed"),
+                     {"seed": 1}),
     BatchReport: (run_batch([CONFIG], 7), ("outcomes", "n_success", "n_late", "n_collision",
                                            "margin_stats"), {"n_success": 5}),
     SummaryStats: (SummaryStats(1.0, 0.0, 1.0, 1.0, 1), ("mean", "std", "min", "max", "n"),
@@ -103,11 +102,15 @@ def test_a_record_compares_and_hashes_by_its_field_values(cls, obj, fields, chan
     assert obj != replace(obj, **change)
     # Another class never compares equal, even holding the same values.
     assert obj.__eq__(values(obj, fields)) is NotImplemented and obj != values(obj, fields)
-    if cls is CalibrationResult:  # its dict field is unhashable, as with a dataclass
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(obj)
-    else:
-        assert hash(twin) == hash(obj) == hash(values(obj, fields))
+    assert hash(twin) == hash(obj) == hash(values(obj, fields))
+
+
+def test_a_calibration_result_gives_a_new_solved_dict_on_each_access():
+    result = RECORDS[CalibrationResult][0]
+    solved = result.solved
+    assert solved == {UnknownCoefficient.C_NOA: SOLVED} and result.solved is not solved
+    solved.clear()
+    assert result.solved == {UnknownCoefficient.C_NOA: SOLVED}
 
 
 @pytest.mark.parametrize("cls,obj,fields,change", CASES, ids=IDS)

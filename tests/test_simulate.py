@@ -21,6 +21,7 @@ from tortb import (
     DriverProfile,
     EmptyBatch,
     EpisodeConfig,
+    EpisodeOutcome,
     NdrtClass,
     ScenarioSpec,
     TakeoverContext,
@@ -48,7 +49,6 @@ def base_config(**overrides):
         driver=BOUND,
         scenario=SCENARIO_PRESETS["S1"],
         ctx=FIRST_HANDS_FREE,
-        seed=42,
     )
     defaults.update(overrides)
     return EpisodeConfig(**defaults)
@@ -70,7 +70,7 @@ def test_faster_driver_margin_is_component_difference():
 
 def test_same_seed_reproduces_everything():
     cfg = base_config(response_noise=0.5)
-    a, b = run_episode(cfg), run_episode(cfg)
+    a, b = run_episode(cfg, 42), run_episode(cfg, 42)
     assert a.required_time == b.required_time
     assert a.margin == b.margin
     for name in ("t", "lateral_displacement", "acceleration", "steering", "brake"):
@@ -78,8 +78,8 @@ def test_same_seed_reproduces_everything():
 
 
 def test_different_seeds_differ_under_noise():
-    a = run_episode(base_config(response_noise=0.5, seed=1))
-    b = run_episode(base_config(response_noise=0.5, seed=2))
+    a = run_episode(base_config(response_noise=0.5), 1)
+    b = run_episode(base_config(response_noise=0.5), 2)
     assert a.required_time != b.required_time
 
 
@@ -104,7 +104,7 @@ def test_classification_boundaries():
 def test_noise_has_bounded_support():
     est = estimate_tortb(BOUND, SCENARIO_PRESETS["S1"], FIRST_HANDS_FREE).total
     required = [
-        run_episode(base_config(response_noise=0.5, seed=seed)).required_time
+        run_episode(base_config(response_noise=0.5), seed).required_time
         for seed in range(40)
     ]
     assert all(abs(r - est) <= 0.5 + 1e-12 for r in required)
@@ -132,10 +132,9 @@ def test_required_time_clamped_at_zero():
         scenario=ScenarioSpec(noa=0, noj=0, ego_speed=10),
         coeffs=tiny_budget,
         response_noise=5.0,
-        seed=5,
     )
     for seed in range(30):
-        outcome = run_episode(replace(cfg, seed=mix_seed(123, seed)))
+        outcome = run_episode(cfg, mix_seed(123, seed))
         assert outcome.required_time >= 0.0
 
 
@@ -197,7 +196,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="deadline"):
             base_config(deadline=bad_deadline)
     with pytest.raises(ValueError):
-        base_config(seed=-1)
+        run_episode(base_config(), -1)
 
 
 # Each fails before its log is allocated; a value that would really
@@ -251,12 +250,14 @@ def _log_digest(log):
 
 @pytest.mark.parametrize("fields,n,digest", PINNED_LOGS)
 def test_log_is_remade_identically_on_each_access(fields, n, digest):
-    outcome = run_episode(base_config(**fields))
+    config_fields = dict(fields)
+    seed = config_fields.pop("seed")
+    outcome = run_episode(base_config(**config_fields), seed)
     first, second = outcome.log, outcome.log
     assert first is not second
     assert len(first.t) == n and first.tor_time == second.tor_time == 5.0
     assert _log_digest(first) == _log_digest(second) == digest
-    assert outcome.seed == fields["seed"]
+    assert outcome.seed == seed
 
 
 DRIVERS = st.builds(DriverProfile, srt=st.floats(0.0, 1.0),
@@ -469,6 +470,27 @@ def test_batch_counts_and_determinism():
     assert [o.seed for o in report.outcomes] == [mix_seed(7, i) for i in range(100)]
 
 
+def test_batch_outcomes_hold_the_callers_configs_and_the_mixed_seeds():
+    configs = [base_config(response_noise=0.5), base_config(deadline=3.0), base_config()]
+    report = run_batch(configs, base_seed=-5)
+    for i, outcome in enumerate(report.outcomes):
+        assert outcome.config is configs[i]
+        assert outcome.seed == mix_seed(-5, i)
+        assert outcome == run_episode(configs[i], mix_seed(-5, i))
+
+
+def test_outcome_margin_and_class_follow_its_fields():
+    """An outcome holds what the episode drew; its margin and class are
+    computed from them, so no outcome can contradict itself."""
+    cfg = base_config(maneuver_duration=2.0)
+    cases = ((7.0, 7.0, Classification.SUCCESS), (7.0, 8.5, Classification.LATE),
+             (7.0, 9.0, Classification.COLLISION), (7.0, 9.5, Classification.COLLISION))
+    for deadline, required, cls in cases:
+        outcome = EpisodeOutcome(required_time=required, deadline=deadline, config=cfg, seed=3)
+        assert outcome.margin == deadline - required
+        assert outcome.classification is cls
+
+
 def test_batch_empty():
     with pytest.raises(EmptyBatch):
         run_batch([], base_seed=0)
@@ -504,8 +526,7 @@ def test_budget_bound_covers_slower_band_representatives():
                                 ndrt_class=NdrtClass.HAND_HELD, ordinal=ordinal
                             ),
                             budget_driver=BOUND,
-                            seed=11,
                         )
-                        if run_episode(cfg).classification is Classification.COLLISION:
+                        if run_episode(cfg, 11).classification is Classification.COLLISION:
                             collisions += 1
     assert collisions == 0
