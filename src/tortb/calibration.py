@@ -2,7 +2,7 @@
 
 The budget formula is linear in every coefficient, so an anchor scenario
 with a known suitable budget pins exactly one unknown.  The solver does
-not restate the formula: it evaluates the model's unclamped sum with the
+not restate the formula: it reads the estimate's unclamped sum with the
 unknown set to 0, subtracts that from the known budget, and divides by
 the unknown's signed weight (agent count for the per-agent coefficient,
 junction count for the per-junction coefficient, -1 for the
@@ -36,7 +36,6 @@ from .model import (
     DriverProfile,
     ScenarioSpec,
     TakeoverContext,
-    _budget_terms,
     estimate_tortb,
     round_coefficient,
 )
@@ -123,9 +122,9 @@ def solve_coefficient(
         )
     # The unclamped sum with the unknown at 0 is every other term, bit for
     # bit (x + 0.0 == x); the clamped total would be wrong when it is < 0.
-    _, known_sum = _budget_terms(
+    known_sum = estimate_tortb(
         anchor.driver, anchor.scenario, anchor.ctx, replace(known, **{field: 0.0})
-    )
+    ).unclamped
     raw = (anchor.known_tortb - known_sum) / mult
     if raw < 0:
         raise NegativeCoefficient(

@@ -199,7 +199,7 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
         ctx = TakeoverContext(ndrt_class=NdrtClass(args.ndrt), ordinal=args.ordinal)
     coeffs = _load_coefficient_set(args.coeffs)
     est = _cli.estimate_tortb(driver, scenario, ctx, coeffs)
-    components = est.components
+    components, total, warnings = est.components, est.total, est.warnings
     payload = {
         "inputs": {
             "driver": driver_to_dict(driver),
@@ -209,16 +209,16 @@ def _cmd_estimate(args: argparse.Namespace) -> Output:
             "coefficient_set": args.coeffs,
         },
         "components_s": components,
-        "total_s": est.total,
-        "warnings": list(est.warnings),
+        "total_s": total,
+        "warnings": list(warnings),
     }
     lines = [f"coefficient set: {args.coeffs}"]
     if scenario.label:
         lines.append(f"scenario: {scenario.label}")
     lines.append(f"{'component':<10}  seconds")
     lines += [f"{key:<10}  {seconds:7.3f}" for key, seconds in components.items()]
-    lines.append(f"{'total':<10}  {est.total:7.3f}")
-    lines += [f"warning: {warning}" for warning in est.warnings]
+    lines.append(f"{'total':<10}  {total:7.3f}")
+    lines += [f"warning: {warning}" for warning in warnings]
     return payload, lines
 
 

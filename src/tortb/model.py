@@ -2,9 +2,8 @@
 
 The budget is the number of seconds between a takeover request (TOR) and
 the critical situation, within which the driver must have completed the
-takeover maneuver.  It is additive in second-valued terms:
-
-    total = srt + dec + noa_term + noj_term + rsc + ndrtc - oc
+takeover maneuver.  It is additive in second-valued terms, in the
+paper's notation SRT + DEC + SST + NDRTC - OC, and never below 0:
 
 * ``srt``: the driver's visual stimulus response time.
 * ``dec``: driving-experience coefficient, banded by weekly mileage.
@@ -17,11 +16,12 @@ takeover maneuver.  It is additive in second-valued terms:
 * ``oc``: learning-effect deduction from the second exposure on.
 
 The three middle terms form the scenario-specific time (SST).  Each term
-is computed once, in ``_budget_terms``, and held as a field of the
-:class:`TortbEstimate` that :func:`estimate_tortb` returns.  Addition is
-performed strictly left to right, so a given input always produces the
-same bit pattern.  Everything in this module is a pure function of
-immutable values and is safe to call concurrently.
+is computed once, in :func:`estimate_tortb`, and held as a field of the
+:class:`TortbEstimate` it returns, whose ``unclamped`` property is the one
+place the terms are summed.  Addition is performed strictly left to
+right, so a given input always produces the same bit pattern.
+Everything in this module is a pure function of immutable values and is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ def ndrtc_lookup(
 class TortbEstimate:
     """A budget estimate with its full component breakdown, all in seconds.
 
-    Each term of the budget is a field.  Unless a warning says the total was
-    clamped, ``total == srt + dec + noa_term + noj_term + rsc + ndrtc - oc``
-    evaluated left to right.
+    Each term of the budget is a field.  ``unclamped``, ``total`` and
+    ``warnings`` are computed from the terms on each read, so an estimate
+    holds nothing but its seven terms.
     """
 
     srt: float
@@ -254,8 +254,31 @@ class TortbEstimate:
     rsc: float
     ndrtc: float
     oc: float
-    total: float
-    warnings: tuple[str, ...] = ()
+
+    @property
+    def unclamped(self) -> float:
+        """The budget before the clamp at 0, summed left to right."""
+        return (self.srt + self.dec + self.noa_term + self.noj_term + self.rsc + self.ndrtc
+                - self.oc)
+
+    @property
+    def total(self) -> float:
+        """The budget: ``unclamped``, or 0 where that is negative."""
+        unclamped = self.unclamped
+        return 0.0 if unclamped < 0 else unclamped
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """An SRT outside :data:`VISUAL_SRT_RANGE`, then a negative budget clamped to 0."""
+        lo, hi = VISUAL_SRT_RANGE
+        warnings = []
+        if not lo <= self.srt <= hi:
+            warnings.append(f"srt {self.srt:g} s is outside the typical visual stimulus "
+                            f"response range [{lo:g}, {hi:g}] s")
+        unclamped = self.unclamped
+        if unclamped < 0:
+            warnings.append(f"negative budget {unclamped:.6g} s clamped to 0")
+        return tuple(warnings)
 
     @property
     def components(self) -> dict[str, float]:
@@ -275,20 +298,22 @@ def _band(bands: tuple[tuple[float, float], ...], key: float) -> float | None:
     return None
 
 
-def _budget_terms(
+def estimate_tortb(
     driver: DriverProfile,
     scenario: ScenarioSpec,
     ctx: TakeoverContext,
-    coeffs: CoefficientSet,
-) -> tuple[tuple[float, float, float, float, float, float, float], float]:
-    """The terms ``srt``, ``dec``, ``noa_term``, ``noj_term``, ``rsc``, ``ndrtc``
-    and ``oc``, in that order, and their unclamped sum.
+    coeffs: CoefficientSet = DEFAULT_COEFFICIENTS,
+) -> TortbEstimate:
+    """Estimate the takeover-request time budget for one situation.
 
     Each term is computed here and nowhere else, from inputs their
     constructors have range-checked.  A hazard faster than the ego raises
     :class:`NegativeRelativeSpeed`.  Every input is finite, but a product
     such as ``noa * c_noa`` or the sum can still overflow; that raises
     ``SchemaError`` naming the first non-finite component, or ``total``.
+    The sum can only go negative with pathological coefficient sets; the
+    estimate's ``total`` then reads 0 and its ``warnings`` say so, since a
+    budget below zero is meaningless.
     """
     dec = _band(coeffs.dec_bands, driver.experience_km_per_week)
     if dec is None:
@@ -305,44 +330,14 @@ def _budget_terms(
             f"relative speed {rs:g} km/hr is above the last calibrated band "
             f"({coeffs.rsc_bands[-1][0]:g} km/hr)"
         )
-    noa_term = scenario.noa * coeffs.c_noa
-    noj_term = scenario.noj * coeffs.c_noj
-    ndrtc = ndrtc_lookup(ctx.ndrt_class, coeffs)
-    oc = 0.0 if ctx.ordinal == 1 else coeffs.oc_repeat
-    # Fixed left-to-right evaluation keeps the breakdown bit-reproducible.
-    total = driver.srt + dec + noa_term + noj_term + rsc + ndrtc - oc
-    terms = driver.srt, dec, noa_term, noj_term, rsc, ndrtc, oc
-    # A non-finite component makes the total non-finite too, so one check
-    # of the total finds every overflow.
-    if not math.isfinite(total):
-        components = TortbEstimate(*terms, total).components
+    est = TortbEstimate(
+        driver.srt, dec, scenario.noa * coeffs.c_noa, scenario.noj * coeffs.c_noj, rsc,
+        ndrtc_lookup(ctx.ndrt_class, coeffs), 0.0 if ctx.ordinal == 1 else coeffs.oc_repeat)
+    # A non-finite component makes the sum non-finite too, so one check of
+    # the sum finds every overflow.
+    unclamped = est.unclamped
+    if not math.isfinite(unclamped):
+        components = est.components
         name = next((k for k, v in components.items() if not math.isfinite(v)), "total")
-        value = components.get(name, total)
-        raise SchemaError(f"budget term {name} overflows to {value}")
-    return terms, total
-
-
-def estimate_tortb(
-    driver: DriverProfile,
-    scenario: ScenarioSpec,
-    ctx: TakeoverContext,
-    coeffs: CoefficientSet = DEFAULT_COEFFICIENTS,
-) -> TortbEstimate:
-    """Estimate the takeover-request time budget for one situation.
-
-    The total can only go negative with pathological coefficient sets; in
-    that case it is clamped to 0 and a warning is attached, since a budget
-    below zero is meaningless.
-    """
-    warnings: list[str] = []
-    lo, hi = VISUAL_SRT_RANGE
-    if not lo <= driver.srt <= hi:
-        warnings.append(
-            f"srt {driver.srt:g} s is outside the typical visual stimulus "
-            f"response range [{lo:g}, {hi:g}] s"
-        )
-    terms, total = _budget_terms(driver, scenario, ctx, coeffs)
-    if total < 0:
-        warnings.append(f"negative budget {total:.6g} s clamped to 0")
-        total = 0.0
-    return TortbEstimate(*terms, total, tuple(warnings))
+        raise SchemaError(f"budget term {name} overflows to {components.get(name, unclamped)}")
+    return est

@@ -6,14 +6,19 @@ prints and writes, byte for byte, with the files under ``tests/golden/``.
 
 Run as a script, ``python tests/golden_inputs.py`` checks the ``tortb``
 command on ``PATH`` in a temporary directory, prints each mismatch, and
-exits 1 if there is any.
+exits 1 if there is any.  Each relative ``PYTHONPATH`` entry is taken from
+the directory the script starts in, so ``PYTHONPATH=src python
+tests/golden_inputs.py`` works from the repository root.  With no
+``tortb`` on ``PATH`` it prints one line saying so and exits 2.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -243,14 +248,26 @@ def golden_mismatches(run, workdir: str | Path) -> list[str]:
     return mismatches
 
 
-def _run_tortb(argv: list[str]) -> tuple[int, bytes, bytes]:
-    done = subprocess.run(["tortb", *argv], capture_output=True)
+def _run_tortb(command: str, pythonpath: str | None, argv: list[str]) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``command`` with ``argv``, in the current
+    directory and environment, with ``PYTHONPATH`` set to ``pythonpath`` unless it is None."""
+    env = os.environ if pythonpath is None else {**os.environ, "PYTHONPATH": pythonpath}
+    done = subprocess.run([command, *argv], capture_output=True, env=env)
     return done.returncode, done.stdout, done.stderr
 
 
 if __name__ == "__main__":
+    command = shutil.which("tortb")
+    if command is None:
+        print("error: no tortb command on PATH", file=sys.stderr)
+        sys.exit(2)
+    # The cases run in a temporary directory, so each path is made absolute here.
+    pythonpath = os.environ.get("PYTHONPATH")
+    if pythonpath is not None:
+        pythonpath = os.pathsep.join(map(os.path.abspath, pythonpath.split(os.pathsep)))
+    run = functools.partial(_run_tortb, os.path.abspath(command), pythonpath)
     with tempfile.TemporaryDirectory() as workdir:
-        found = golden_mismatches(_run_tortb, Path(workdir))
+        found = golden_mismatches(run, Path(workdir))
     for line in found:
         print(line)
     print(f"{len(found)} mismatches")

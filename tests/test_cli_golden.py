@@ -4,13 +4,19 @@ Each case runs one subcommand on fixed inputs through ``run_main`` and
 compares what it prints or writes, byte for byte, with a file under
 ``tests/golden/``, with a unified diff on failure.  ``golden_mismatches``
 checks the same files in one pass, and names any golden file no case
-compares; ``tests/test_lazy_imports.py`` runs it with numpy hidden.
+compares; ``tests/test_lazy_imports.py`` runs it with numpy hidden, and
+the last tests here run it as a script.
 """
 
 import difflib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tortb
 from tortb.drivelog import drive_log_to_csv
 
 from golden_inputs import (GOLDEN, HELP_CASES, STDERR_CASES, STDOUT_CASES, render_golden_log,
@@ -74,3 +80,30 @@ def test_written_files(workdir):
 
 def test_render_golden():
     assert_golden("render.csv", drive_log_to_csv(render_golden_log()).encode("utf-8"))
+
+
+REPO = Path(__file__).parents[1]
+
+
+def run_checker_script(path: Path) -> subprocess.CompletedProcess:
+    """``python tests/golden_inputs.py`` from the repository root, with ``PATH`` set to
+    ``path`` and a relative ``PYTHONPATH`` to the tortb package, as in ``PYTHONPATH=src``."""
+    env = {**os.environ, "PATH": str(path),
+           "PYTHONPATH": os.path.relpath(Path(tortb.__file__).parents[1], REPO)}
+    return subprocess.run([sys.executable, "tests/golden_inputs.py"], cwd=REPO, env=env,
+                          capture_output=True, check=False)
+
+
+def test_the_checker_script_takes_a_relative_pythonpath_from_where_it_starts(tmp_path):
+    """The cases run in a temporary directory, yet ``tortb`` still imports."""
+    shim = tmp_path / "tortb"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m tortb.cli "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    done = run_checker_script(tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"0 mismatches\n", b"")
+
+
+def test_the_checker_script_names_a_missing_tortb_command(tmp_path):
+    done = run_checker_script(tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"error: no tortb command on PATH\n")

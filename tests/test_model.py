@@ -1,12 +1,15 @@
 """Unit and property tests for the budget model."""
 
 import bisect
+import copy
 import itertools
 import math
+import pickle
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tortb import (
@@ -302,8 +305,8 @@ def test_estimate_clamps_negative_total():
         TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=2),
         pathological,
     )
-    assert est.total == 0.0
-    assert any("clamped" in w for w in est.warnings)
+    assert est.unclamped == 0.18 + 1.0 + 0.25 - 20.0
+    assert (est.total, est.warnings) == (0.0, ("negative budget -18.57 s clamped to 0",))
 
 
 def test_estimate_propagates_speed_range_error():
@@ -350,22 +353,29 @@ def test_an_estimate_is_frozen_and_hashes_by_value():
     assert twin == est and hash(twin) == hash(est)
 
 
-def test_a_retained_estimate_holds_at_most_200_bytes():
-    """Its terms are the fields of a slotted record, with no dict beside it.
-    Each estimate holds about 180 B by tracemalloc, its new float terms
-    included; with a dict of terms it held about 470 B."""
-    inputs = make_inputs(0.2, 80.0, 2, 3, 80.0, NdrtClass.HAND_HELD, 2)
-    estimate_tortb(*inputs)
-    kept = [None] * 1000
+def test_estimates_of_drivers_outside_the_visual_range_hold_under_180_bytes():
+    """An estimate keeps only its seven terms, in the slots of a record with
+    no dict beside it; its total and warnings are computed on read, so a
+    driver outside ``VISUAL_SRT_RANGE`` (about two in three here) adds no
+    tuple or message to it.  Each estimate holds about 136 B by tracemalloc,
+    its new float terms included; with the total and the warnings as fields
+    it held about 290 B, and with a dict of terms about 470 B."""
+    rng = random.Random(2024)
+    drivers = [DriverProfile(srt=rng.uniform(0.15, 0.4), experience_km_per_week=80.0)
+               for _ in range(20_000)]
+    scenario = ScenarioSpec(noa=2, noj=3, ego_speed=80.0)
+    ctx = TakeoverContext(ndrt_class=NdrtClass.HAND_HELD, ordinal=2)
+    estimate_tortb(drivers[0], scenario, ctx)
+    kept = [None] * len(drivers)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(len(kept)):
-            kept[i] = estimate_tortb(*inputs)
+        for i, driver in enumerate(drivers):
+            kept[i] = estimate_tortb(driver, scenario, ctx)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held / len(kept) <= 200, held
+    assert held / len(kept) < 180, held
 
 
 # --------------------------- model properties ---------------------------
@@ -448,6 +458,35 @@ def test_srt_warning_matches_range(srt):
     lo, hi = VISUAL_SRT_RANGE
     flagged = any("visual stimulus" in w for w in est.warnings)
     assert flagged == (not lo <= srt <= hi)
+
+
+# The coefficients of test_estimate_clamps_negative_total: from the second
+# exposure on, most budgets fall below 0 and are clamped.
+CLAMPING = replace(DEFAULT_COEFFICIENTS, oc_repeat=20.0)
+
+
+@given(srts, experiences, counts, counts, speeds, ndrts, ordinals, st.booleans())
+@example(0.18, 5000.0, 0, 0, 0.0, NdrtClass.HANDS_FREE, 2, True)
+def test_total_and_warnings_are_read_from_the_terms(srt, exp, noa, noj, rs, ndrt, ordinal,
+                                                    clamping):
+    est = estimate_tortb(*make_inputs(srt, exp, noa, noj, rs, ndrt, ordinal),
+                         CLAMPING if clamping else DEFAULT_COEFFICIENTS)
+    unclamped = est.srt + est.dec + est.noa_term + est.noj_term + est.rsc + est.ndrtc - est.oc
+    assert est.unclamped.hex() == unclamped.hex()
+    assert est.total.hex() == (0.0 if unclamped < 0 else unclamped).hex()
+    # The messages, word for word, as estimates held them when they were a field.
+    expected = []
+    if not 0.18 <= srt <= 0.27:
+        expected.append(f"srt {srt:g} s is outside the typical visual stimulus "
+                        "response range [0.18, 0.27] s")
+    if unclamped < 0:
+        expected.append(f"negative budget {unclamped:.6g} s clamped to 0")
+    assert est.warnings == tuple(expected)
+    for again in (copy.copy(est), copy.deepcopy(est), pickle.loads(pickle.dumps(est))):
+        assert again == est
+        assert (again.total.hex(), again.warnings) == (est.total.hex(), est.warnings)
+    with pytest.raises(TypeError, match="total"):
+        replace(est, total=1.0)
 
 
 # --------------------------- every band edge ----------------------------

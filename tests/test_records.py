@@ -51,8 +51,7 @@ RECORDS = {
                                             "dec_floor", "ndrtc_handheld", "oc_repeat"),
                      {"c_noa": 2.0}),
     TortbEstimate: (estimate_tortb(DRIVER, SCENARIO, CTX),
-                    ("srt", "dec", "noa_term", "noj_term", "rsc", "ndrtc", "oc", "total",
-                     "warnings"), {"total": 7.0}),
+                    ("srt", "dec", "noa_term", "noj_term", "rsc", "ndrtc", "oc"), {"oc": 0.4}),
     AnchorCase: (AnchorCase(SCENARIO, DRIVER, CTX, 7.0, UnknownCoefficient.C_NOA),
                  ("scenario", "driver", "ctx", "known_tortb", "unknown"), {"known_tortb": 8.0}),
     SolvedCoefficient: (SOLVED, ("unknown", "raw", "rounded", "residual"), {"residual": 0.0}),
@@ -125,8 +124,7 @@ def test_repr_text_is_pinned():
         "TakeoverContext(ndrt_class=<NdrtClass.HANDS_FREE: 'handsfree'>, ordinal=1)"
     )
     assert repr(RECORDS[TortbEstimate][0]) == (
-        "TortbEstimate(srt=0.2, dec=1.5, noa_term=3.8, noj_term=0.0, rsc=1.0, ndrtc=0.0, "
-        "oc=0.0, total=6.5, warnings=())"
+        "TortbEstimate(srt=0.2, dec=1.5, noa_term=3.8, noj_term=0.0, rsc=1.0, ndrtc=0.0, oc=0.0)"
     )
 
 
