@@ -8,7 +8,6 @@ a deterministic takeover-episode simulator for round-trip validation.
 
 from .errors import (
     DependencyOrderError,
-    EmptyBatch,
     EmptyGroup,
     MissingTorMarker,
     MultipleTorMarkers,
@@ -49,17 +48,16 @@ _LAZY = {
     ),
     **dict.fromkeys(("SummaryStats", "describe"), "stats"),
     **dict.fromkeys(
-        ("BatchReport", "Classification", "EpisodeConfig", "EpisodeOutcome", "mix_seed",
-         "response_onset", "run_batch", "run_episode"),
+        ("Classification", "EpisodeConfig", "EpisodeOutcome", "mix_seed", "response_onset",
+         "run_batch", "run_episode"),
         "simulate",
     ),
 }
 
 __all__ = [
-    "DependencyOrderError", "EmptyBatch", "EmptyGroup", "MissingTorMarker",
-    "MultipleTorMarkers", "NegativeCoefficient", "NegativeRelativeSpeed", "NonUniformSampling",
-    "SchemaError", "SpeedAboveModelRange", "TortbError", "UnidentifiableUnknown",
-    "WindowOutOfRange", *_LAZY,
+    "DependencyOrderError", "EmptyGroup", "MissingTorMarker", "MultipleTorMarkers",
+    "NegativeCoefficient", "NegativeRelativeSpeed", "NonUniformSampling", "SchemaError",
+    "SpeedAboveModelRange", "TortbError", "UnidentifiableUnknown", "WindowOutOfRange", *_LAZY,
 ]
 
 

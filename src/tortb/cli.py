@@ -237,7 +237,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> Output:
                 "rounded_s": solved.rounded,
                 "residual_s": solved.residual,
             }
-            for solved in result.solved.values()
+            for solved in result.sequence
         },
         "coefficients": coefficients_to_dict(coeffs),
         "out_file": str(args.out),
@@ -274,10 +274,16 @@ def _cmd_analyze(args: argparse.Namespace) -> Output:
 
 def _cmd_simulate(args: argparse.Namespace) -> Output:
     from .fileio import load_episode_configs, write_file
-    from .simulate import log_texts
+    from .simulate import Classification, log_texts
+    from .stats import describe
     configs, file_seed = load_episode_configs(args.config)
     base_seed = args.seed if args.seed is not None else (file_seed or 0)
-    report = _cli.run_batch(configs, base_seed)
+    outcomes = _cli.run_batch(configs, base_seed)
+    # Counted and described before the first file is written, so a refused
+    # batch leaves no partial output.
+    classes = [outcome.classification for outcome in outcomes]
+    counts = {f"n_{cls.value}": classes.count(cls) for cls in Classification}
+    margin = describe(outcome.margin for outcome in outcomes)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # report.json is written last, so an out-dir without one holds an unfinished run.
@@ -285,12 +291,12 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     # One name pattern for the logs this run writes and the stale ones it removes.
     log_name = "episode_{:03d}.csv".format
     episodes = []
-    for i, (outcome, text) in enumerate(zip(report.outcomes, log_texts(report.outcomes))):
+    for i, (outcome, text) in enumerate(zip(outcomes, log_texts(outcomes))):
         write_file(out_dir / log_name(i), text)
         episodes.append({
             "index": i, "seed": outcome.seed, "required_s": outcome.required_time,
             "deadline_s": outcome.deadline, "margin_s": outcome.margin,
-            "classification": outcome.classification.value, "log_csv": log_name(i),
+            "classification": classes[i].value, "log_csv": log_name(i),
         })
     # Logs of a larger earlier run would otherwise sit beside this report.
     i = len(episodes)
@@ -300,16 +306,14 @@ def _cmd_simulate(args: argparse.Namespace) -> Output:
     payload = {
         "base_seed": base_seed,
         "n_episodes": len(episodes),
-        "n_success": report.n_success,
-        "n_late": report.n_late,
-        "n_collision": report.n_collision,
-        "margin_s": {k: getattr(report.margin_stats, k) for k in ("mean", "std", "min", "max")},
+        **counts,
+        "margin_s": {k: getattr(margin, k) for k in ("mean", "std", "min", "max")},
         "episodes": episodes,
     }
     write_file(out_dir / "report.json", json_text(payload))
     lines = [
-        f"episodes: {len(episodes)}  success: {report.n_success}  "
-        f"late: {report.n_late}  collision: {report.n_collision}",
+        f"episodes: {len(episodes)}  success: {counts['n_success']}  "
+        f"late: {counts['n_late']}  collision: {counts['n_collision']}",
         f"report written: {out_dir / 'report.json'}",
     ]
     return payload, lines

@@ -63,10 +63,6 @@ class EmptyGroup(TortbError):
     """Descriptive statistics requested for an empty collection."""
 
 
-class EmptyBatch(TortbError):
-    """Batch simulation requested with no episode configs."""
-
-
 def check_type(
     name: str, value: Any, types: type | tuple[type, ...], what: str | None = None
 ) -> None:

@@ -153,13 +153,14 @@ _DRIVER = {
     "srt_s": _Key("srt", _number),
     "experience_km_per_wk": _Key("experience_km_per_week", _number),
 }
-# noa, noj and ordinal are read as they are: their record checks that each is an int.
+# noa, noj, label and ordinal are read as they are: their record checks that
+# each count is an int and the label a string.
 _SCENARIO = {
     "noa": _Key("noa", _get),
     "noj": _Key("noj", _get),
     "ego_speed_km_per_hr": _Key("ego_speed", _number),
     "hazard_speed_km_per_hr": _Key("hazard_speed", _number),
-    "label": _Key("label", partial(_typed, types=str, what="a string")),
+    "label": _Key("label", _get),
 }
 _CONTEXT = {
     "ndrt": _Key("ndrt_class", *_enum(NdrtClass)),

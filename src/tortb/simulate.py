@@ -29,8 +29,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .defaults import _T_EPS, CSV_HEADER, PRE_WINDOW_S, SAMPLE_RATE_HZ
-from .errors import (EmptyBatch, SchemaError, check_count, check_range, check_type,
-                     check_types, located)
+from .errors import SchemaError, check_count, check_range, check_type, check_types, located
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -41,7 +40,6 @@ from .model import (
     ndrtc_lookup,
 )
 from .records import record
-from .stats import SummaryStats, describe
 
 if TYPE_CHECKING:
     from .drivelog import DriveLog
@@ -278,38 +276,20 @@ def run_episode(cfg: EpisodeConfig, seed: int = 0) -> EpisodeOutcome:
     return EpisodeOutcome(required_time=required, deadline=deadline, config=cfg, seed=seed)
 
 
-@record
-class BatchReport:
-    """Outcomes plus aggregate counts and the margin distribution."""
+def run_batch(configs: list[EpisodeConfig], base_seed: int) -> tuple[EpisodeOutcome, ...]:
+    """Each config's outcome, in order; an empty list gives ``()``.
 
-    outcomes: tuple[EpisodeOutcome, ...]
-    n_success: int
-    n_late: int
-    n_collision: int
-    margin_stats: SummaryStats
-
-
-def run_batch(configs: list[EpisodeConfig], base_seed: int) -> BatchReport:
-    """Run every config with per-episode seeds derived via :func:`mix_seed`;
-    each outcome holds its config itself, not a copy."""
-    if not configs:
-        raise EmptyBatch("no episode configs")
+    Episode ``i`` is seeded with ``mix_seed(base_seed, i)``, and its outcome
+    holds ``configs[i]`` itself, not a copy.  A batch keeps no totals: its
+    counts and margin statistics are one line each over the outcomes.
+    """
     # Any integer: mix_seed reduces it modulo 2**64.
     check_type("base_seed", base_seed, int, "an integer")
     outcomes = []
     for i, cfg in enumerate(configs):
         with located(f"episodes[{i}]"):
             outcomes.append(run_episode(cfg, mix_seed(base_seed, i)))
-    counts = {cls: 0 for cls in Classification}
-    for outcome in outcomes:
-        counts[outcome.classification] += 1
-    return BatchReport(
-        outcomes=tuple(outcomes),
-        n_success=counts[Classification.SUCCESS],
-        n_late=counts[Classification.LATE],
-        n_collision=counts[Classification.COLLISION],
-        margin_stats=describe(o.margin for o in outcomes),
-    )
+    return tuple(outcomes)
 
 
 def log_texts(outcomes: Iterable[EpisodeOutcome]) -> Iterator[str]:

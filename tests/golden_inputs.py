@@ -9,7 +9,8 @@ command on ``PATH`` in a temporary directory, prints each mismatch, and
 exits 1 if there is any.  Each relative ``PYTHONPATH`` entry is taken from
 the directory the script starts in, so ``PYTHONPATH=src python
 tests/golden_inputs.py`` works from the repository root.  With no
-``tortb`` on ``PATH`` it prints one line saying so and exits 2.
+``tortb`` on ``PATH``, or with no ``tortb`` package to import, it prints
+one line saying so and exits 2.
 """
 
 import contextlib
@@ -24,7 +25,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-from tortb.cli import main
+try:
+    from tortb.cli import main
+except ImportError as exc:
+    # Run as a script, a tortb that cannot be imported is a usage error, as a
+    # missing tortb command is.
+    if __name__ != "__main__":
+        raise
+    print(f"error: cannot import tortb: {exc}", file=sys.stderr)
+    sys.exit(2)
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -21,6 +21,7 @@ from tortb import DEFAULT_COEFFICIENTS, estimate_tortb
 from tortb import fileio
 from tortb.cli import main
 from tortb.records import replace
+from tortb.stats import describe
 
 from golden_inputs import run_main
 
@@ -295,6 +296,21 @@ def test_calibrate_reproduces_published_values(tmp_path, capsys):
     assert written.c_noa == pytest.approx(1.85, abs=1e-9)  # raw chaining
 
 
+def test_calibrate_reports_the_coefficients_in_solve_order(tmp_path, capsys):
+    """The anchors solve c_noj on S2 (no approaching vehicle) before c_noa on
+    S1, and the text lists them so; the JSON sorts its keys."""
+    anchors = tmp_path / "anchors.json"
+    write_anchors(anchors)
+    payload = json.loads(anchors.read_text())
+    first, second = payload["anchors"]
+    payload["anchors"] = [dict(second, scenario="S2"), first]
+    anchors.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, _ = run_cli(
+        ["calibrate", "--anchors", str(anchors), "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[1:3]] == ["c_noj", "c_noa"]
+
+
 def test_calibrate_rounded_chaining(tmp_path, capsys):
     anchors = tmp_path / "anchors.json"
     write_anchors(anchors)
@@ -532,6 +548,27 @@ def test_simulate_writes_logs_and_report(tmp_path, capsys):
     assert (out_dir / "episode_000.csv").exists()
     assert (out_dir / "episode_001.csv").exists()
     assert "success: 2" in out
+
+
+def test_simulate_counts_one_episode_of_each_class(tmp_path, capsys):
+    """Deadlines at the budget, one second under it and at 0 s give a success,
+    a late episode and a collision (the maneuver takes 2 s)."""
+    config = tmp_path / "episodes.json"
+    write_episode_config(config)
+    episode = json.loads(config.read_text())["episodes"][0]
+    cfg = fileio.episode_config_from_dict(episode)
+    budget = estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx).total
+    episodes = [episode] + [dict(episode, deadline_mode="explicit", explicit_deadline_s=d)
+                            for d in (budget - 1.0, 0.0)]
+    config.write_text(json.dumps({"episodes": episodes}), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(["simulate", "--config", str(config), "--out-dir", str(out_dir)],
+                           capsys)
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert [e["classification"] for e in report["episodes"]] == ["success", "late", "collision"]
+    assert (report["n_success"], report["n_late"], report["n_collision"]) == (1, 1, 1)
+    assert out.splitlines()[0] == "episodes: 3  success: 1  late: 1  collision: 1"
 
 
 def count_calls(monkeypatch, module, names):
@@ -820,16 +857,27 @@ def _reject_constant(name):
 @example(episode={**VALID_EPISODES[1], "explicit_deadline_s": 1e12})
 @example(episode={**VALID_EPISODES[0], "maneuver_duration_s": 2.2250738585e-313})
 def test_simulate_never_exits_1_and_reports_finite_json(episode):
+    """The valid episodes run beside the drawn one, so a report counts more
+    than one episode; its counts and margin statistics are those of its episodes."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "episodes.json"
         # json.dumps writes NaN and Infinity literals, which the loader must reject.
-        config.write_text(json.dumps({"episodes": [episode]}), encoding="utf-8")
+        config.write_text(json.dumps({"episodes": [episode, *VALID_EPISODES]}),
+                          encoding="utf-8")
         out_dir = Path(tmp) / "out"
         code = main(["simulate", "--config", str(config), "--out-dir", str(out_dir)])
         assert code in (0, 2)
         if code == 0:
-            report = (out_dir / "report.json").read_text(encoding="utf-8")
-            json.loads(report, parse_constant=_reject_constant)
+            text = (out_dir / "report.json").read_text(encoding="utf-8")
+            report = json.loads(text, parse_constant=_reject_constant)
+            classes = [e["classification"] for e in report["episodes"]]
+            names = ("success", "late", "collision")
+            counts = [report[f"n_{name}"] for name in names]
+            assert counts == [classes.count(name) for name in names]
+            assert sum(counts) == report["n_episodes"] == len(classes) == 3
+            margin = describe(e["margin_s"] for e in report["episodes"])
+            assert {k: float.hex(v) for k, v in report["margin_s"].items()} == {
+                k: float.hex(getattr(margin, k)) for k in ("mean", "std", "min", "max")}
 
 
 # Flag values: valid ones, band edges, overflowing and non-finite numbers,

@@ -107,3 +107,11 @@ def test_the_checker_script_names_a_missing_tortb_command(tmp_path):
     done = run_checker_script(tmp_path)
     assert (done.returncode, done.stdout, done.stderr) == (
         2, b"", b"error: no tortb command on PATH\n")
+
+
+def test_the_checker_script_names_a_tortb_it_cannot_import():
+    """``-I -S`` leave neither ``PYTHONPATH`` nor any site-packages on ``sys.path``."""
+    done = subprocess.run([sys.executable, "-I", "-S", "tests/golden_inputs.py"], cwd=REPO,
+                          capture_output=True, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"error: cannot import tortb: No module named 'tortb'\n")

@@ -89,6 +89,13 @@ REJECTIONS = [
     ("noa_file_float",
      lambda: scenario_from_dict({"noa": 1.5, "noj": 0, "ego_speed_km_per_hr": 80}),
      SchemaError, "scenario: noa must be an integer, got 1.5"),
+    ("label_file_int",
+     lambda: scenario_from_dict({"noa": 1, "noj": 0, "ego_speed_km_per_hr": 80, "label": 5}),
+     SchemaError, "scenario: label must be a string, got 5"),
+    # The record checks its fields in order, so a bad count is named before a bad label.
+    ("noa_file_float_and_label_int",
+     lambda: scenario_from_dict({"noa": 1.5, "noj": 0, "ego_speed_km_per_hr": 80, "label": 5}),
+     SchemaError, "scenario: noa must be an integer, got 1.5"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
      SchemaError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),

@@ -179,6 +179,14 @@ def test_python_x_importtime_lists_every_module_a_command_loads(tmp_path):
         assert [name for name in loaded if name not in timed] == [], argv[:1]
 
 
+def test_the_simulator_loads_no_statistics_or_drive_log_module():
+    """A batch is its outcomes; ``tortb simulate`` describes their margins itself."""
+    assert run_fresh(
+        "import sys, tortb.simulate\n"
+        "print([name for name in ('tortb.stats', 'tortb.drivelog') if name in sys.modules])"
+    ) == "[]\n"
+
+
 def test_submodules_resolve_as_attributes_after_a_bare_import():
     """Each is imported on its first access, and the enums the model and the
     calibration re-export are the ones ``tortb.defaults`` defines."""

@@ -5,9 +5,9 @@ import tortb
 
 def test_public_names():
     assert sorted(tortb.__all__) == [
-        "AnchorCase", "BatchReport", "CalibrationResult", "Chaining", "Classification",
+        "AnchorCase", "CalibrationResult", "Chaining", "Classification",
         "CoefficientSet", "DEFAULT_COEFFICIENTS", "DependencyOrderError", "DriveLog",
-        "DriverProfile", "EmptyBatch", "EmptyGroup", "EpisodeConfig", "EpisodeOutcome",
+        "DriverProfile", "EmptyGroup", "EpisodeConfig", "EpisodeOutcome",
         "MissingTorMarker", "MultipleTorMarkers", "NdrtClass", "NegativeCoefficient",
         "NegativeRelativeSpeed", "NonUniformSampling", "RAW_COEFFICIENTS", "SCENARIO_PRESETS",
         "ScenarioSpec", "SchemaError", "SolvedCoefficient", "SpeedAboveModelRange",

@@ -11,7 +11,6 @@ from tortb import (
     DEFAULT_COEFFICIENTS,
     SCENARIO_PRESETS,
     AnchorCase,
-    BatchReport,
     CalibrationResult,
     CoefficientSet,
     DriveLog,
@@ -28,7 +27,6 @@ from tortb import (
     TortbEstimate,
     UnknownCoefficient,
     estimate_tortb,
-    run_batch,
     run_episode,
 )
 from tortb.records import replace
@@ -65,8 +63,6 @@ RECORDS = {
                              "response_noise", "maneuver_duration"), {"response_noise": 0.25}),
     EpisodeOutcome: (run_episode(CONFIG), ("required_time", "deadline", "config", "seed"),
                      {"seed": 1}),
-    BatchReport: (run_batch([CONFIG], 7), ("outcomes", "n_success", "n_late", "n_collision",
-                                           "margin_stats"), {"n_success": 5}),
     SummaryStats: (SummaryStats(1.0, 0.0, 1.0, 1.0, 1), ("mean", "std", "min", "max", "n"),
                    {"n": 2}),
 }
@@ -79,7 +75,7 @@ def values(obj, fields):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 14
+    assert len(RECORDS) == 13
     assert all(type(obj) is cls for cls, (obj, _, _) in RECORDS.items())
 
 

@@ -19,11 +19,11 @@ from tortb import (
     SCENARIO_PRESETS,
     Classification,
     DriverProfile,
-    EmptyBatch,
     EpisodeConfig,
     EpisodeOutcome,
     NdrtClass,
     ScenarioSpec,
+    SchemaError,
     TakeoverContext,
     WindowOutOfRange,
     detect_tot,
@@ -284,7 +284,7 @@ def episode_configs(draw):
 def assert_log_texts_render_each_log(configs, base_seed=0):
     """log_texts gives ``drive_log_to_csv(outcome.log)`` for every outcome.
     Returns the row count of each log."""
-    outcomes = run_batch(configs, base_seed).outcomes
+    outcomes = run_batch(configs, base_seed)
     logs = [o.log for o in outcomes]
     assert list(log_texts(outcomes)) == [drive_log_to_csv(log) for log in logs]
     return [len(log.t) for log in logs]
@@ -314,7 +314,7 @@ NEGATIVE_ZERO_RAMP = base_config(driver=DriverProfile(srt=5e-324, experience_km_
        base_seed=st.integers(-2**64, 2**64))
 @example(configs=[NEGATIVE_ZERO_RAMP], base_seed=0)
 def test_logs_hold_the_values_numpy_computed(configs, base_seed):
-    for outcome in run_batch(configs, base_seed).outcomes:
+    for outcome in run_batch(configs, base_seed):
         extent = simulate._log_extent(outcome.config, outcome.required_time, outcome.deadline)
         log = outcome.log
         for name, expected in zip(CHANNELS, numpy_channels(*extent)):
@@ -322,7 +322,7 @@ def test_logs_hold_the_values_numpy_computed(configs, base_seed):
 
 
 def test_acceleration_keeps_the_sign_of_a_negative_zero_ramp():
-    text = next(log_texts(run_batch([NEGATIVE_ZERO_RAMP], 0).outcomes))
+    text = next(log_texts(run_batch([NEGATIVE_ZERO_RAMP], 0)))
     assert text.splitlines()[1 + 100] == "5.0,0.0,-0.0,0.2,0.0,1"
 
 
@@ -360,7 +360,7 @@ def test_log_texts_of_edge_logs(configs, premise):
 def test_log_texts_keep_memory_flat_over_many_outcomes():
     """Only the log being rendered is held: the peak while 200 logs of
     ~2100 rows are rendered is that of one, not of the 17 MB they add up to."""
-    outcomes = run_batch([base_config(deadline=100.0, response_noise=0.5)] * 200, 0).outcomes
+    outcomes = run_batch([base_config(deadline=100.0, response_noise=0.5)] * 200, 0)
     one = len(next(log_texts(outcomes)))  # also grows the timestamp table first
     tracemalloc.start()
     try:
@@ -374,10 +374,10 @@ def test_log_texts_keep_memory_flat_over_many_outcomes():
 
 def test_time_texts_grow_to_the_longest_log_and_stop_there():
     full = [repr(k / 20) for k in range(int(MAX_LOG_S * 20) + 1)]
-    list(log_texts(run_batch([base_config(deadline=LONGEST)], 0).outcomes))
+    list(log_texts(run_batch([base_config(deadline=LONGEST)], 0)))
     table = simulate._time_texts
     assert table == full
-    list(log_texts(run_batch([base_config(response_noise=0.5)], 0).outcomes))
+    list(log_texts(run_batch([base_config(response_noise=0.5)], 0)))
     assert simulate._time_texts is table and table == full
 
 
@@ -394,7 +394,7 @@ def test_importing_the_package_builds_no_time_texts():
 def test_concurrent_renders_each_get_their_own_logs(monkeypatch):
     """Threads that grow the shared timestamp table at once still write each
     log's bytes: the table is rebound whole, never extended in place."""
-    outcomes = run_batch([base_config(deadline=d) for d in (5.0, 60.0, 250.0, 900.0)], 0).outcomes
+    outcomes = run_batch([base_config(deadline=d) for d in (5.0, 60.0, 250.0, 900.0)], 0)
     expected = [drive_log_to_csv(outcome.log) for outcome in outcomes]
     rotations = [i % len(outcomes) for i in range(8)]
 
@@ -442,13 +442,13 @@ def test_batch_holds_no_logs():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        report = run_batch(configs, base_seed=1)
+        outcomes = run_batch(configs, base_seed=1)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     # Each stored log would take ~11 KiB (4.4 MiB for the batch); an outcome
     # without one takes well under 1 KiB.
-    assert len(report.outcomes) == 400
+    assert len(outcomes) == 400
     assert retained < 2**20, retained
 
 
@@ -460,20 +460,19 @@ def test_mix_seed_is_fixed_and_spread():
     assert mix_seed(0, 0) != mix_seed(1, 0)
 
 
-def test_batch_counts_and_determinism():
+def test_batch_classes_and_determinism():
     cfg = base_config()
-    report = run_batch([cfg] * 100, base_seed=7)
-    assert (report.n_success, report.n_late, report.n_collision) == (100, 0, 0)
-    assert report.margin_stats.n == 100
-    again = run_batch([cfg] * 100, base_seed=7)
-    assert [o.margin for o in report.outcomes] == [o.margin for o in again.outcomes]
-    assert [o.seed for o in report.outcomes] == [mix_seed(7, i) for i in range(100)]
+    outcomes = run_batch([cfg] * 100, base_seed=7)
+    assert [o.classification for o in outcomes] == [Classification.SUCCESS] * 100
+    assert run_batch([cfg] * 100, base_seed=7) == outcomes
+    assert [o.seed for o in outcomes] == [mix_seed(7, i) for i in range(100)]
 
 
 def test_batch_outcomes_hold_the_callers_configs_and_the_mixed_seeds():
     configs = [base_config(response_noise=0.5), base_config(deadline=3.0), base_config()]
-    report = run_batch(configs, base_seed=-5)
-    for i, outcome in enumerate(report.outcomes):
+    outcomes = run_batch(configs, base_seed=-5)
+    assert type(outcomes) is tuple and len(outcomes) == 3
+    for i, outcome in enumerate(outcomes):
         assert outcome.config is configs[i]
         assert outcome.seed == mix_seed(-5, i)
         assert outcome == run_episode(configs[i], mix_seed(-5, i))
@@ -492,22 +491,10 @@ def test_outcome_margin_and_class_follow_its_fields():
 
 
 def test_batch_empty():
-    with pytest.raises(EmptyBatch):
-        run_batch([], base_seed=0)
-
-
-def test_batch_counts_match_outcomes():
-    est = estimate_tortb(BOUND, SCENARIO_PRESETS["S1"], FIRST_HANDS_FREE).total
-    configs = [
-        base_config(),
-        base_config(deadline=est - 1.0),
-        base_config(deadline=0.0),
-    ]
-    report = run_batch(configs, base_seed=3)
-    classes = [o.classification for o in report.outcomes]
-    assert report.n_success == classes.count(Classification.SUCCESS) == 1
-    assert report.n_late == classes.count(Classification.LATE) == 1
-    assert report.n_collision == classes.count(Classification.COLLISION) == 1
+    """An empty batch is no outcomes; its base seed is checked all the same."""
+    assert run_batch([], 0) == ()
+    with pytest.raises(SchemaError, match="^base_seed must be an integer, got 1.5$"):
+        run_batch([], 1.5)
 
 
 def test_budget_bound_covers_slower_band_representatives():
