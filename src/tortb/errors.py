@@ -2,9 +2,8 @@
 
 import re
 import sys
-from contextlib import contextmanager
 from numbers import Real
-from typing import Any, Iterator
+from typing import Any
 
 
 class TortbError(Exception):
@@ -141,13 +140,19 @@ def shown(value: Any) -> str:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
-@contextmanager
-def located(where: str) -> Iterator[None]:
-    """Re-raise a ``TortbError`` from the block, of the same type and
-    attributes (a ``SchemaError``'s ``field``), as ``where: message``."""
-    try:
-        yield
-    except TortbError as exc:
-        relocated = type(exc)(f"{where}: {exc}")
-        vars(relocated).update(vars(exc))
-        raise relocated from None
+class located:
+    """Re-raise a ``TortbError`` from the block as ``where: message``, type and attributes kept."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str) -> None:
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: Any, exc: BaseException | None, traceback: Any) -> None:
+        if isinstance(exc, TortbError):
+            relocated = type(exc)(f"{self.where}: {exc}")
+            vars(relocated).update(vars(exc))
+            raise relocated from None

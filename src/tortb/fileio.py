@@ -97,7 +97,7 @@ def _list(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
 def _optional(build: Any) -> frozenset[str]:
     """The fields ``build``, a record class or a plain function, can be built
     without: its last parameters, as many as it has defaults."""
-    function = build.__init__ if isinstance(build, type) else build
+    function = build.__new__ if isinstance(build, type) else build
     code, defaults = function.__code__, function.__defaults__ or ()
     return frozenset(code.co_varnames[code.co_argcount - len(defaults):code.co_argcount])
 

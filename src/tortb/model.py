@@ -114,10 +114,25 @@ class TakeoverContext:
         check_count("ordinal", self.ordinal, 1)
 
 
+class _Bands(tuple):
+    """A band table :func:`_validate_bands` checked, values not decreasing with the key,
+    which it passes as it is.  Pickled as a plain tuple, an unpickled one is checked again."""
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[tuple[float, float], ...]]]:
+        return tuple, (tuple(self),)
+
+
+class _FallingBands(_Bands):
+    """A band table :func:`_validate_bands` checked, values not increasing with the key."""
+
+
 def _validate_bands(
     name: str, bands: tuple[tuple[float, float], ...], *, values_decrease: bool
 ) -> tuple[tuple[float, float], ...]:
     """Check a band table, each entry a number before it becomes a float; return the floats."""
+    checked = _FallingBands if values_decrease else _Bands
+    if type(bands) is checked:
+        return bands
     check_type(name, bands, (tuple, list), "a tuple of (upper, value) pairs")
     if not bands:
         raise SchemaError(f"{name} must contain at least one band")
@@ -132,7 +147,7 @@ def _validate_bands(
     if any(b > a if values_decrease else b < a for a, b in zip(values, values[1:])):
         trend = "increase" if values_decrease else "decrease"
         raise SchemaError(f"{name} values must not {trend} with the band key")
-    return tuple(zip(uppers, values))
+    return checked(zip(uppers, values))
 
 
 @record

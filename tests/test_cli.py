@@ -23,7 +23,7 @@ from tortb.cli import main
 from tortb.records import replace
 from tortb.stats import describe
 
-from golden_inputs import run_main
+from golden_inputs import run_main, write_inputs
 
 GOLDEN_TORTB = (4.1, 6.5, 6.55, 8.7, 1.75, 2.5)
 
@@ -1123,20 +1123,46 @@ NON_UTF8_PATH_CASES = {
 }
 
 
+def run_strict_utf8(argv, cwd):
+    """``tortb`` in a new process whose stdout is strict UTF-8, as Python has it
+    under a locale such as en_US.UTF-8."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tortb.__file__).parents[1]),
+           "PYTHONUTF8": "1", "PYTHONIOENCODING": "utf-8:strict"}
+    done = subprocess.run([sys.executable, "-m", "tortb.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, check=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    return done.stdout
+
+
 @pytest.mark.parametrize("flag", NON_UTF8_PATH_CASES)
 def test_a_path_that_is_not_utf8_is_printed_as_its_bytes(flag, tmp_path):
-    """A strict UTF-8 stdout, as Python has under a locale such as
-    en_US.UTF-8, prints the path's bytes as given, as ``ls`` does."""
+    """A strict UTF-8 stdout prints the path's bytes as given, as ``ls`` does."""
     write_anchors(tmp_path / "anchors.json")
     write_episode_config(tmp_path / "episodes.json")
     argv, last_line = NON_UTF8_PATH_CASES[flag]
-    env = {**os.environ, "PYTHONPATH": str(Path(tortb.__file__).parents[1]),
-           "PYTHONUTF8": "1", "PYTHONIOENCODING": "utf-8:strict"}
-    done = subprocess.run([sys.executable, "-m", "tortb.cli", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, check=False)
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout.endswith(last_line)
+    assert run_strict_utf8(argv, tmp_path).endswith(last_line)
     assert os.path.exists(tmp_path / os.fsdecode(argv[-1]))
+
+
+NON_UTF8_JSON_CASES = {
+    "--out": ([b"calibrate", b"--anchors", b"anchors.json", b"--out", b"\xff.json", b"--json"],
+              "out_file"),
+    "--log": ([b"analyze", b"--log", b"\xff.csv", b"--json"], "log"),
+}
+
+
+@pytest.mark.parametrize("flag", NON_UTF8_JSON_CASES)
+def test_a_path_that_is_not_utf8_is_its_pep383_escape_in_json(flag, tmp_path):
+    """JSON text holds no raw bytes, so ``--json`` gives each byte that is not
+    UTF-8 as the lone surrogate it was read as (PEP 383), in a ``\\u`` escape;
+    ``os.fsencode`` of the value gives back the bytes the text form prints."""
+    write_inputs(tmp_path)
+    (tmp_path / "drive.csv").rename(tmp_path / os.fsdecode(b"\xff.csv"))
+    argv, key = NON_UTF8_JSON_CASES[flag]
+    out = run_strict_utf8(argv, tmp_path)
+    path = argv[argv.index(flag.encode()) + 1]
+    assert f'"{key}": "\\udcff.'.encode() in out
+    assert os.fsencode(json.loads(out)[key]) == path
 
 
 def test_version_flag(capsys):

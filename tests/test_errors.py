@@ -400,6 +400,8 @@ def test_located_prefixes_a_rejection_with_its_origin_and_keeps_its_type():
     assert type(info.value) is SchemaError
     assert str(info.value) == (
         "--srt/--experience: experience_km_per_week must be finite and >= 0, got -1.0")
+    assert info.value.field == "experience_km_per_week"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
     with pytest.raises(SpeedAboveModelRange) as info:
         with located("outer"), located("inner"):
             raise SpeedAboveModelRange("too fast")

@@ -110,8 +110,8 @@ def test_a_record_reads_the_keys_it_writes_and_defaults_each_optional_one(
     for key in sorted(RECORD_KEYS - set(document) - also):
         with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
             from_dict({**document, key: 0})
-    # A record's defaults are those of its last fields, as its __init__ holds them.
-    fields, values = type(record).__slots__, type(record).__init__.__defaults__ or ()
+    # A record's defaults are those of its last fields, as its constructor, __new__, holds them.
+    fields, values = type(record).__slots__, type(record).__new__.__defaults__ or ()
     defaults = dict(zip(fields[len(fields) - len(values):], values))
     for key in document:
         rest = {k: v for k, v in document.items() if k != key}

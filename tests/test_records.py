@@ -2,8 +2,11 @@
 rebuilds through its checks when copied, pickled or replaced."""
 
 import copy
+import inspect
 import pickle
+import struct
 import sys
+import weakref
 
 import pytest
 
@@ -82,12 +85,28 @@ def test_every_record_class_is_covered():
 @pytest.mark.parametrize("cls,obj,fields,change", CASES, ids=IDS)
 def test_a_record_refuses_assignment_and_deletion_and_has_no_dict(cls, obj, fields, change):
     for name in (fields[0], "no_such_field"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(obj, name, 1)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(obj, name)
     assert not hasattr(obj, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(obj)
     assert cls.__slots__ == fields
+    # One pointer per field on a bare object: no dict, no weak reference list.
+    assert cls.__basicsize__ == object.__basicsize__ + struct.calcsize("P") * len(fields)
+
+
+@pytest.mark.parametrize("cls,obj,fields,change", CASES, ids=IDS)
+def test_a_record_is_built_by_a_constructor_that_lists_its_fields(cls, obj, fields, change):
+    """The constructor's signature names each field, with its default where it has one."""
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == fields
+    built = cls(**{name: getattr(obj, name) for name in fields
+                   if parameters[name].default is inspect.Parameter.empty})
+    assert type(built) is cls
+    assert all(getattr(built, name) == p.default for name, p in parameters.items()
+               if p.default is not inspect.Parameter.empty)
 
 
 @pytest.mark.parametrize("cls,obj,fields,change", CASES, ids=IDS)
@@ -146,10 +165,25 @@ def test_replace_runs_the_checks_again():
 
 
 def test_a_pickle_runs_the_checks_again():
-    """Unpickling calls the class, so a bad value in the stream is refused."""
+    """Unpickling calls the class, so a bad value in the stream is refused, a
+    band table that a CoefficientSet has already checked included."""
     forged = pickle.dumps(DRIVER, protocol=0).replace(b"F0.2\n", b"F2.0\n")
     with pytest.raises(SchemaError, match="^srt must be within"):
         pickle.loads(forged)
+    forged = pickle.dumps(DEFAULT_COEFFICIENTS, protocol=0).replace(b"F0.25\n", b"F0.75\n")
+    with pytest.raises(SchemaError, match="^rsc_bands values must not decrease"):
+        pickle.loads(forged)
+
+
+def test_replace_keeps_checked_band_tables_and_checks_a_moved_one():
+    """A band table is checked once; given as the other table, it is checked again."""
+    changed = replace(DEFAULT_COEFFICIENTS, c_noa=1.0)
+    assert changed.rsc_bands is DEFAULT_COEFFICIENTS.rsc_bands
+    assert changed.dec_bands is DEFAULT_COEFFICIENTS.dec_bands
+    with pytest.raises(SchemaError, match="^dec_bands values must not increase"):
+        replace(DEFAULT_COEFFICIENTS, dec_bands=DEFAULT_COEFFICIENTS.rsc_bands)
+    with pytest.raises(SchemaError, match="^rsc_bands values must not decrease"):
+        replace(DEFAULT_COEFFICIENTS, rsc_bands=DEFAULT_COEFFICIENTS.dec_bands)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
