@@ -28,7 +28,7 @@ from .errors import (
     SchemaError,
     UnidentifiableUnknown,
     check_range,
-    check_types,
+    check_type,
     located,
 )
 from .model import (
@@ -65,8 +65,10 @@ class AnchorCase:
     unknown: UnknownCoefficient
 
     def __post_init__(self) -> None:
-        check_types(self, scenario=ScenarioSpec, driver=DriverProfile, ctx=TakeoverContext,
-                    unknown=UnknownCoefficient)
+        check_type("scenario", self.scenario, ScenarioSpec, "a ScenarioSpec")
+        check_type("driver", self.driver, DriverProfile, "a DriverProfile")
+        check_type("ctx", self.ctx, TakeoverContext, "a TakeoverContext")
+        check_type("unknown", self.unknown, UnknownCoefficient, "an UnknownCoefficient")
         check_range("known_tortb", self.known_tortb, 0, above=True)
 
 

@@ -1,6 +1,5 @@
 """Exception types, and the input checks that raise them, shared across the package."""
 
-import re
 import sys
 from numbers import Real
 from typing import Any
@@ -34,7 +33,8 @@ class SchemaError(TortbError, ValueError):
     """An input breaks a rule: a range, a type, a key or a line.  Also a ``ValueError``.
 
     ``field`` names the input that broke a type or range rule, as the check
-    was given it; it is None for the other rules.
+    was given it: the JSON key, for a fault read from a file.  It is None for
+    the other rules.
     """
 
     def __init__(self, message: str = "", field: str | None = None) -> None:
@@ -62,18 +62,12 @@ class EmptyGroup(TortbError):
     """Descriptive statistics requested for an empty collection."""
 
 
-def check_type(
-    name: str, value: Any, types: type | tuple[type, ...], what: str | None = None
-) -> None:
+def check_type(name: str, value: Any, types: type | tuple[type, ...], what: str) -> None:
     """Raise ``SchemaError`` unless ``value`` is an instance of ``types`` and not a bool.
 
-    ``what`` names the expected type in the message.  Without it, ``types``
-    must be one class, and the message names it with its article, a phrase
-    built only when the check fails.
+    ``what`` names the expected type in the message, as in "a DriverProfile".
     """
     if isinstance(value, bool) or not isinstance(value, types):
-        if what is None:
-            what = f"{_article(types.__name__)} {types.__name__}"
         raise SchemaError(f"{name} must be {what}, got {value!r}", field=name)
 
 
@@ -116,20 +110,6 @@ def to_float(name: str, value: Any) -> float:
         return float(value)
     except OverflowError:
         raise SchemaError(f"{name} must be finite, got {shown(value)}", field=name) from None
-
-
-def check_types(obj: Any, **types: type) -> None:
-    """Raise ``SchemaError`` unless each named field of ``obj`` is an instance of its type."""
-    for name, cls in types.items():
-        check_type(name, getattr(obj, name), cls)
-
-
-def _article(noun: str) -> str:
-    """"an" before a vowel sound, else "a".  A first word with no vowel after
-    its first letter is an initialism read letter by letter, as in "an NdrtClass"."""
-    word = re.match(r".[^A-Z]*", noun).group()
-    spelled = not any(c in "aeiou" for c in word[1:])
-    return "an" if noun[0] in ("AEFHILMNORSX" if spelled else "AEIOU") else "a"
 
 
 def shown(value: Any) -> str:

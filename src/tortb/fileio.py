@@ -2,7 +2,10 @@
 
 Keys carry their unit as a suffix (``c_noa_s``, ``ego_speed_km_per_hr``)
 so values cannot silently drift units.  Malformed input raises
-:class:`~tortb.errors.SchemaError` naming the offending key.
+:class:`~tortb.errors.SchemaError` naming the offending key, in its message
+and in its ``field``.  A reader raises its fault bare, and each record adds
+its origin through :class:`~tortb.errors.located`, so a nested fault reads
+``episodes.json: episodes[0]: driver: srt_s must be ...``.
 
 Each record's format is one table below, mapping each JSON key, in read
 order, to the field it fills.  That table alone drives the record's
@@ -32,63 +35,60 @@ class _Key(NamedTuple):
     """How one key of a JSON record is read into its field and written back."""
 
     field: str | None  # None: the key fills no field, and its reader only checks the record
-    read: Callable[[dict[str, Any], str, str], Any]  # (record, key, where) -> field value
+    read: Callable[[dict[str, Any], str], Any]  # (record, key) -> field value
     write: Callable[[Any], Any] = lambda value: value  # field value -> JSON value
 
 
-def _get(data: dict[str, Any], key: str, where: str) -> Any:
+def _get(data: dict[str, Any], key: str) -> Any:
     """The value under ``key`` of a record that :func:`_from_dict` has checked."""
     if key not in data:
-        raise SchemaError(f"{where}: missing key '{key}'")
+        raise SchemaError(f"missing key '{key}'")
     return data[key]
 
 
-def _typed(data: Any, key: str, where: str, types: Any, what: str) -> Any:
-    value = _get(data, key, where)
-    check_type(f"{where}: {key}", value, types, what)
+def _typed(data: Any, key: str, types: Any, what: str) -> Any:
+    value = _get(data, key)
+    check_type(key, value, types, what)
     return value
 
 
-def _choice(data: Any, key: str, where: str, choices: list[str]) -> str:
+def _choice(data: Any, key: str, choices: list[str]) -> str:
     """The value under ``key``, which must equal one of ``choices`` exactly."""
-    value = _get(data, key, where)
+    value = _get(data, key)
     if value not in choices:
-        raise SchemaError(f"{where}: {key} must be one of {choices}, got {value!r}")
+        raise SchemaError(f"{key} must be one of {choices}, got {value!r}")
     return value
 
 
-def _number(data: Any, key: str, where: str) -> float:
+def _number(data: Any, key: str) -> float:
     """A number (not a bool) under ``key``, as a float."""
-    return to_float(f"{where}: {key}", _get(data, key, where))
+    return to_float(key, _get(data, key))
 
 
 def _or_null(read: Callable[..., Any]) -> Callable[..., Any]:
     """Reader of ``null``, as None, or of a value ``read`` takes."""
-    return lambda data, key, where: (
-        None if _get(data, key, where) is None else read(data, key, where)
-    )
+    return lambda data, key: None if _get(data, key) is None else read(data, key)
 
 
 def _enum(cls: Any) -> tuple[Callable[..., Any], Callable[[Any], Any]]:
     """Reader and writer of an enum field, held in JSON as its exact value."""
     choices = [member.value for member in cls]
-    return (lambda data, key, where: cls(_choice(data, key, where, choices)),
-            lambda member: member.value)
+    return (lambda data, key: cls(_choice(data, key, choices)), lambda member: member.value)
 
 
 def _record(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
-    """Reader of the nested record under a key, named ``where.key`` in errors."""
-    return lambda data, key, where: from_dict(_get(data, key, where), f"{where}.{key}")
+    """Reader of the nested record under a key, located at the key in errors."""
+    return lambda data, key: from_dict(_get(data, key), key)
 
 
 def _list(from_dict: Callable[[Any, str], Any]) -> Callable[..., Any]:
-    """Reader of a non-empty list of records under a key, entry ``i`` named ``where: key[i]``."""
+    """Reader of a non-empty list of records under a key, entry ``i`` located at ``key[i]``."""
 
-    def read(data: Any, key: str, where: str) -> list[Any]:
-        entries = _typed(data, key, where, list, "a list")
+    def read(data: Any, key: str) -> list[Any]:
+        entries = _typed(data, key, list, "a list")
         if not entries:
-            raise SchemaError(f"{where}: {key} list is empty")
-        return [from_dict(entry, f"{where}: {key}[{i}]") for i, entry in enumerate(entries)]
+            raise SchemaError(f"{key} list is empty")
+        return [from_dict(entry, f"{key}[{i}]") for i, entry in enumerate(entries)]
 
     return read
 
@@ -107,21 +107,31 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
 
     The keys are read in table order.  A key that fills no field is always
     read, to check the record.  An absent key whose field has a default is
-    left to it; every reader raises on any other absent key.
+    left to it; every reader raises on any other absent key.  Every fault
+    is located at ``where``, and a nested record's fault at its key too.  A
+    fault of ``cls`` that names a field of the table names its key instead,
+    in the message and in ``field``.
     """
-    if not isinstance(data, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {data!r}")
-    for key in data:
-        if key not in table:
-            raise SchemaError(f"{where}: unknown key '{key}'")
-    fields = {}
-    for key, (field, read, _) in table.items():
-        if field is None:
-            read(data, key, where)
-        elif key in data or field not in _optional(cls):
-            fields[field] = read(data, key, where)
     with located(where):
-        return cls(**fields)
+        if not isinstance(data, dict):
+            raise SchemaError(f"expected a JSON object, got {data!r}")
+        for key in data:
+            if key not in table:
+                raise SchemaError(f"unknown key '{key}'")
+        fields = {}
+        for key, (field, read, _) in table.items():
+            if field is None:
+                read(data, key)
+            elif key in data or field not in _optional(cls):
+                fields[field] = read(data, key)
+        try:
+            return cls(**fields)
+        except SchemaError as exc:
+            # A rule of no one field, or a band's rule, names no key of the table.
+            key = next((name for name, k in table.items() if k.field == exc.field), None)
+            if exc.field is None or key is None:
+                raise
+            raise type(exc)(key + str(exc)[len(exc.field):], field=key) from None
 
 
 def _to_dict(obj: Any, table: dict[str, _Key]) -> dict[str, Any]:
@@ -196,7 +206,8 @@ def scenario_from_dict(data: dict[str, Any] | str, where: str = "scenario") -> S
     """Accepts either a preset name ("S1") or an inline scenario object."""
     if isinstance(data, str):
         if data not in SCENARIO_PRESETS:
-            raise SchemaError(f"{where}: unknown preset '{data}'")
+            with located(where):
+                raise SchemaError(f"unknown preset '{data}'")
         return SCENARIO_PRESETS[data]
     return _from_dict(data, _SCENARIO, ScenarioSpec, where)
 
@@ -206,30 +217,32 @@ def context_from_dict(data: dict[str, Any], where: str = "ctx") -> TakeoverConte
 
 
 def load_json(path: str | Path) -> Any:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
+    """The JSON document at ``path``; every fault of its text is located at the path."""
+    with located(str(path)):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not valid UTF-8 ({exc})") from None
 
-    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        record = dict(pairs)
-        if len(record) < len(pairs):
-            twice = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
-            raise SchemaError(f"{path}: duplicate key '{twice}'")
-        return record
+        def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+            record = dict(pairs)
+            if len(record) < len(pairs):
+                twice = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+                raise SchemaError(f"duplicate key '{twice}'")
+            return record
 
-    from decimal import Decimal
+        from decimal import Decimal
 
-    try:
-        # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
-        # reader, and that reader names the key they sit under.
-        return json.loads(text, parse_constant=Decimal, object_pairs_hook=unique)
-    except SchemaError:  # a duplicate key, from unique
-        raise
-    except ValueError as exc:  # malformed, or an int with too many digits for int()
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    except RecursionError:
-        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
+        try:
+            # JSON has no NaN/Infinity. Read as Decimals, they fail every typed
+            # reader, and that reader names the key they sit under.
+            return json.loads(text, parse_constant=Decimal, object_pairs_hook=unique)
+        except SchemaError:  # a duplicate key, from unique
+            raise
+        except ValueError as exc:  # malformed, or an int with too many digits for int()
+            raise SchemaError(f"not valid JSON ({exc})") from None
+        except RecursionError:
+            raise SchemaError("JSON nested too deeply to read") from None
 
 
 def write_file(path: str | Path, text: str) -> None:
@@ -289,13 +302,11 @@ def load_anchors(path: str | Path) -> list[AnchorCase]:
     return _from_dict(load_json(path), _ANCHORS, _anchors, str(path))
 
 
-def _deadline_mode(data: Any, key: str, where: str) -> None:
+def _deadline_mode(data: Any, key: str) -> None:
     """Check that ``deadline_mode`` 'explicit' and an ``explicit_deadline_s`` come together."""
-    mode = _choice(data, key, where, ["from_budget", "explicit"]) if key in data else None
+    mode = _choice(data, key, ["from_budget", "explicit"]) if key in data else None
     if (mode == "explicit") != (data.get("explicit_deadline_s") is not None):
-        raise SchemaError(
-            f"{where}: deadline_mode 'explicit' and explicit_deadline_s go together"
-        )
+        raise SchemaError("deadline_mode 'explicit' and explicit_deadline_s go together")
 
 
 _EPISODE = {

@@ -37,7 +37,6 @@ from .errors import (
     check_count,
     check_range,
     check_type,
-    check_types,
 )
 from .records import record, replace
 
@@ -110,7 +109,7 @@ class TakeoverContext:
     ordinal: int  # 1 = first exposure to this scenario class
 
     def __post_init__(self) -> None:
-        check_types(self, ndrt_class=NdrtClass)
+        check_type("ndrt_class", self.ndrt_class, NdrtClass, "an NdrtClass")
         check_count("ordinal", self.ordinal, 1)
 
 

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .defaults import _T_EPS, CSV_HEADER, PRE_WINDOW_S, SAMPLE_RATE_HZ
-from .errors import SchemaError, check_count, check_range, check_type, check_types, located
+from .errors import SchemaError, check_count, check_range, check_type, located
 from .model import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -142,8 +142,10 @@ class EpisodeConfig:
     maneuver_duration: float = 2.0  # [s]
 
     def __post_init__(self) -> None:
-        check_types(self, driver=DriverProfile, scenario=ScenarioSpec, ctx=TakeoverContext,
-                    coeffs=CoefficientSet)
+        check_type("driver", self.driver, DriverProfile, "a DriverProfile")
+        check_type("scenario", self.scenario, ScenarioSpec, "a ScenarioSpec")
+        check_type("ctx", self.ctx, TakeoverContext, "a TakeoverContext")
+        check_type("coeffs", self.coeffs, CoefficientSet, "a CoefficientSet")
         if self.deadline is not None:
             check_range("deadline", self.deadline, 0)
             if self.budget_driver is not None:

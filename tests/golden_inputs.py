@@ -178,9 +178,17 @@ STDERR_CASES = {
         ["analyze", "--log", "no_tor.csv"],
         "error: no_tor.csv: no row carries tor_flag=1\n",
     ),
+    "simulate_bad_config": (
+        ["simulate", "--config", "bad_episodes.json", "--out-dir", "simulate"],
+        "error: bad_episodes.json: episodes[0]: driver: srt_s must be within [0, 1], got 5.0\n",
+    ),
 }
 
 NO_TOR_LOG = "t,lat_disp,acc,steering,brake,tor_flag\n0,0,0,0,0,0\n"
+
+# One episode whose driver's srt_s is out of range: a fault of a nested file record.
+BAD_EPISODES = {"episodes": [{**EPISODES["episodes"][0],
+                              "driver": {"srt_s": 5, "experience_km_per_wk": 20}}]}
 
 
 def write_inputs(directory: Path) -> None:
@@ -188,6 +196,7 @@ def write_inputs(directory: Path) -> None:
     directory = Path(directory)
     (directory / "anchors.json").write_text(json.dumps(ANCHORS), encoding="utf-8")
     (directory / "episodes.json").write_text(json.dumps(EPISODES), encoding="utf-8")
+    (directory / "bad_episodes.json").write_text(json.dumps(BAD_EPISODES), encoding="utf-8")
     (directory / "drive.csv").write_text(drive_log_text(), encoding="utf-8")
     (directory / "no_tor.csv").write_text(NO_TOR_LOG, encoding="utf-8")
 

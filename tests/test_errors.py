@@ -16,7 +16,6 @@ from tortb.drivelog import (
     max_acceleration,
     summarize,
 )
-from tortb import errors
 from tortb.errors import (
     NegativeRelativeSpeed,
     SchemaError,
@@ -30,6 +29,7 @@ from tortb.fileio import (
     coefficients_from_dict,
     coefficients_to_dict,
     context_from_dict,
+    driver_from_dict,
     episode_config_from_dict,
     scenario_from_dict,
 )
@@ -96,6 +96,35 @@ REJECTIONS = [
     ("noa_file_float_and_label_int",
      lambda: scenario_from_dict({"noa": 1.5, "noj": 0, "ego_speed_km_per_hr": 80, "label": 5}),
      SchemaError, "scenario: noa must be an integer, got 1.5"),
+    # A file fault names the key the file holds, for a type rule and a range rule alike.
+    ("srt_file_str", lambda: driver_from_dict({**DRIVER_DOC, "srt_s": "5"}),
+     SchemaError, "driver: srt_s must be a number, got '5'"),
+    ("srt_file_range", lambda: driver_from_dict({**DRIVER_DOC, "srt_s": 5}),
+     SchemaError, "driver: srt_s must be within [0, 1], got 5.0"),
+    ("budget_driver_file_range",
+     lambda: episode_config_from_dict({**EPISODE_DOC, "budget_driver": {**DRIVER_DOC, "srt_s": 2}}),
+     SchemaError, "episode: budget_driver: srt_s must be within [0, 1], got 2.0"),
+    ("ego_speed_file",
+     lambda: scenario_from_dict({"noa": 1, "noj": 0, "ego_speed_km_per_hr": -1}),
+     SchemaError, "scenario: ego_speed_km_per_hr must be finite and >= 0, got -1.0"),
+    ("c_noa_file",
+     lambda: coefficients_from_dict({**coefficients_to_dict(DEFAULT_COEFFICIENTS), "c_noa_s": -1}),
+     SchemaError, "coefficients: c_noa_s must be finite and >= 0, got -1.0"),
+    ("known_tortb_file", lambda: anchor_from_dict({**ANCHOR_DOC, "known_tortb_s": 0}),
+     SchemaError, "anchor: known_tortb_s must be finite and > 0, got 0.0"),
+    ("explicit_deadline_file",
+     lambda: episode_config_from_dict({**EPISODE_DOC, "deadline_mode": "explicit",
+                                       "explicit_deadline_s": -2.0}),
+     SchemaError, "episode: explicit_deadline_s must be finite and >= 0, got -2.0"),
+    # A band's fault and a rule of two fields name no key of the file's table.
+    ("rsc_bands_file_bound",
+     lambda: coefficients_from_dict({**coefficients_to_dict(DEFAULT_COEFFICIENTS),
+                                     "rsc_bands": [{"upper_km_per_hr": -5, "value_s": 1}]}),
+     SchemaError, "coefficients: rsc_bands upper bounds[0] must be finite and >= 0, got -5.0"),
+    ("deadline_and_budget_driver_file",
+     lambda: episode_config_from_dict({**EPISODE_DOC, "deadline_mode": "explicit",
+                                       "explicit_deadline_s": 3.0, "budget_driver": DRIVER_DOC}),
+     SchemaError, "episode: deadline and budget_driver exclude each other, got both"),
     ("ego_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=math.inf),
      SchemaError, "ego_speed must be finite and >= 0, got inf"),
     ("hazard_speed", lambda: ScenarioSpec(noa=1, noj=0, ego_speed=80.0, hazard_speed=math.nan),
@@ -313,6 +342,7 @@ REJECTIONS = [
 # SchemaError rows whose rule is written out by hand rather than checked by
 # check_type or check_range, so the exception names no field.
 UNFIELDED = {"dec_bands_three_items", "rsc_bands_file_empty", "deadline_and_budget_driver",
+             "deadline_and_budget_driver_file",
              "tor_time", "tor_time_nan", "tor_time_too_large_for_a_float",
              "tor_time_over_str_limit", "describe_mean_overflow", "describe_std_overflow",
              "summarize_overflow", "ndrt", "unknown_lower", "unknown_upper", "deadline_mode"}
@@ -328,7 +358,8 @@ def test_rejection_names_field_and_value(site, call, error, message):
         # Library callers that catch ValueError still catch every rejected value.
         assert isinstance(info.value, ValueError)
         # ``field`` is the name check_type or check_range was given, without the
-        # prefix of a ``located`` block (noa_file_float, solved_coefficient_overflow).
+        # prefix of a ``located`` block (noa_file_float, solved_coefficient_overflow),
+        # and for a file fault the key the file holds (srt_file_range).
         name = message.split(" must be ")[0].rpartition(": ")[2]
         assert info.value.field == (None if site in UNFIELDED else name)
 
@@ -377,17 +408,6 @@ def test_check_range_above_excludes_the_lower_bound():
         check_range("x", 0.0, 0, above=True)
     with pytest.raises(ValueError, match=r"^x must be within \(0, 1\], got 0$"):
         check_range("x", 0, 0, 1, above=True)
-
-
-def test_check_types_builds_the_article_only_for_a_failed_check(monkeypatch):
-    calls = []
-    article = errors._article
-    monkeypatch.setattr(errors, "_article", lambda noun: calls.append(noun) or article(noun))
-    TakeoverContext(ndrt_class=NdrtClass.HANDS_FREE, ordinal=1)
-    assert calls == []
-    with pytest.raises(SchemaError, match=r"^ndrt_class must be an NdrtClass, got 'x'$"):
-        TakeoverContext(ndrt_class="x", ordinal=1)
-    assert calls == ["NdrtClass"]
 
 
 def test_located_prefixes_a_rejection_with_its_origin_and_keeps_its_type():

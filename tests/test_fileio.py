@@ -238,16 +238,16 @@ UNKNOWN_KEYS = [
      "upper_km_per_wk"),
     ("anchors", {**anchor(), "base_seed": 1}, "", "base_seed"),
     ("anchors", anchor(known_tortb=7.0), "anchors[0]: ", "known_tortb"),
-    ("anchors", anchor(driver={**DRIVER, "srt": 0.3}), "anchors[0].driver: ", "srt"),
+    ("anchors", anchor(driver={**DRIVER, "srt": 0.3}), "anchors[0]: driver: ", "srt"),
     ("episodes", {**episode(), "base_sed": 1}, "", "base_sed"),
     ("episodes", episode(explicit_deadline=3.0), "episodes[0]: ", "explicit_deadline"),
     ("episodes", episode(scenario={**INLINE_SCENARIO, "hazard_speed": 30}),
-     "episodes[0].scenario: ", "hazard_speed"),
-    ("episodes", episode(ctx={**CTX, "ndrt_class": "handheld"}), "episodes[0].ctx: ",
+     "episodes[0]: scenario: ", "hazard_speed"),
+    ("episodes", episode(ctx={**CTX, "ndrt_class": "handheld"}), "episodes[0]: ctx: ",
      "ndrt_class"),
     ("episodes", episode(budget_driver={**DRIVER, "experience": 20}),
-     "episodes[0].budget_driver: ", "experience"),
-    ("episodes", episode(coefficients=coeffs(oc_repeat=0.4)), "episodes[0].coefficients: ",
+     "episodes[0]: budget_driver: ", "experience"),
+    ("episodes", episode(coefficients=coeffs(oc_repeat=0.4)), "episodes[0]: coefficients: ",
      "oc_repeat"),
 ]
 
@@ -278,9 +278,9 @@ TOP_LEVEL = [
     ("episodes", {**episode(), "base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
     ("episodes", {"episodes": [], "base_seed": True}, "episodes list is empty"),
     ("anchors", anchor(driver={**DRIVER, "srt_s": 10**400}),
-     f"anchors[0].driver: srt_s must be finite, got {10**400}"),
+     f"anchors[0]: driver: srt_s must be finite, got {10**400}"),
     ("anchors", anchor(driver={**DRIVER, "srt_s": NAN}),
-     "anchors[0].driver: srt_s must be a number, got Decimal('NaN')"),
+     "anchors[0]: driver: srt_s must be a number, got Decimal('NaN')"),
 ]
 
 
@@ -328,7 +328,7 @@ TWO_FAULTS = [
      "episode: deadline_mode 'explicit' and explicit_deadline_s go together"),
     (fileio.episode_config_from_dict,
      {**EPISODE, "driver": {**DRIVER, "srt_s": -1}, "deadline_mode": "explicit"},
-     "episode.driver: srt must be within [0, 1], got -1.0"),
+     "episode: driver: srt_s must be within [0, 1], got -1.0"),
 ]
 
 
@@ -389,5 +389,7 @@ def test_only_schema_errors_escape(from_dict, valid, data):
     document = data.draw(JSON_VALUES | overrides(valid))
     try:
         from_dict(document, "doc")
-    except SchemaError:
-        pass
+    except SchemaError as exc:
+        # Every fault is located at the record, and names at most the bare key.
+        assert str(exc).startswith("doc: ")
+        assert exc.field is None or ": " not in exc.field
