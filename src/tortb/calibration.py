@@ -150,6 +150,7 @@ def calibrate_sequence(
     with the unrounded 1.85 agent coefficient).  Returns the per-unknown
     results and the seed set updated with the chained values.
     """
+    check_type("chaining", chaining, Chaining, "a Chaining")
     unknowns = [a.unknown for a in anchors]
     if len(set(unknowns)) != len(unknowns):
         raise SchemaError("each anchor must solve a distinct unknown")

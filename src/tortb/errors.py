@@ -34,7 +34,8 @@ class SchemaError(TortbError, ValueError):
 
     ``field`` names the input that broke a type or range rule, as the check
     was given it: the JSON key, for a fault read from a file.  It is None for
-    the other rules.
+    the other rules.  Each :class:`located` block a fault leaves prefixes its
+    message, so it is one object, traceback and all, from its check to the caller.
     """
 
     def __init__(self, message: str = "", field: str | None = None) -> None:
@@ -121,7 +122,7 @@ def shown(value: Any) -> str:
 
 
 class located:
-    """Re-raise a ``TortbError`` from the block as ``where: message``, type and attributes kept."""
+    """Prefix the message of a ``TortbError`` leaving the block with ``where: ``, in place."""
 
     __slots__ = ("where",)
 
@@ -133,6 +134,4 @@ class located:
 
     def __exit__(self, kind: Any, exc: BaseException | None, traceback: Any) -> None:
         if isinstance(exc, TortbError):
-            relocated = type(exc)(f"{self.where}: {exc}")
-            vars(relocated).update(vars(exc))
-            raise relocated from None
+            exc.args = (f"{self.where}: {exc}",)

@@ -109,8 +109,8 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
     read, to check the record.  An absent key whose field has a default is
     left to it; every reader raises on any other absent key.  Every fault
     is located at ``where``, and a nested record's fault at its key too.  A
-    fault of ``cls`` that names a field of the table names its key instead,
-    in the message and in ``field``.
+    fault of ``cls`` that names a field of the table is edited to name its
+    key instead, in the message and in ``field``, and raised on.
     """
     with located(where):
         if not isinstance(data, dict):
@@ -129,9 +129,9 @@ def _from_dict(data: Any, table: dict[str, _Key], cls: Any, where: str) -> Any:
         except SchemaError as exc:
             # A rule of no one field, or a band's rule, names no key of the table.
             key = next((name for name, k in table.items() if k.field == exc.field), None)
-            if exc.field is None or key is None:
-                raise
-            raise type(exc)(key + str(exc)[len(exc.field):], field=key) from None
+            if exc.field is not None and key is not None:
+                exc.args, exc.field = (key + str(exc)[len(exc.field):],), key
+            raise
 
 
 def _to_dict(obj: Any, table: dict[str, _Key]) -> dict[str, Any]:

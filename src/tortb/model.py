@@ -243,12 +243,18 @@ SCENARIO_PRESETS: dict[str, ScenarioSpec] = dict(zip(SCENARIO_NAMES, (
 ), strict=True))
 
 
+# Module names for the two members, which ndrtc_lookup tests on every estimate.
+_HANDS_FREE, _HAND_HELD = NdrtClass.HANDS_FREE, NdrtClass.HAND_HELD
+
+
 def ndrtc_lookup(
     ndrt_class: NdrtClass, coeffs: CoefficientSet = DEFAULT_COEFFICIENTS
 ) -> float:
     """Disengagement penalty [s] for the given task class."""
-    if ndrt_class is NdrtClass.HANDS_FREE:
+    if ndrt_class is _HANDS_FREE:
         return 0.0
+    if ndrt_class is not _HAND_HELD:
+        check_type("ndrt_class", ndrt_class, NdrtClass, "an NdrtClass")
     return coeffs.ndrtc_handheld
 
 

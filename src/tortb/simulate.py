@@ -265,6 +265,7 @@ def run_episode(cfg: EpisodeConfig, seed: int = 0) -> EpisodeOutcome:
     draw.  The log's extent is checked here, so an episode whose log would
     exceed ``MAX_LOG_S`` fails now rather than when its log is first read.
     """
+    check_type("cfg", cfg, EpisodeConfig, "an EpisodeConfig")
     check_count("seed", seed, 0, _MASK64)
     own_budget = estimate_tortb(cfg.driver, cfg.scenario, cfg.ctx, cfg.coeffs).total
     required = max(own_budget + _uniform(seed, -cfg.response_noise, cfg.response_noise), 0.0)

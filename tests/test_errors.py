@@ -1,6 +1,8 @@
 """Every pinned input rejection: range rules, choices, log windows and empty lists."""
 
+import json
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tortb.errors import (
     NegativeRelativeSpeed,
     SchemaError,
     SpeedAboveModelRange,
+    TortbError,
     WindowOutOfRange,
     check_range,
     located,
@@ -31,6 +34,7 @@ from tortb.fileio import (
     context_from_dict,
     driver_from_dict,
     episode_config_from_dict,
+    load_episode_configs,
     scenario_from_dict,
 )
 from tortb.model import (
@@ -41,6 +45,7 @@ from tortb.model import (
     ScenarioSpec,
     TakeoverContext,
     estimate_tortb,
+    ndrtc_lookup,
     round_coefficient,
 )
 from tortb.records import replace
@@ -141,6 +146,10 @@ REJECTIONS = [
      SchemaError, "ordinal must be an integer, got True"),
     ("ndrt_class_str", lambda: TakeoverContext("handsfree", 1),
      SchemaError, "ndrt_class must be an NdrtClass, got 'handsfree'"),
+    ("ndrtc_lookup_str", lambda: ndrtc_lookup("handsfree"),
+     SchemaError, "ndrt_class must be an NdrtClass, got 'handsfree'"),
+    ("ndrtc_lookup_none", lambda: ndrtc_lookup(None),
+     SchemaError, "ndrt_class must be an NdrtClass, got None"),
     ("c_noa", lambda: replace(DEFAULT_COEFFICIENTS, c_noa=math.nan),
      SchemaError, "c_noa must be finite and >= 0, got nan"),
     ("c_noj", lambda: replace(DEFAULT_COEFFICIENTS, c_noj=-0.5),
@@ -224,6 +233,9 @@ REJECTIONS = [
          [AnchorCase(SCENARIO, DRIVER, replace(CTX, ordinal=2), 1.7e308,
                      UnknownCoefficient.C_NOA)], replace(DEFAULT_COEFFICIENTS, oc_repeat=1.7e308)),
      SchemaError, "anchors[0]: solved c_noa must be finite and >= 0, got inf"),
+    # A string would have chained the rounded values, as it is not Chaining.USE_RAW.
+    ("chaining_str", lambda: calibrate_sequence([], DEFAULT_COEFFICIENTS, "raw"),
+     SchemaError, "chaining must be a Chaining, got 'raw'"),
     ("deadline", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=-1.0),
      SchemaError, "deadline must be finite and >= 0, got -1.0"),
     ("response_noise", lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, response_noise=1e308),
@@ -242,6 +254,8 @@ REJECTIONS = [
      SchemaError, "base_seed must be an integer, got 1.5"),
     ("base_seed_bool", lambda: run_batch([EpisodeConfig(DRIVER, SCENARIO, CTX)], True),
      SchemaError, "base_seed must be an integer, got True"),
+    ("episode_cfg_int", lambda: run_batch([1], 0),
+     SchemaError, "episodes[0]: cfg must be an EpisodeConfig, got 1"),
     ("deadline_and_budget_driver",
      lambda: EpisodeConfig(DRIVER, SCENARIO, CTX, deadline=3.0, budget_driver=DRIVER),
      SchemaError, "deadline and budget_driver exclude each other, got both"),
@@ -414,6 +428,12 @@ def test_located_prefixes_a_rejection_with_its_origin_and_keeps_its_type():
     with located("here"):
         driver = DriverProfile(srt=0.2, experience_km_per_week=1.0)
     assert driver == DriverProfile(0.2, 1.0)
+    err = SchemaError("srt must be a number, got '5'", field="srt")
+    with pytest.raises(SchemaError) as info:
+        with located("x"):
+            raise err
+    assert info.value is err
+    assert str(err) == "x: srt must be a number, got '5'" and err.field == "srt"
     with pytest.raises(SchemaError) as info:
         with located("--srt/--experience"):
             DriverProfile(srt=0.2, experience_km_per_week=-1.0)
@@ -421,12 +441,34 @@ def test_located_prefixes_a_rejection_with_its_origin_and_keeps_its_type():
     assert str(info.value) == (
         "--srt/--experience: experience_km_per_week must be finite and >= 0, got -1.0")
     assert info.value.field == "experience_km_per_week"
-    assert info.value.__cause__ is None and info.value.__suppress_context__
     with pytest.raises(SpeedAboveModelRange) as info:
         with located("outer"), located("inner"):
             raise SpeedAboveModelRange("too fast")
     assert type(info.value) is SpeedAboveModelRange
     assert str(info.value) == "outer: inner: too fast"
+
+
+def test_a_nested_file_fault_keeps_the_traceback_of_its_check(tmp_path):
+    path = tmp_path / "e.json"
+    episode = {**EPISODE_DOC, "driver": {**DRIVER_DOC, "srt_s": 5}}
+    path.write_text(json.dumps({"episodes": [episode]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_episode_configs(path)
+    assert str(info.value) == f"{path}: episodes[0]: driver: srt_s must be within [0, 1], got 5.0"
+    assert traceback.extract_tb(info.tb)[-1].name == "check_range"
+
+
+def test_located_passes_on_a_rejection_whose_constructor_takes_two_arguments():
+    class OutOfBand(TortbError):
+        def __init__(self, name, value):
+            super().__init__(f"{name} is outside every band, got {value}")
+            self.name = name
+
+    with pytest.raises(OutOfBand) as info:
+        with located("here"):
+            raise OutOfBand("rs", 200)
+    assert str(info.value) == "here: rs is outside every band, got 200"
+    assert info.value.name == "rs"
 
 
 def test_located_leaves_a_fault_that_is_not_a_rejection_alone():
